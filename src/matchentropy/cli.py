@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -58,6 +59,9 @@ class RunConfig:
             raise ValidationError(f"grid_n must be >= 2, got {self.grid_n}")
         if self.grid_m < 1:
             raise ValidationError(f"grid_m must be >= 1, got {self.grid_m}")
+        for name in ("horizon", "cap_d", "dt", "x0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.horizon <= 0.0:
             raise ValidationError(f"horizon must be positive, got {self.horizon}")
         if self.scheme not in ("explicit", "implicit"):

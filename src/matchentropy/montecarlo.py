@@ -12,7 +12,11 @@ step, and nothing accrues after stopping.
 
 Every path owns a counter-based generator keyed by (base_seed, path index),
 so results are bit-identical regardless of batch layout, and the reduction
-order is fixed by path index.
+order is fixed by path index.  Noise is drawn lazily, one block of steps at a
+time and only for paths still alive; consecutive draws continue each path's
+stream, so the results equal those of drawing the whole horizon up front.
+Memory is O(chunk x block), independent of dt.  A solved control is read by
+index arithmetic on its uniform x grid, bit-identical to np.interp.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .errors import ValidationError
 from .hjb import ControlField
 
 _CHUNK = 8192
+# steps of noise drawn per path at a time: bounds the noise buffers at _CHUNK x _BLOCK
+_BLOCK = 128
 
 # mean overshoot of a discretely monitored Brownian crossing, -zeta(1/2)/sqrt(2 pi)
 BARRIER_CORRECTION = 0.5825971579390107
@@ -45,8 +51,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValidationError("n_paths must be >= 1")
-        if self.dt <= 0.0:
-            raise ValidationError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
         if not 0.0 < self.x0 < 1.0:
             raise ValidationError(f"x0 must lie in (0, 1), got {self.x0!r}")
 
@@ -76,11 +82,28 @@ class QvReport:
     passed: bool
 
 
+def _interp_uniform(x, xs, ys, slopes):
+    """np.interp(x, xs[:-1], ys) bit for bit, for x in [0, 1] and finite ys.
+
+    `xs` is linspace(0, 1, n + 1) followed by an inf sentinel, and `slopes`
+    is np.diff(ys) / np.diff(xs[:-1]) followed by a 0 that only x = 1 reads.
+    The bracketing index comes from floor(x * n), corrected by one comparison
+    each way, and the value from np.interp's own formula; at a node x - xs[j]
+    is 0, so the formula returns the node value exactly, as np.interp does.
+    """
+    j = (x * (ys.size - 1)).astype(np.intp)
+    j -= xs[j] > x
+    j += xs[j + 1] <= x
+    return slopes[j] * (x - xs[j]) + ys[j]
+
+
 def _control_evaluator(control, T: float | None):
     """Return (horizon, eval(t, x_array) -> a_array) for any supported control."""
     if isinstance(control, ControlField):
         grid = control.grid
-        xs = grid.x_nodes()
+        nodes = grid.x_nodes()
+        xs = np.append(nodes, np.inf)
+        dxs = np.diff(nodes)
         a_rows = control.a_star
 
         def eval_field(t, x):
@@ -90,7 +113,7 @@ def _control_evaluator(control, T: float | None):
             m = min(int(mf), grid.M - 1)
             wt = mf - m
             row = a_rows[m] if wt == 0.0 else (1.0 - wt) * a_rows[m] + wt * a_rows[m + 1]
-            return np.interp(x, xs, row)
+            return _interp_uniform(x, xs, row, np.append(np.diff(row) / dxs, 0.0))
 
         return grid.T, eval_field
     if isinstance(control, VolatilityModel):
@@ -104,8 +127,8 @@ def _control_evaluator(control, T: float | None):
 
         return control.T, eval_benchmark
     a_const = float(control)
-    if not a_const > 0.0:
-        raise ValidationError(f"constant control must be positive, got {control!r}")
+    if not (math.isfinite(a_const) and a_const > 0.0):
+        raise ValidationError(f"constant control must be positive and finite, got {control!r}")
     if T is None:
         raise ValidationError("a horizon T is required with a constant control")
 
@@ -135,7 +158,7 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None, *,
     if isinstance(control, ControlField) and cfg.dt > control.grid.k + 1e-15:
         raise ValidationError(f"dt={cfg.dt!r} exceeds the control grid step {control.grid.k!r}")
     n_steps_f = horizon / cfg.dt
-    n_steps = int(round(n_steps_f))
+    n_steps = int(round(n_steps_f)) if math.isfinite(n_steps_f) else 0
     if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-9:
         raise ValidationError(f"dt={cfg.dt!r} must divide the horizon {horizon!r} evenly")
     dt = cfg.dt
@@ -147,40 +170,67 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None, *,
     reward = np.zeros(n)
     qv = np.zeros(n)
 
+    seed_word = cfg.base_seed & 0xFFFFFFFFFFFFFFFF
+    slots = min(n, _CHUNK)
+    # One generator per chunk slot, set for each chunk to the start of the stream
+    # of Philox(key=[seed_word, path]); setting a state is several times cheaper
+    # than building a Philox.
+    gens = [np.random.Generator(np.random.Philox(0)) for _ in range(slots)]
+    fresh = np.zeros(4, dtype=np.uint64)
+    # each block of noise is drawn path by path, then transposed to steps x paths
+    drawn_buf = np.empty((slots, min(_BLOCK, n_steps)))
+    noise_buf = np.empty((min(_BLOCK, n_steps), slots))
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        size = hi - lo
-        noise = np.empty((size, n_steps))
-        seed_word = cfg.base_seed & 0xFFFFFFFFFFFFFFFF
-        for i in range(size):
-            gen = np.random.Generator(np.random.Philox(key=[seed_word, lo + i]))
-            noise[i] = gen.standard_normal(n_steps)
-        x = np.full(size, cfg.x0)
-        alive = np.ones(size, dtype=bool)
-        for j in range(n_steps):
-            idx = np.nonzero(alive)[0]
-            if idx.size == 0:
+        for path, gen in zip(range(lo, hi), gens):
+            gen.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": fresh, "key": np.array([seed_word, path], dtype=np.uint64)},
+                "buffer": fresh, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        # state of the live paths only, in path order; a path leaves the step it exits
+        ids = np.arange(lo, hi)
+        x = np.full(ids.size, cfg.x0)
+        r = np.zeros(ids.size)
+        q = np.zeros(ids.size)
+        for start in range(0, n_steps, _BLOCK):
+            if ids.size == 0:
                 break
-            t = j * dt
-            a = eval_a(t, x[idx])
-            step_sd = np.sqrt(a * dt)
-            x_new = x[idx] + step_sd * noise[idx, j]
-            shift = BARRIER_CORRECTION * step_sd if barrier_correction else 0.0
-            inside = (x_new > shift) & (x_new < 1.0 - shift)
-            accrue = np.ones_like(inside) if include_exit_step else inside
-            sel = idx[accrue]
-            reward[lo + sel] += 0.5 * (1.0 + np.log(a[accrue])) * dt
-            qv[lo + sel] += a[accrue] * dt
-            gone = idx[~inside]
-            if gone.size:
+            width = min(_BLOCK, n_steps - start)
+            drawn = drawn_buf[:ids.size, :width]
+            for row, i in zip(drawn, (ids - lo).tolist()):
+                gens[i].standard_normal(out=row)
+            noise = noise_buf[:width, :ids.size]
+            np.copyto(noise, drawn.T)
+            cols = None  # columns of `noise` still alive, once a path has left
+            for j in range(start, start + width):
+                a = eval_a(j * dt, x)
+                a_dt = a * dt
+                step_sd = np.sqrt(a_dt)
+                xi = noise[j - start] if cols is None else noise[j - start, cols]
+                x_new = x + step_sd * xi
+                shift = BARRIER_CORRECTION * step_sd if barrier_correction else 0.0
+                inside = (x_new > shift) & (x_new < 1.0 - shift)
+                r_new = r + 0.5 * (1.0 + np.log(a)) * dt
+                q_new = q + a_dt
+                if inside.all():
+                    x, r, q = x_new, r_new, q_new
+                    continue
+                out = ~inside
+                gone = ids[out]
                 # record the nearer boundary; endpoints clip to {0, 1}
-                left_exit = x_new[~inside] <= 0.5
-                side[lo + gone] = np.where(left_exit, -1, 1)
-                exit_time[lo + gone] = (j + 1) * dt
-                alive[gone] = False
-                x_new[~inside] = np.where(left_exit, 0.0, 1.0)
-            x[idx] = np.clip(x_new, 0.0, 1.0)
-        terminal[lo:hi] = x
+                left_exit = x_new[out] <= 0.5
+                side[gone] = np.where(left_exit, -1, 1)
+                terminal[gone] = np.where(left_exit, 0.0, 1.0)
+                exit_time[gone] = (j + 1) * dt
+                reward[gone] = (r_new if include_exit_step else r)[out]
+                qv[gone] = (q_new if include_exit_step else q)[out]
+                ids, x, r, q = ids[inside], x_new[inside], r_new[inside], q_new[inside]
+                cols = np.flatnonzero(inside) if cols is None else cols[inside]
+                if ids.size == 0:
+                    break
+        terminal[ids] = x
+        reward[ids] = r
+        qv[ids] = q
 
     probes = cfg.probe_times or (0.5 * horizon, 0.9 * horizon, 0.99 * horizon)
     absorbed = side != 0

@@ -52,6 +52,15 @@ def test_validation_exit_codes(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--dt", "nan"), ("--dt", "inf"), ("--x0", "nan"),
+                                        ("--horizon", "inf"), ("--cap-d", "nan")])
+def test_non_finite_inputs_exit_with_one_line_error(flag, value, capsys):
+    assert cli.main(["simulate", *SMALL, "--n-paths", "10", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_explicit_scheme_cfl_precheck_fails_fast(capsys):
     # reference resolution with the default cap violates k*d/h^2 <= 1
     assert cli.main(["solve", "--scheme", "explicit"]) == 1

@@ -1,11 +1,17 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import matchentropy as me
+from matchentropy import montecarlo
 from matchentropy.errors import ValidationError
-from matchentropy.montecarlo import _control_evaluator
+from matchentropy.montecarlo import _BLOCK, _CHUNK, _control_evaluator
+
+PATH_ARRAYS = ("reward_samples", "qv_samples", "terminal_values", "exit_time_samples",
+               "absorbed_side")
 
 
 def small_control_field(NM=100, cap=1e4):
@@ -26,12 +32,98 @@ def test_bit_identical_reruns():
     assert a.reward_mean == b.reward_mean and a.qv_mean == b.qv_mean
 
 
-def test_per_path_streams_do_not_depend_on_batch():
+def assert_same_paths(stats, reference, rows=slice(None)):
+    for name in PATH_ARRAYS:
+        assert np.array_equal(getattr(stats, name), getattr(reference, name)[rows]), name
+
+
+def test_per_path_streams_do_not_depend_on_batch(monkeypatch):
     ctrl, _ = small_control_field(50)
-    few = me.simulate_paths(ctrl, me.SimConfig(n_paths=40, dt=0.02, base_seed=7, x0=0.5))
-    many = me.simulate_paths(ctrl, me.SimConfig(n_paths=160, dt=0.02, base_seed=7, x0=0.5))
-    assert np.array_equal(few.reward_samples, many.reward_samples[:40])
-    assert np.array_equal(few.terminal_values, many.terminal_values[:40])
+    # the control-field run spans two chunks; the full-length paths outlive several noise blocks
+    for control, dt, n_many in ((ctrl, 0.02, _CHUNK + 37),
+                                (me.VolatilityModel.full_length(1.0), 1.0 / (3 * _BLOCK), 160)):
+        def run(n_paths):
+            return me.simulate_paths(control, me.SimConfig(n_paths=n_paths, dt=dt, base_seed=7,
+                                                           x0=0.5))
+        many = run(n_many)
+        assert_same_paths(run(40), many, slice(0, 40))
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        monkeypatch.setattr(montecarlo, "_BLOCK", 7)
+        assert_same_paths(run(n_many), many)
+        monkeypatch.undo()
+
+
+# sha256 over PATH_ARRAYS, recorded with the simulator that drew each path's
+# whole horizon of noise up front and looked the control up with np.interp
+# (x86-64, numpy 2.4); a numpy whose SIMD log or sin rounds differently will
+# not reproduce them
+GOLDEN_RUNS = {
+    "field_time_blend": "51630a94997a7be3b61880c0aa1ce080b720ce9c930de5706af43fd6bf036ac7",
+    "field_stopped_early": "9e86adff7256ce2df508bb960f2881466f85cbd08ea5de8c02f154d943e50cf1",
+    "full_length": "ff142c7bc9e5dd519949e9049a6f974fd613dc88ada6dcd3050466feef21bf33",
+    "constant": "cc50c3187a3e0fe1de18d32cc5666e9179e662fef3d6235dd4f982b57e577b7c",
+    "naive_flags": "b6bcead89deebb86b5feefd7ab8aba13335a32d9323f15714b08c9ceadd4447a",
+}
+
+
+def test_paths_match_golden_digests():
+    ctrl, _ = small_control_field(50)  # k = 0.02
+    runs = {
+        # dt < k, so the control rows are blended in time
+        "field_time_blend": lambda: me.simulate_paths(
+            ctrl, me.SimConfig(n_paths=300, dt=0.005, base_seed=11, x0=0.5)),
+        "field_stopped_early": lambda: me.simulate_paths(
+            ctrl, me.SimConfig(n_paths=300, dt=0.02, base_seed=9, x0=0.4), T=0.5),
+        "full_length": lambda: me.simulate_paths(
+            me.VolatilityModel.full_length(1.0),
+            me.SimConfig(n_paths=200, dt=2.5e-3, base_seed=5, x0=0.5)),
+        "constant": lambda: me.simulate_paths(
+            1.0, me.SimConfig(n_paths=500, dt=0.01, base_seed=3, x0=0.3), T=1.0),
+        "naive_flags": lambda: me.simulate_paths(
+            ctrl, me.SimConfig(n_paths=300, dt=0.01, base_seed=12, x0=0.6),
+            barrier_correction=False, include_exit_step=False),
+    }
+    for name, simulate in runs.items():
+        stats = simulate()
+        digest = hashlib.sha256()
+        for field in PATH_ARRAYS:
+            digest.update(getattr(stats, field).tobytes())
+        assert digest.hexdigest() == GOLDEN_RUNS[name], name
+
+
+def test_peak_memory_does_not_grow_with_steps():
+    def peak_bytes(n_steps):
+        # a tiny constant diffusion keeps every path alive to T
+        cfg = me.SimConfig(n_paths=64, dt=1.0 / n_steps, base_seed=3, x0=0.5)
+        tracemalloc.start()
+        try:
+            me.simulate_paths(1e-4, cfg, T=1.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    base = peak_bytes(_BLOCK)
+    assert peak_bytes(16 * _BLOCK) <= 1.25 * base
+
+
+def test_control_lookup_equals_np_interp_bitwise():
+    ctrl, _ = small_control_field(50)
+    rng = np.random.default_rng(5)
+    fields = [ctrl]
+    for n in (7, 97, 997, 1000):
+        for _ in range(10):
+            a = rng.uniform(0.5, 5.0, size=(2, n + 1))
+            fields.append(me.ControlField(grid=me.make_grid(n, 1, 1.0), a_star=a,
+                                          sigma_star=np.sqrt(a)))
+    for field in fields:
+        _, eval_a = _control_evaluator(field, None)
+        xs = field.grid.x_nodes()
+        queries = np.concatenate([xs, np.nextafter(xs[1:], 0.0), np.nextafter(xs[:-1], 1.0),
+                                  [0.0, 1.0], rng.uniform(0.0, 1.0, 10_000)])
+        a0, a1 = field.a_star[0], field.a_star[1]
+        for t, row in ((0.0, a0), (0.5 * field.grid.k, 0.5 * a0 + 0.5 * a1)):
+            got = eval_a(t, queries)
+            assert np.array_equal(got.view(np.uint64), np.interp(queries, xs, row).view(np.uint64))
 
 
 def test_different_seeds_differ():
@@ -123,6 +215,11 @@ def test_sim_config_validation():
         me.SimConfig(n_paths=10, dt=0.0, base_seed=1, x0=0.5)
     with pytest.raises(ValidationError):
         me.SimConfig(n_paths=10, dt=0.01, base_seed=1, x0=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            me.SimConfig(n_paths=10, dt=bad, base_seed=1, x0=0.5)
+        with pytest.raises(ValidationError):
+            me.SimConfig(n_paths=10, dt=0.01, base_seed=1, x0=bad)
 
 
 def test_simulation_step_constraints():
@@ -133,9 +230,15 @@ def test_simulation_step_constraints():
         me.simulate_paths(ctrl, me.SimConfig(n_paths=10, dt=0.03, base_seed=1, x0=0.5))
     with pytest.raises(ValidationError):
         me.simulate_paths(1.0, me.SimConfig(n_paths=10, dt=0.01, base_seed=1, x0=0.5))
-    with pytest.raises(ValidationError):
-        me.simulate_paths(-1.0, me.SimConfig(n_paths=10, dt=0.01, base_seed=1, x0=0.5),
-                          T=1.0)
+    cfg = me.SimConfig(n_paths=10, dt=0.01, base_seed=1, x0=0.5)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            me.simulate_paths(bad, cfg, T=1.0)
+    for bad_T in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            me.simulate_paths(1.0, cfg, T=bad_T)
+        with pytest.raises(ValidationError):
+            me.simulate_paths(ctrl, cfg, T=bad_T)
 
 
 def test_asymmetric_start_martingale_and_value():
