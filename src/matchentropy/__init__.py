@@ -14,19 +14,17 @@ from .checks import (CheckReport, CheckResult, check_solution_properties, cross_
                      decay_envelope, decay_rate_check, hjb_horizon_solver,
                      merge_reports)
 from .density import (DensitySurface, VolatilityModel, benchmark_entropy,
-                      benchmark_volatility, solve_forward_density,
+                      benchmark_variance, solve_forward_density,
                       survival_probability, terminal_atoms)
 from .errors import (CflError, ConvergenceError, MatchEntropyError, NumericalError,
                      ValidationError)
 from .grid import (Grid, PField, ValueSurface, field_from_csv, field_to_csv,
-                   make_grid, second_difference, stationary_entropy,
-                   surface_from_json, surface_to_csv, surface_to_json)
+                   make_grid, stationary_entropy, surface_to_json)
 from .hjb import (CONTROL_FLOOR, ControlField, SchemeConfig, explicit_step,
                   hamiltonian_capped, implicit_step, optimal_control_field,
-                  policy_update, solve_hjb, solve_hjb_with_iterations,
-                  transition_probability)
+                  solve_hjb, solve_hjb_with_iterations)
 from .logdiff import (LadderConfig, entropy_from_p, entropy_surface_from_p_values,
-                      ladder_limit, solve_log_diffusion)
+                      solve_log_diffusion)
 from .montecarlo import (PathStats, QvReport, SimConfig, quadratic_variation_check,
                          simulate_paths)
 
@@ -35,15 +33,14 @@ __all__ = [
     "CONTROL_FLOOR",
     "CflError", "ConvergenceError", "MatchEntropyError", "NumericalError",
     "ValidationError",
-    "Grid", "PField", "ValueSurface", "make_grid", "second_difference",
-    "stationary_entropy", "field_to_csv", "field_from_csv", "surface_to_csv",
-    "surface_to_json", "surface_from_json",
-    "SchemeConfig", "ControlField", "hamiltonian_capped", "transition_probability",
-    "explicit_step", "policy_update", "implicit_step", "solve_hjb",
+    "Grid", "PField", "ValueSurface", "make_grid", "stationary_entropy",
+    "field_to_csv", "field_from_csv", "surface_to_json",
+    "SchemeConfig", "ControlField", "hamiltonian_capped",
+    "explicit_step", "implicit_step", "solve_hjb",
     "solve_hjb_with_iterations", "optimal_control_field",
     "LadderConfig", "solve_log_diffusion", "entropy_from_p",
-    "entropy_surface_from_p_values", "ladder_limit",
-    "DensitySurface", "VolatilityModel", "benchmark_volatility", "benchmark_entropy",
+    "entropy_surface_from_p_values",
+    "DensitySurface", "VolatilityModel", "benchmark_variance", "benchmark_entropy",
     "solve_forward_density", "survival_probability", "terminal_atoms",
     "SimConfig", "PathStats", "QvReport", "simulate_paths",
     "quadratic_variation_check",

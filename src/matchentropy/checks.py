@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ValidationError
-from .grid import ValueSurface, make_grid, stationary_entropy
+from .grid import ValueSurface, make_grid, second_difference_interior, stationary_entropy
 from .hjb import SchemeConfig, solve_hjb
 
 
@@ -91,8 +91,7 @@ def check_solution_properties(surface: ValueSurface) -> CheckReport:
         _result("upper_bound_stationary", v - e_inf[np.newaxis, :], 1e-10),
         _result("time_monotonicity", v[1:] - v[:-1], 1e-10),
         _result("symmetry", np.abs(v - v[:, ::-1]), 1e-9),
-        _result("concavity",
-                (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / (g.h * g.h), 1e-8),
+        _result("concavity", second_difference_interior(v, g.h), 1e-8),
     ]
     return CheckReport(results=tuple(results))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -24,7 +23,8 @@ from .checks import (CheckReport, check_solution_properties, cross_solver_gap, d
 from .density import (VolatilityModel, solve_forward_density, survival_probability,
                       terminal_atoms)
 from .errors import MatchEntropyError, NumericalError, ValidationError
-from .grid import dump_json, field_to_csv, make_grid, surface_to_json
+from .grid import (dump_json, field_to_csv, make_grid, second_difference_interior,
+                   surface_to_json)
 from .hjb import (SchemeConfig, optimal_control_field, solve_hjb,
                   solve_hjb_with_iterations)
 from .logdiff import LadderConfig, entropy_from_p, solve_log_diffusion
@@ -55,29 +55,14 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValidationError(f"unknown command {self.command!r}")
-        if self.grid_n < 2:
-            raise ValidationError(f"grid_n must be >= 2, got {self.grid_n}")
-        if self.grid_m < 1:
-            raise ValidationError(f"grid_m must be >= 1, got {self.grid_m}")
-        for name in ("horizon", "cap_d", "dt", "x0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.horizon <= 0.0:
-            raise ValidationError(f"horizon must be positive, got {self.horizon}")
-        if self.scheme not in ("explicit", "implicit"):
-            raise ValidationError(f"scheme must be explicit or implicit, got {self.scheme!r}")
         if self.model not in ("early_termination", "full_length"):
             raise ValidationError(f"unknown model {self.model!r}")
         if self.format not in ("csv", "json"):
             raise ValidationError(f"format must be csv or json, got {self.format!r}")
-        if self.regularisation_n is not None and self.regularisation_n < 1:
-            raise ValidationError("regularisation_n must be a positive integer")
-        if self.n_paths < 1:
-            raise ValidationError("n_paths must be >= 1")
-        if self.dt <= 0.0:
-            raise ValidationError("dt must be positive")
-        if not 0.0 < self.x0 < 1.0:
-            raise ValidationError(f"x0 must lie in (0, 1), got {self.x0}")
+        # the library checks every numeric input; run them here, before anything is echoed
+        make_grid(self.grid_n, self.grid_m, self.horizon)
+        SchemeConfig(self.cap_d, self.scheme, terminal_regularisation_n=self.regularisation_n)
+        SimConfig(self.n_paths, self.dt, self.seed, self.x0)
         if not self.output_path:
             self.output_path = os.environ.get(OUTDIR_ENV, ".")
 
@@ -193,12 +178,6 @@ def _grid_and_scheme(config: RunConfig):
     grid = make_grid(config.grid_n, config.grid_m, config.horizon)
     cfg = SchemeConfig(cap_d=config.cap_d, scheme=config.scheme,
                        terminal_regularisation_n=config.regularisation_n)
-    if config.scheme == "explicit":
-        bound = grid.k * config.cap_d / (grid.h * grid.h)
-        if bound > 1.0 + 1e-12:
-            raise ValidationError(
-                f"explicit scheme fails its stability pre-check: k*cap_d/h^2 = "
-                f"{grid.k:.6g}*{config.cap_d:.6g}/{grid.h:.6g}^2 = {bound:.6g} > 1")
     return grid, cfg
 
 
@@ -343,7 +322,6 @@ def _cmd_reproduce_figures(config: RunConfig) -> int:
 
     probe_ts = [frac * grid.T for frac in PROBE_FRACTIONS]
     probe_ms = [grid.time_index(t) for t in probe_ts]
-    xs = grid.x_nodes()
 
     percentages = {}
     for name, model in (
@@ -351,14 +329,8 @@ def _cmd_reproduce_figures(config: RunConfig) -> int:
         ("full_length", VolatilityModel.full_length(grid.T)),
     ):
         density = solve_forward_density(model, grid, config.x0)
-        rows = []
-        if meta:
-            rows.extend(f"# {k} = {v}" for k, v in meta.items())
-        rows.append("t,x,q")
-        for t, m in zip(probe_ts, probe_ms):
-            rows.extend(f"{t:.17g},{x:.17g},{q:.17g}" for x, q in zip(xs, density.values[m]))
-        with open(_outpath(config, f"fig1_density_{name}.csv"), "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        field_to_csv(grid, density.values[probe_ms], _outpath(config, f"fig1_density_{name}.csv"),
+                     "q", meta, times=probe_ts)
         percentages[name] = {
             f"{t:g}": float(survival_probability(density, t)) for t in probe_ts
         }
@@ -368,22 +340,16 @@ def _cmd_reproduce_figures(config: RunConfig) -> int:
     field_to_csv(grid, surface.values, _outpath(config, "fig2_entropy_surface.csv"),
                  "value", meta)
 
-    h2 = grid.h * grid.h
     dxx = np.zeros_like(surface.values)
-    dxx[:, 1:-1] = (surface.values[:, 2:] - 2.0 * surface.values[:, 1:-1]
-                    + surface.values[:, :-2]) / h2
+    dxx[:, 1:-1] = second_difference_interior(surface.values, grid.h)
     dxx[:, 0] = -control.a_star[:, 0] ** -1
     dxx[:, -1] = -control.a_star[:, -1] ** -1
     for fname, fieldvals, label in (
         ("fig3_second_derivative.csv", dxx, "dxx_e"),
         ("fig3_volatility.csv", control.sigma_star, "sigma"),
     ):
-        rows = [f"# {k} = {v}" for k, v in meta.items()]
-        rows.append(f"t,x,{label}")
-        for t, m in zip(probe_ts, probe_ms):
-            rows.extend(f"{t:.17g},{x:.17g},{v:.17g}" for x, v in zip(xs, fieldvals[m]))
-        with open(_outpath(config, fname), "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        field_to_csv(grid, fieldvals[probe_ms], _outpath(config, fname), label, meta,
+                     times=probe_ts)
 
     print(f"figure data written to {config.output_path}")
     return 0

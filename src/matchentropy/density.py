@@ -42,8 +42,8 @@ class VolatilityModel:
     def __post_init__(self):
         if self.kind not in (EARLY_TERMINATION, FULL_LENGTH):
             raise ValidationError(f"unknown volatility model kind {self.kind!r}")
-        if self.T <= 0.0:
-            raise ValidationError("horizon T must be positive")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ValidationError(f"horizon T must be positive and finite, got {self.T!r}")
         if self.kind == EARLY_TERMINATION and self.control is None:
             raise ValidationError("early_termination model requires a ControlField")
 
@@ -74,6 +74,8 @@ class DensitySurface:
             raise ValidationError("density surface has the wrong shape")
         if left.shape != (g.M + 1,) or right.shape != (g.M + 1,):
             raise ValidationError("absorbed-mass arrays must have M+1 entries")
+        if not all(np.all(np.isfinite(arr)) for arr in (vals, left, right)):
+            raise ValidationError("density surface contains non-finite entries")
         if np.min(vals) < -1e-12:
             raise ValidationError("density has negative entries beyond tolerance")
         interior = trapezoid(vals, dx=g.h, axis=1)
@@ -89,13 +91,17 @@ class DensitySurface:
         object.__setattr__(self, "absorbed_mass_right", right)
 
 
-def benchmark_volatility(t: float, x: float, T: float) -> float:
-    """Full-length benchmark volatility sin(pi x)/(pi sqrt(T - t)); needs t < T."""
-    if not 0.0 <= x <= 1.0:
+def benchmark_variance(t: float, x, T: float) -> np.ndarray:
+    """Squared full-length benchmark volatility sin(pi x)^2 / (pi^2 (T - t)).
+
+    Elementwise over x in [0, 1]; needs 0 <= t < T.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValidationError(f"x must lie in [0, 1], got {x!r}")
-    if t < 0.0 or t >= T:
+    if not 0.0 <= t < T:
         raise ValidationError(f"t must lie in [0, T), got t={t!r}, T={T!r}")
-    return math.sin(math.pi * x) / (math.pi * math.sqrt(T - t))
+    return np.sin(math.pi * x) ** 2 / (math.pi ** 2 * (T - t))
 
 
 def benchmark_entropy(t: float, x: float, T: float) -> float:
@@ -115,9 +121,7 @@ def _sigma_squared_row(model: VolatilityModel, grid: Grid, m: int) -> np.ndarray
     capped at its value one step earlier (the closed form is singular there)."""
     if model.kind == EARLY_TERMINATION:
         return model.control.a_star[m]
-    t = min(m, grid.M - 1) * grid.k
-    x = grid.x_nodes()
-    return np.sin(math.pi * x) ** 2 / (math.pi ** 2 * (model.T - t))
+    return benchmark_variance(min(m, grid.M - 1) * grid.k, grid.x_nodes(), model.T)
 
 
 def solve_forward_density(model: VolatilityModel, grid: Grid, x0: float) -> DensitySurface:

@@ -15,6 +15,9 @@ import numpy as np
 
 from .errors import ValidationError
 
+# how far round-off may carry a solved p above its invariant p <= 1
+P_CEILING_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -65,17 +68,10 @@ def stationary_entropy(x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def second_difference(field_row, n: int, h: float) -> float:
-    """Centred second difference (row[n+1] - 2 row[n] + row[n-1]) / h^2."""
-    row = np.asarray(field_row, dtype=float)
-    if n < 1 or n > row.size - 2:
-        raise IndexError(f"n={n} out of range for a row of {row.size} nodes")
-    return float((row[n + 1] - 2.0 * row[n] + row[n - 1]) / (h * h))
-
-
-def second_difference_interior(row: np.ndarray, h: float) -> np.ndarray:
-    """Second differences at all interior nodes of one row."""
-    return (row[2:] - 2.0 * row[1:-1] + row[:-2]) / (h * h)
+def second_difference_interior(v: np.ndarray, h: float) -> np.ndarray:
+    """Centred second differences (v[n+1] - 2 v[n] + v[n-1]) / h^2 at the
+    interior nodes of the last axis, for one row or a stack of rows."""
+    return (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / (h * h)
 
 
 def _frozen_array(values, shape) -> np.ndarray:
@@ -126,21 +122,25 @@ class PField:
             raise ValidationError("p field contains non-finite entries")
         if np.any(arr <= 0.0):
             raise ValidationError("p field must be strictly positive")
-        if np.any(arr > 1.0 + 1e-8):
+        if np.any(arr > 1.0 + P_CEILING_TOL):
             raise ValidationError("p field exceeds 1 beyond solver tolerance")
         if g.M >= 1 and (np.any(arr[1:, 0] != 1.0) or np.any(arr[1:, -1] != 1.0)):
             raise ValidationError("p field boundary values must equal 1 for m >= 1")
         object.__setattr__(self, "values", arr)
 
 
-def field_to_csv(grid: Grid, values: np.ndarray, path, value_label: str = "value",
-                 meta: dict | None = None) -> None:
-    """Write one (M+1)x(N+1) field as CSV rows ordered by t then x.
+def field_to_csv(grid: Grid, values: np.ndarray, path, value_label: str, meta: dict | None,
+                 times=None) -> None:
+    """Write field rows as CSV rows ordered by t then x.
 
-    Values are printed with 17 significant digits so a round trip is exact.
-    An optional metadata mapping is emitted as leading '# key = value' lines.
+    `times` holds the printed t of each row of `values` and defaults to
+    grid.t_nodes(), for a full (M+1)x(N+1) field.  Values are printed with 17
+    significant digits so a round trip is exact.  An optional metadata
+    mapping is emitted as leading '# key = value' lines.
     """
-    ts = grid.t_nodes()
+    ts = grid.t_nodes() if times is None else times
+    if len(ts) != len(values):
+        raise ValidationError(f"{len(ts)} row times given for {len(values)} field rows")
     xs = grid.x_nodes()
     lines = []
     if meta:
@@ -173,21 +173,11 @@ def field_from_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ts, xs, vals
 
 
-def surface_to_csv(surface: ValueSurface, path, meta: dict | None = None) -> None:
-    field_to_csv(surface.grid, surface.values, path, "value", meta)
-
-
 def surface_to_json(surface: ValueSurface) -> dict:
     """JSON envelope {grid: {N, M, T}, values: [[...]]}."""
     g = surface.grid
     return {"grid": {"N": g.N, "M": g.M, "T": g.T},
             "values": surface.values.tolist()}
-
-
-def surface_from_json(envelope: dict) -> ValueSurface:
-    g = envelope["grid"]
-    grid = make_grid(g["N"], g["M"], g["T"])
-    return ValueSurface(grid=grid, values=np.array(envelope["values"], dtype=float))
 
 
 def dump_json(payload: dict, path) -> None:

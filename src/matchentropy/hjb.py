@@ -43,8 +43,9 @@ class SchemeConfig:
                 f"cap_d must be >= 1/e ({CONTROL_FLOOR:.6f}), got {self.cap_d!r}")
         if self.scheme not in _SCHEMES:
             raise ValidationError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if self.policy_tol <= 0.0:
-            raise ValidationError("policy_tol must be positive")
+        if not (math.isfinite(self.policy_tol) and self.policy_tol > 0.0):
+            raise ValidationError(
+                f"policy_tol must be positive and finite, got {self.policy_tol!r}")
         if self.max_policy_iters < 1:
             raise ValidationError("max_policy_iters must be >= 1")
         if self.terminal_regularisation_n is not None and self.terminal_regularisation_n < 1:
@@ -75,36 +76,19 @@ class ControlField:
         object.__setattr__(self, "sigma_star", s)
 
 
-def hamiltonian_capped(q: float, cap_d: float) -> tuple[float, float]:
-    """Minimise -a*q - log(a) - 1 over a in [1/e, cap_d].
+def hamiltonian_capped(q, cap_d: float) -> tuple[np.ndarray, np.ndarray]:
+    """Minimise -a*q - log(a) - 1 over a in [1/e, cap_d], elementwise over q.
 
-    Returns (value, minimiser).  For q < 0 the minimiser is the clamp of
+    Returns (values, minimisers).  For q < 0 the minimiser is the clamp of
     -1/q to the control interval and the value equals log(-q) whenever the
-    clamp is inactive; for q >= 0 the objective decreases in a, so the cap
-    is the minimiser.
+    clamp is inactive; for q >= 0 (including zero, where -1/q is read as a
+    limit) the objective decreases in a, so the cap is the minimiser.
     """
-    if not math.isfinite(q):
-        raise ValidationError(f"q must be finite, got {q!r}")
-    if not math.isfinite(cap_d) or cap_d < CONTROL_FLOOR:
-        raise ValidationError(f"cap_d must be >= 1/e, got {cap_d!r}")
-    if q < 0.0:
-        a = min(max(-1.0 / q, CONTROL_FLOOR), cap_d)
-    else:
-        a = cap_d
-    return -a * q - math.log(a) - 1.0, a
-
-
-def _hamiltonian_rows(q: np.ndarray, cap_d: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised hamiltonian_capped over an array of second differences."""
+    q = np.asarray(q, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
         raw = -1.0 / q
     a = np.where(q < 0.0, np.clip(raw, CONTROL_FLOOR, cap_d), cap_d)
     return -a * q - np.log(a) - 1.0, a
-
-
-def transition_probability(a: float, k: float, h: float) -> float:
-    """Random-walk jump probability pi(a) = k*a / (2 h^2) of the explicit scheme."""
-    return k * a / (2.0 * h * h)
 
 
 def _check_cfl(grid: Grid, cfg: SchemeConfig) -> None:
@@ -128,27 +112,9 @@ def explicit_step(v_next: np.ndarray, grid: Grid, cfg: SchemeConfig) -> np.ndarr
     _check_cfl(grid, cfg)
     v = np.asarray(v_next, dtype=float)
     q = second_difference_interior(v, grid.h)
-    hvals, _ = _hamiltonian_rows(q, cfg.cap_d)
+    hvals, _ = hamiltonian_capped(q, cfg.cap_d)
     out = np.zeros_like(v)
     out[1:-1] = v[1:-1] - 0.5 * grid.k * hvals
-    return out
-
-
-def policy_update(u: np.ndarray, grid: Grid, cfg: SchemeConfig) -> np.ndarray:
-    """Per-node minimising controls for the current iterate.
-
-    Nodes with second difference >= -1/cap_d (including zero, where -1/q is
-    read as a limit) get the cap; nodes with second difference <= -e get the
-    floor 1/e.  Boundary entries carry the smooth-fit value 1, unused by the
-    linear systems.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (grid.N + 1,):
-        raise ValidationError(f"expected a row of {grid.N + 1} nodes, got {u.shape}")
-    q = second_difference_interior(u, grid.h)
-    _, a = _hamiltonian_rows(q, cfg.cap_d)
-    out = np.ones(grid.N + 1)
-    out[1:-1] = a
     return out
 
 
@@ -168,7 +134,7 @@ def implicit_step(v_next: np.ndarray, grid: Grid, cfg: SchemeConfig) -> tuple[np
     v_int = v_next[1:-1]
     u = v_next.copy()
     q = second_difference_interior(u, h)
-    _, a = _hamiltonian_rows(q, cfg.cap_d)
+    _, a = hamiltonian_capped(q, cfg.cap_d)
     for it in range(1, cfg.max_policy_iters + 1):
         diag = 1.0 + 2.0 * c * a
         off = -c * a
@@ -177,7 +143,7 @@ def implicit_step(v_next: np.ndarray, grid: Grid, cfg: SchemeConfig) -> tuple[np
         u_new[1:-1] = solve_tridiagonal(off[1:], diag, off[:-1], rhs)
         delta = float(np.max(np.abs(u_new - u)))
         q = second_difference_interior(u_new, h)
-        hvals, a = _hamiltonian_rows(q, cfg.cap_d)
+        hvals, a = hamiltonian_capped(q, cfg.cap_d)
         resid_raw = u_new[1:-1] + 0.5 * k * hvals - v_int
         scale = (1.0 + c * a * (np.abs(u_new[2:]) + 2.0 * np.abs(u_new[1:-1])
                                 + np.abs(u_new[:-2]))
@@ -222,9 +188,7 @@ def optimal_control_field(surface: ValueSurface, cfg: SchemeConfig) -> ControlFi
     cap, reading -1/q as a limit.
     """
     v = surface.values
-    h = surface.grid.h
-    q = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / (h * h)
-    _, a_int = _hamiltonian_rows(q.ravel(), cfg.cap_d)
+    _, a_int = hamiltonian_capped(second_difference_interior(v, surface.grid.h), cfg.cap_d)
     a = np.ones_like(v)
-    a[:, 1:-1] = a_int.reshape(q.shape)
+    a[:, 1:-1] = a_int
     return ControlField(grid=surface.grid, a_star=a, sigma_star=np.sqrt(a))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import FULL_LENGTH, VolatilityModel
+from .density import FULL_LENGTH, VolatilityModel, benchmark_variance
 from .errors import ValidationError
 from .hjb import ControlField
 
@@ -120,12 +120,7 @@ def _control_evaluator(control, T: float | None):
         if control.kind != FULL_LENGTH:
             return _control_evaluator(control.control, control.T)
 
-        def eval_benchmark(t, x):
-            if np.any(x < 0.0) or np.any(x > 1.0):
-                raise ValidationError("benchmark volatility queried outside [0, 1]")
-            return np.sin(math.pi * x) ** 2 / (math.pi ** 2 * (control.T - t))
-
-        return control.T, eval_benchmark
+        return control.T, lambda t, x: benchmark_variance(t, x, control.T)
     a_const = float(control)
     if not (math.isfinite(a_const) and a_const > 0.0):
         raise ValidationError(f"constant control must be positive and finite, got {control!r}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -52,13 +53,27 @@ def test_validation_exit_codes(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("flag,value", [("--dt", "nan"), ("--dt", "inf"), ("--x0", "nan"),
-                                        ("--horizon", "inf"), ("--cap-d", "nan")])
-def test_non_finite_inputs_exit_with_one_line_error(flag, value, capsys):
-    assert cli.main(["simulate", *SMALL, "--n-paths", "10", flag, value]) == 1
+BAD_INPUTS = [("--grid-n", "1"), ("--grid-m", "0"),
+              ("--horizon", "nan"), ("--horizon", "inf"), ("--horizon", "0"),
+              ("--cap-d", "nan"), ("--cap-d", "0.1"), ("--regularisation-n", "0"),
+              ("--n-paths", "0"),
+              ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"), ("--dt", "-1"),
+              ("--x0", "nan"), ("--x0", "0"), ("--x0", "1")]
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    pytest.param(command, flag, value,
+                 id=f"{flag}-{value}" if command == "simulate" else f"{command}{flag}-{value}")
+    for command in cli.COMMANDS for flag, value in BAD_INPUTS])
+def test_non_finite_inputs_exit_with_one_line_error(command, flag, value, tmp_path, capsys):
+    # every command rejects every bad input at parse time, before the config echo
+    out = tmp_path / "out"
+    assert cli.main([command, *SMALL, "--n-paths", "10", flag, value,
+                     "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_explicit_scheme_cfl_precheck_fails_fast(capsys):
@@ -213,6 +228,60 @@ def test_reproduce_figures_emits_plot_data(tmp_path, capsys):
     # volatility rows carry the boundary value 1 at every probe time
     ts, xs, sigma = me.field_from_csv(str(out / "fig3_volatility.csv"))
     assert np.all(sigma[:, 0] == 1.0) and np.all(sigma[:, -1] == 1.0)
+
+
+# sha256 of every file each command writes at a small config.  M = 300 puts the
+# 0.99 probe row at a t that prints differently from t_nodes()[297], so the
+# figure CSVs pin the probe times they are written with.
+GOLDEN_ARGS = ["--grid-n", "40", "--grid-m", "300", "--cap-d", "100"]
+GOLDEN_EXTRA = {"simulate": ["--n-paths", "200", "--dt", "0.0025"]}
+GOLDEN_DIGESTS = {
+    "solve": {
+        "solve_control.csv": "a6280c5976ed626d23ccd4def2690cebdf7a33c3de73dd64da0f3fefa0247cb8",
+        "solve_surface.csv": "49b30a8bf7125acf7f97937465b39ae7c74a76b70b4efa1c227bd14f96872ca4",
+        "solve_volatility.csv":
+            "22b587e485296cdf6efcb473eb37fedaf86416b876660dcc363c4e1f19d04b87",
+    },
+    "forward-p": {
+        "forward_p.csv": "15a5c800b1850430e8449a14c4a3e64a6624d85401a49ab32cb0ce9b3b5d364e",
+    },
+    "density": {
+        "density.csv": "7d53cf6e276373af827f861d983b6a2ca315b1e2412abf0c19e1fcf7513866e2",
+        "density_summary.json":
+            "726ebabb78067331e0c22ff790bb2e1a23426e1aa830635168b24ab46f4c949e",
+    },
+    "simulate": {
+        "simulate.json": "64ab560d32dca11d65bdd19167dcadf35dd6e5527a4ac291168655807f4888c0",
+    },
+    "check": {
+        "check_report.json": "3d3ee6702b85c6414b05bc6fc6c40730a61a7f6e94dc22560a28ce8b129e248d",
+    },
+    "reproduce-figures": {
+        "fig1_density_early_termination.csv":
+            "6b3bef669a2929bacece7c38c5a139358539d8a3a9a08c7483d2f1065a042dcf",
+        "fig1_density_full_length.csv":
+            "0fed2975e5863b5717d272398638334bd168c86a72d055401b74fb227b197481",
+        "fig1_percentages.json":
+            "272441a15f7a1000ec03d042a43fede236bcc8f56518f5f09cf59e0278697f37",
+        "fig2_entropy_surface.csv":
+            "c7179614572deb7d299378334a3d327f9c35f8f51be47d1f1e51055c6e64f74c",
+        "fig3_second_derivative.csv":
+            "c42e68b2a0b443e23ef4cde91a8f7d03ca0269d98924811a56f539d3a8405b7a",
+        "fig3_volatility.csv":
+            "51dd748b8212dbc7202dfbee42f7194a8e6906eb958dc9481fbf07a83f62ee9e",
+    },
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_outputs_match_golden_digests(command, tmp_path, monkeypatch, capsys):
+    # files embed their output path, so write to the same relative path each time
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *GOLDEN_ARGS, *GOLDEN_EXTRA.get(command, []), "--output", "out"]
+    assert cli.main(argv) == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in sorted(os.listdir(tmp_path / "out"))}
+    assert digests == GOLDEN_DIGESTS[command]
 
 
 def test_main_help_exits_zero(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,20 +25,27 @@ def brownian_exit_survival(t, terms=60):
 
 
 def test_benchmark_volatility_values():
-    assert me.benchmark_volatility(0.0, 0.5, 1.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
-    assert me.benchmark_volatility(0.3, 0.0, 1.0) == pytest.approx(0.0, abs=1e-16)
-    assert me.benchmark_volatility(0.3, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert me.benchmark_volatility(0.75, 0.5, 1.0) == pytest.approx(1.0 / (math.pi * 0.5),
-                                                                    abs=1e-12)
+    assert me.benchmark_variance(0.0, 0.5, 1.0) == pytest.approx(1.0 / math.pi ** 2, abs=1e-15)
+    assert me.benchmark_variance(0.3, 0.0, 1.0) == pytest.approx(0.0, abs=1e-16)
+    assert me.benchmark_variance(0.3, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert math.sqrt(me.benchmark_variance(0.75, 0.5, 1.0)) == pytest.approx(
+        1.0 / (math.pi * 0.5), abs=1e-12)
+    xs = np.linspace(0.0, 1.0, 7)
+    row = me.benchmark_variance(0.2, xs, 1.0)
+    assert np.array_equal(row, [me.benchmark_variance(0.2, x, 1.0) for x in xs])
 
 
 def test_benchmark_volatility_domain():
     with pytest.raises(ValidationError):
-        me.benchmark_volatility(1.0, 0.5, 1.0)  # t == T
+        me.benchmark_variance(1.0, 0.5, 1.0)  # t == T
     with pytest.raises(ValidationError):
-        me.benchmark_volatility(2.0, 0.5, 1.0)
+        me.benchmark_variance(2.0, 0.5, 1.0)
     with pytest.raises(ValidationError):
-        me.benchmark_volatility(0.5, -0.1, 1.0)
+        me.benchmark_variance(0.5, -0.1, 1.0)
+    with pytest.raises(ValidationError):
+        me.benchmark_variance(0.5, np.array([0.5, 1.5]), 1.0)
+    with pytest.raises(ValidationError):
+        me.benchmark_variance(float("nan"), 0.5, 1.0)
 
 
 def test_benchmark_entropy_values():
@@ -194,3 +202,12 @@ def test_density_input_validation():
         me.VolatilityModel(kind="bogus", T=1.0)
     with pytest.raises(ValidationError):
         me.VolatilityModel(kind="early_termination", T=1.0)
+    for bad_T in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            me.VolatilityModel.full_length(bad_T)
+    good = me.solve_forward_density(me.VolatilityModel.full_length(1.0), g, 0.5)
+    for field in ("values", "absorbed_mass_left", "absorbed_mass_right"):
+        broken = getattr(good, field).copy()
+        broken[-1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            dataclasses.replace(good, **{field: broken})

@@ -66,12 +66,11 @@ def test_stationary_entropy_domain():
 
 
 def test_second_difference_examples():
-    assert me.second_difference([0.0, 1.0, 0.0], 1, 0.5) == -8.0
-    assert me.second_difference(np.zeros(9), 4, 0.1) == 0.0
+    assert second_difference_interior(np.array([0.0, 1.0, 0.0]), 0.5) == [-8.0]
+    assert np.all(second_difference_interior(np.zeros(9), 0.1) == 0.0)
     xs = np.linspace(0.0, 1.0, 11)
     row = me.stationary_entropy(xs)
-    for n in range(1, 10):
-        assert me.second_difference(row, n, 0.1) == pytest.approx(-1.0, abs=1e-11)
+    assert np.allclose(second_difference_interior(row, 0.1), -1.0, rtol=0.0, atol=1e-11)
 
 
 @given(a=st.floats(-10, 10), b=st.floats(-10, 10), c=st.floats(-10, 10),
@@ -80,24 +79,19 @@ def test_second_difference_exact_on_quadratics(a, b, c, h, n_nodes, n_off):
     xs = h * np.arange(n_nodes)
     row = a * xs * xs + b * xs + c
     n = min(n_off, n_nodes - 2)
-    got = me.second_difference(row, n, h)
+    got = second_difference_interior(row, h)[n - 1]
     slack = 32.0 * np.spacing(max(1.0, float(np.max(np.abs(row))))) / (h * h)
     assert abs(got - 2.0 * a) <= slack + 32.0 * np.spacing(max(1.0, abs(2.0 * a)))
 
 
-def test_second_difference_index_errors():
-    with pytest.raises(IndexError):
-        me.second_difference([0.0, 1.0, 0.0], 0, 0.5)
-    with pytest.raises(IndexError):
-        me.second_difference([0.0, 1.0, 0.0], 2, 0.5)
-
-
 def test_second_difference_interior_matches_pointwise():
     rng = np.random.default_rng(0)
-    row = rng.normal(size=12)
-    all_at_once = second_difference_interior(row, 0.25)
-    singles = [me.second_difference(row, n, 0.25) for n in range(1, 11)]
-    assert np.allclose(all_at_once, singles, atol=0.0)
+    field = rng.normal(size=(3, 12))
+    all_at_once = second_difference_interior(field, 0.25)
+    singles = [[(row[n + 1] - 2.0 * row[n] + row[n - 1]) / (0.25 * 0.25) for n in range(1, 11)]
+               for row in field]
+    assert np.array_equal(all_at_once, singles)
+    assert np.array_equal(second_difference_interior(field[1], 0.25), all_at_once[1])
 
 
 def test_value_surface_rejects_nonzero_lateral_boundary():
@@ -162,7 +156,7 @@ def _tiny_surface():
 def test_csv_round_trip_is_exact():
     s = _tiny_surface()
     buf = io.StringIO()
-    me.surface_to_csv(s, buf, meta={"run": "demo"})
+    me.field_to_csv(s.grid, s.values, buf, "value", {"run": "demo"})
     text = buf.getvalue()
     assert text.startswith("# run = demo\nt,x,value\n")
     ts, xs, vals = me.field_from_csv(io.StringIO(text))
@@ -174,7 +168,7 @@ def test_csv_round_trip_is_exact():
 def test_csv_rows_ordered_t_then_x():
     s = _tiny_surface()
     buf = io.StringIO()
-    me.surface_to_csv(s, buf)
+    me.field_to_csv(s.grid, s.values, buf, "value", None)
     rows = buf.getvalue().splitlines()[1:]
     t_col = [float(r.split(",")[0]) for r in rows]
     x_col = [float(r.split(",")[1]) for r in rows]
@@ -182,11 +176,22 @@ def test_csv_rows_ordered_t_then_x():
     assert x_col[:5] == sorted(x_col[:5]) and t_col[:5] == [0.0] * 5
 
 
+def test_csv_selected_rows_print_the_given_times():
+    s = _tiny_surface()
+    buf = io.StringIO()
+    me.field_to_csv(s.grid, s.values[[0, 2]], buf, "value", None, times=[0.0, 0.99])
+    ts, xs, vals = me.field_from_csv(io.StringIO(buf.getvalue()))
+    assert list(ts) == [0.0, 0.99]
+    assert np.array_equal(vals, s.values[[0, 2]])
+    with pytest.raises(ValidationError, match="row times"):
+        me.field_to_csv(s.grid, s.values, io.StringIO(), "value", None, times=[0.0, 0.5])
+
+
 def test_json_envelope_round_trip():
     s = _tiny_surface()
     env = me.surface_to_json(s)
     assert set(env) == {"grid", "values"}
     assert env["grid"] == {"N": 4, "M": 2, "T": 1.0}
-    back = me.surface_from_json(env)
+    back = me.ValueSurface(grid=me.make_grid(**env["grid"]), values=np.array(env["values"]))
     assert back.grid == s.grid
     assert np.array_equal(back.values, s.values)

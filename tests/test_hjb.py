@@ -43,15 +43,6 @@ def test_hamiltonian_unconstrained_branch_equals_log():
         assert v == pytest.approx(math.log(-q), abs=1e-14)
 
 
-def test_hamiltonian_rejects_bad_inputs():
-    with pytest.raises(ValidationError):
-        me.hamiltonian_capped(float("nan"), 10.0)
-    with pytest.raises(ValidationError):
-        me.hamiltonian_capped(float("inf"), 10.0)
-    with pytest.raises(ValidationError):
-        me.hamiltonian_capped(-1.0, 0.3)  # below 1/e
-
-
 def test_hamiltonian_against_brute_force_grid():
     cap = 10.0
     n_pts = 1_000_000
@@ -60,10 +51,10 @@ def test_hamiltonian_against_brute_force_grid():
     qs = rng.uniform(-100.0, 1.0, size=1000)
     a_grid = np.linspace(FLOOR, cap, n_pts)
     log_a = np.log(a_grid)
-    for q in qs:
+    values, minimisers = me.hamiltonian_capped(qs, cap)  # the array call the solvers make
+    for q, v, a in zip(qs, values, minimisers):
         vals = -a_grid * q - log_a - 1.0
         i = int(np.argmin(vals))
-        v, a = me.hamiltonian_capped(float(q), cap)
         assert abs(a - a_grid[i]) <= da * 1.0001
         # the grid minimum can only exceed the true minimum, by at most the
         # curvature (<= e^2) times the squared grid spacing
@@ -90,10 +81,6 @@ def test_hamiltonian_value_monotone_in_cap(q, cap_lo, cap_hi):
     v_lo, _ = me.hamiltonian_capped(q, lo)
     v_hi, _ = me.hamiltonian_capped(q, hi)
     assert v_hi <= v_lo + 1e-12  # minimising over a larger set can only help
-
-
-def test_transition_probability_arithmetic():
-    assert me.transition_probability(0.05, 0.001, 0.01) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_explicit_step_zero_row_cap_e():
@@ -126,32 +113,29 @@ def test_explicit_step_preserves_stationary_bound():
         assert np.all(out <= e_inf + 1e-12)
 
 
+def policy_controls(u, grid, cap_d):
+    """The control update of implicit_step: minimisers at the interior nodes of u."""
+    return me.hamiltonian_capped(second_difference_interior(u, grid.h), cap_d)[1]
+
+
 def test_policy_update_reference_rows():
     g = me.make_grid(10, 10, 1.0)
-    cfg = me.SchemeConfig(cap_d=10.0)
-    controls = me.policy_update(me.stationary_entropy(g.x_nodes()), g, cfg)
-    assert np.allclose(controls[1:-1], 1.0, atol=1e-10)
-    controls = me.policy_update(np.zeros(11), g, cfg)
-    assert np.all(controls[1:-1] == 10.0)
+    controls = policy_controls(me.stationary_entropy(g.x_nodes()), g, 10.0)
+    assert np.allclose(controls, 1.0, atol=1e-10)
+    controls = policy_controls(np.zeros(11), g, 10.0)
+    assert np.all(controls == 10.0)
 
 
 def test_policy_update_floor_via_brute_force():
     # one node with second difference exactly -4; brute-force the step objective
     g = me.make_grid(2, 2, 1.0)  # h = 1/2 so the middle node sees (0 - 2u + 0)/h^2
-    cfg = me.SchemeConfig(cap_d=10.0)
     u = np.array([0.0, 0.5, 0.0])  # (A u)_1 = -2*0.5/0.25 = -4
-    controls = me.policy_update(u, g, cfg)
+    (control,) = policy_controls(u, g, 10.0)
     a_grid = np.linspace(FLOOR, 10.0, 2_000_000)
     objective = a_grid * (-4.0) + np.log(a_grid) + 1.0  # maximised by the scheme
     best = a_grid[int(np.argmax(objective))]
-    assert controls[1] == pytest.approx(best, abs=1e-5)
-    assert controls[1] == pytest.approx(FLOOR, abs=1e-15)
-
-
-def test_policy_update_shape_check():
-    g = me.make_grid(10, 10, 1.0)
-    with pytest.raises(ValidationError):
-        me.policy_update(np.zeros(5), g, me.SchemeConfig())
+    assert control == pytest.approx(best, abs=1e-5)
+    assert control == pytest.approx(FLOOR, abs=1e-15)
 
 
 def test_implicit_step_matches_dense_root_find():
@@ -259,6 +243,10 @@ def test_scheme_config_validation():
         me.SchemeConfig(scheme="magic")
     with pytest.raises(ValidationError):
         me.SchemeConfig(policy_tol=0.0)
+    with pytest.raises(ValidationError):
+        me.SchemeConfig(policy_tol=float("nan"))
+    with pytest.raises(ValidationError):
+        me.SchemeConfig(policy_tol=float("inf"))
     with pytest.raises(ValidationError):
         me.SchemeConfig(max_policy_iters=0)
     with pytest.raises(ValidationError):

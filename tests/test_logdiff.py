@@ -3,6 +3,7 @@ import pytest
 
 import matchentropy as me
 from matchentropy.errors import ConvergenceError, NumericalError, ValidationError
+from matchentropy import logdiff
 from matchentropy.logdiff import entropy_surface_from_p_values
 
 
@@ -98,28 +99,18 @@ def test_ladder_monotone_non_increasing():
     assert np.all(e4 <= e2 + 1e-9)
 
 
-def test_ladder_limit_returns_last_member():
-    g = me.make_grid(30, 30, 1.0)
-    limit = me.ladder_limit(g, (1, 2, 4), tol=1e-9)
-    direct = me.solve_log_diffusion(g, me.LadderConfig(regularisation_n=4))
-    assert np.array_equal(limit.values, direct.values)
-    assert limit.regularisation_n == 4
-
-
-def test_ladder_limit_validates_sequence():
+@pytest.mark.parametrize("overshoot,clipped", [(1e-12, True), (1e-6, False)])
+def test_p_above_one_is_clipped_only_within_tolerance(overshoot, clipped, monkeypatch):
+    solved_step = logdiff._newton_step
+    monkeypatch.setattr(logdiff, "_newton_step",
+                        lambda *args: solved_step(*args) + overshoot)
     g = me.make_grid(10, 10, 1.0)
-    with pytest.raises(ValidationError):
-        me.ladder_limit(g, (4,))
-    with pytest.raises(ValidationError):
-        me.ladder_limit(g, (4, 2))
-    with pytest.raises(ValidationError):
-        me.ladder_limit(g, (2, 2))
-
-
-def test_ladder_limit_flags_monotonicity_violation():
-    g = me.make_grid(10, 10, 1.0)
-    with pytest.raises(NumericalError, match="monotone"):
-        me.ladder_limit(g, (1, 2), tol=-1.0)  # impossible tolerance must trip the guard
+    cfg = me.LadderConfig(regularisation_n=1)  # p = 1 is the exact solution
+    if clipped:
+        assert np.max(me.solve_log_diffusion(g, cfg).values) == 1.0
+    else:
+        with pytest.raises(NumericalError, match="above 1"):
+            me.solve_log_diffusion(g, cfg)
 
 
 def test_newton_non_convergence_raises():
@@ -133,5 +124,7 @@ def test_ladder_config_validation():
         me.LadderConfig(regularisation_n=0)
     with pytest.raises(ValidationError):
         me.LadderConfig(newton_tol=0.0)
+    with pytest.raises(ValidationError):
+        me.LadderConfig(newton_tol=float("nan"))
     with pytest.raises(ValidationError):
         me.LadderConfig(max_newton_iters=0)
