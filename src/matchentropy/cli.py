@@ -90,7 +90,10 @@ def _coerce(name: str, raw: str):
         raise ValidationError(f"unknown config key {name!r}")
     raw = raw.strip()
     if raw == "":
-        return None
+        # serialise_config writes regularisation_n=None as an empty value
+        if name == "regularisation_n":
+            return None
+        raise ValidationError(f"config key {name}: empty value")
     try:
         if name in _INT_FIELDS:
             return int(raw)
@@ -340,16 +343,16 @@ def _cmd_reproduce_figures(config: RunConfig) -> int:
     field_to_csv(grid, surface.values, _outpath(config, "fig2_entropy_surface.csv"),
                  "value", meta)
 
-    dxx = np.zeros_like(surface.values)
-    dxx[:, 1:-1] = second_difference_interior(surface.values, grid.h)
-    dxx[:, 0] = -control.a_star[:, 0] ** -1
-    dxx[:, -1] = -control.a_star[:, -1] ** -1
-    for fname, fieldvals, label in (
+    a_probe = control.a_star[probe_ms]
+    dxx = np.zeros_like(a_probe)
+    dxx[:, 1:-1] = second_difference_interior(surface.values[probe_ms], grid.h)
+    dxx[:, 0] = -a_probe[:, 0] ** -1
+    dxx[:, -1] = -a_probe[:, -1] ** -1
+    for fname, rows, label in (
         ("fig3_second_derivative.csv", dxx, "dxx_e"),
-        ("fig3_volatility.csv", control.sigma_star, "sigma"),
+        ("fig3_volatility.csv", control.sigma_star[probe_ms], "sigma"),
     ):
-        field_to_csv(grid, fieldvals[probe_ms], _outpath(config, fname), label, meta,
-                     times=probe_ts)
+        field_to_csv(grid, rows, _outpath(config, fname), label, meta, times=probe_ts)
 
     print(f"figure data written to {config.output_path}")
     return 0

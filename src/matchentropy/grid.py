@@ -136,37 +136,50 @@ def field_to_csv(grid: Grid, values: np.ndarray, path, value_label: str, meta: d
     `times` holds the printed t of each row of `values` and defaults to
     grid.t_nodes(), for a full (M+1)x(N+1) field.  Values are printed with 17
     significant digits so a round trip is exact.  An optional metadata
-    mapping is emitted as leading '# key = value' lines.
+    mapping is emitted as leading '# key = value' lines.  The rows are
+    streamed one time row at a time, so memory does not grow with M.
     """
     ts = grid.t_nodes() if times is None else times
     if len(ts) != len(values):
         raise ValidationError(f"{len(ts)} row times given for {len(values)} field rows")
-    xs = grid.x_nodes()
-    lines = []
-    if meta:
-        for key, val in meta.items():
-            lines.append(f"# {key} = {val}")
-    lines.append(f"t,x,{value_label}")
-    for m, t in enumerate(ts):
-        for n, x in enumerate(xs):
-            lines.append(f"{t:.17g},{x:.17g},{values[m, n]:.17g}")
-    text = "\n".join(lines) + "\n"
+    if np.shape(values)[1:] != (grid.N + 1,):
+        raise ValidationError(f"field rows have shape {np.shape(values)[1:]}, "
+                              f"expected ({grid.N + 1},) for N = {grid.N}")
+    # ",x,%.17g\n" per node: joined with the row's t, one row is one % operation
+    x_cells = [f",{x:.17g},%.17g\n" for x in grid.x_nodes()]
+    head = [f"# {key} = {val}\n" for key, val in (meta or {}).items()]
+    head.append(f"t,x,{value_label}\n")
+
+    def chunks():
+        yield "".join(head)
+        for t, row in zip(ts, values):
+            t_text = f"{t:.17g}"
+            yield (t_text + t_text.join(x_cells)) % tuple(row.tolist())
+
     if hasattr(path, "write"):
-        path.write(text)
+        path.writelines(chunks())
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks())
 
 
 def field_from_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a field CSV back as (t values, x values, value matrix)."""
+    """Read a field CSV back as (t values, x values, value matrix).
+
+    '#' and blank lines are skipped; the first other line is the t,x,<label>
+    header.  A file object passed in is left open.
+    """
     if hasattr(path, "read"):
-        raw = path.read()
-    else:
-        with open(path) as fh:
-            raw = fh.read()
-    rows = [ln for ln in raw.splitlines() if ln and not ln.startswith("#")]
-    body = np.array([[float(c) for c in ln.split(",")] for ln in rows[1:]])
+        return _field_from_lines(path)
+    with open(path) as fh:
+        return _field_from_lines(fh)
+
+
+def _field_from_lines(fh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    for line in fh:
+        if line.strip() and not line.startswith("#"):
+            break  # the header; numpy parses the rest of the same stream
+    body = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
     ts = np.unique(body[:, 0])
     xs = np.unique(body[:, 1])
     vals = body[:, 2].reshape(ts.size, xs.size)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -43,6 +44,21 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("volume=11\n")
     assert cli.main(["solve", "--config", str(cfg_file)]) == 1
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(cli.RunConfig)
+                                 if f.name != "regularisation_n"])
+def test_empty_config_value_exits_with_one_line_error(key, tmp_path, capsys):
+    # only regularisation_n may be empty: serialise_config writes None that way
+    cfg_file = tmp_path / "empty.cfg"
+    cfg_file.write_text(f"{key}=\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg_file), *SMALL, "--n-paths", "10",
+                     "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_validation_exit_codes(capsys):

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,15 +177,105 @@ def test_csv_rows_ordered_t_then_x():
     assert x_col[:5] == sorted(x_col[:5]) and t_col[:5] == [0.0] * 5
 
 
-def test_csv_selected_rows_print_the_given_times():
+def test_csv_selected_rows_print_the_given_times(tmp_path):
     s = _tiny_surface()
     buf = io.StringIO()
     me.field_to_csv(s.grid, s.values[[0, 2]], buf, "value", None, times=[0.0, 0.99])
     ts, xs, vals = me.field_from_csv(io.StringIO(buf.getvalue()))
     assert list(ts) == [0.0, 0.99]
     assert np.array_equal(vals, s.values[[0, 2]])
+    path = tmp_path / "rejected.csv"
     with pytest.raises(ValidationError, match="row times"):
-        me.field_to_csv(s.grid, s.values, io.StringIO(), "value", None, times=[0.0, 0.5])
+        me.field_to_csv(s.grid, s.values, str(path), "value", None, times=[0.0, 0.5])
+    with pytest.raises(ValidationError, match="shape"):
+        me.field_to_csv(s.grid, s.values[:, :-1], str(path), "value", None)
+    assert not path.exists()
+
+
+# Printed values a field can hold, non-finite ones included: the writer prints
+# them and the reader must return each one bit for bit, the sign of zero too.
+SPECIAL_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300,
+                  1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5, 1e16, 123456789.0]
+
+
+def _special_field(grid, rows):
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(rows, grid.N + 1)) * 10.0 ** rng.integers(-300, 300,
+                                                                          size=(rows, grid.N + 1))
+    values.flat[:len(SPECIAL_VALUES)] = SPECIAL_VALUES
+    return values
+
+
+def _pointwise_csv(grid, values, value_label, meta, times):
+    lines = [f"# {key} = {val}" for key, val in meta.items()]
+    lines.append(f"t,x,{value_label}")
+    for m, t in enumerate(times):
+        for n, x in enumerate(grid.x_nodes()):
+            lines.append(f"{t:.17g},{x:.17g},{values[m, n]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("probe", [False, True], ids=["grid_times", "probe_times"])
+def test_csv_writer_matches_pointwise_reference(probe, tmp_path):
+    grid = me.make_grid(7, 300, 1.0)
+    # 0.99 prints differently from t_nodes()[297]
+    probe_times = [0.5, 0.9, 0.99, 1.0 / 3.0] if probe else None
+    times = probe_times or list(grid.t_nodes())
+    values = _special_field(grid, len(times))
+    meta = {"run": "demo", "T": 1.0}
+    expected = _pointwise_csv(grid, values, "q", meta, times)
+    buf = io.StringIO()
+    me.field_to_csv(grid, values, buf, "q", meta, times=probe_times)
+    assert buf.getvalue() == expected
+    path = tmp_path / "field.csv"
+    me.field_to_csv(grid, values, str(path), "q", meta, times=probe_times)
+    assert path.read_bytes() == expected.encode()
+
+
+def test_csv_reader_returns_every_value_bit_for_bit():
+    grid = me.make_grid(9, 3, 2.0)
+    values = _special_field(grid, grid.M + 1)
+    buf = io.StringIO()
+    me.field_to_csv(grid, values, buf, "q", {"k": "v"})
+    buf.seek(0)
+    ts, xs, back = me.field_from_csv(buf)
+    assert not buf.closed
+    assert np.array_equal(ts, grid.t_nodes()) and np.array_equal(xs, grid.x_nodes())
+    assert back.tobytes() == values.tobytes()
+
+
+def test_csv_reader_skips_interleaved_comments_and_blank_lines():
+    text = ("# run = demo\n\n# second = line\nt,x,q\n"
+            "0,0,1.5\n# inside the body\n0,1,-0\n\n"
+            "1,0,nan\n\n# trailing\n1,1,-inf\n")
+    buf = io.StringIO(text)
+    ts, xs, vals = me.field_from_csv(buf)
+    assert not buf.closed
+    assert list(ts) == [0.0, 1.0] and list(xs) == [0.0, 1.0]
+    assert vals[0, 0] == 1.5 and vals[0, 1] == 0.0 and math.copysign(1.0, vals[0, 1]) == -1.0
+    assert math.isnan(vals[1, 0]) and vals[1, 1] == -math.inf
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def test_csv_writer_memory_does_not_grow_with_steps():
+    def peak_bytes(M):
+        grid = me.make_grid(200, M, 1.0)
+        values = np.ones((M + 1, grid.N + 1))
+        times = grid.t_nodes()  # the default t column, 8 bytes a row, built untraced
+        tracemalloc.start()
+        try:
+            me.field_to_csv(grid, values, _Discard(), "q", {"k": "v"}, times=times)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    base = peak_bytes(16)
+    assert peak_bytes(1024) <= 1.25 * base
 
 
 def test_json_envelope_round_trip():
