@@ -113,7 +113,10 @@ def decay_envelope(x, T: float, alpha: int) -> np.ndarray:
 
 def hjb_horizon_solver(N: int = 100, k: float = 5e-3,
                        cap_d: float = 1e6) -> Callable[[float], ValueSurface]:
-    """Factory producing horizon -> surface solves at a fixed step pair (k, h)."""
+    """Factory producing horizon -> surface solves at a fixed step pair (k, h).
+
+    `decay_rate_check` calls the solver once, with the longest horizon.
+    """
 
     def solve(T: float) -> ValueSurface:
         grid = make_grid(N, int(round(T / k)), T)
@@ -128,18 +131,30 @@ def decay_rate_check(solver: Callable[[float], ValueSurface], T_values: Iterable
 
     The envelope is checked with discretisation slack 10*(k + h^2) added,
     and the measured sup-norm distances must be non-increasing in T.
+
+    `solver` is called once, with the longest horizon.  The implicit sweep
+    is autonomous (each step depends only on the next row, k and h), so
+    the t = 0 row of the horizon-T surface is row M - T/k of that one
+    surface.  Every horizon must therefore be a whole number of its steps.
     """
     if alpha % 2 != 0 or alpha < 2:
         raise ValidationError(f"alpha must be an even integer >= 2, got {alpha!r}")
+    horizons = [float(T) for T in T_values]
+    if not horizons or not all(math.isfinite(T) and T > 0.0 for T in horizons):
+        raise ValidationError(f"horizons must be positive and finite, got {horizons!r}")
+    surface = solver(max(horizons))
+    g = surface.grid
+    x = g.x_nodes()
+    e_inf = stationary_entropy(x)
+    slack = 10.0 * (g.k + g.h * g.h)
     results = []
     distances = []
-    for T in T_values:
-        surface = solver(float(T))
-        g = surface.grid
-        x = g.x_nodes()
-        dist = np.abs(surface.values[0] - stationary_entropy(x))
-        slack = 10.0 * (g.k + g.h * g.h)
-        bound = decay_envelope(x, float(T), alpha) + slack
+    for T in horizons:
+        steps = g.time_index(T)  # rejects a T that is not a whole number of steps
+        if steps == 0:
+            raise ValidationError(f"horizon {T!r} is shorter than one step (k={g.k})")
+        dist = np.abs(surface.values[g.M - steps] - e_inf)
+        bound = decay_envelope(x, T, alpha) + slack
         worst = float(np.max(dist - bound))
         loc = (0, int(np.argmax(dist - bound)))
         results.append(CheckResult(name=f"decay_bound_T={T:g}", passed=worst <= 0.0,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,9 +180,22 @@ def _field_from_lines(fh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for line in fh:
         if line.strip() and not line.startswith("#"):
             break  # the header; numpy parses the rest of the same stream
-    body = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            # an empty body warns; it is reported below as a ValidationError
+            warnings.simplefilter("ignore", UserWarning)
+            body = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"field CSV body is not rows of numbers: {exc}") from exc
+    if body.shape[0] == 0 or body.shape[1] != 3:
+        raise ValidationError(f"field CSV needs t,x,value rows, got a body of shape {body.shape}")
     ts = np.unique(body[:, 0])
     xs = np.unique(body[:, 1])
+    if not (body.shape[0] == ts.size * xs.size
+            and np.array_equal(body[:, 0], np.repeat(ts, xs.size))
+            and np.array_equal(body[:, 1], np.tile(xs, ts.size))):
+        raise ValidationError(f"field CSV rows are not one per (t, x) pair ordered by t then x "
+                              f"({body.shape[0]} rows, {ts.size} times, {xs.size} nodes)")
     vals = body[:, 2].reshape(ts.size, xs.size)
     return ts, xs, vals
 

@@ -1,7 +1,7 @@
-"""Tridiagonal linear solves by direct elimination (LAPACK banded solver)."""
+"""Tridiagonal linear solves by direct elimination (LAPACK dgtsv)."""
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgtsv
 
 from .errors import NumericalError
 
@@ -13,13 +13,12 @@ def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
     sub[i] couples row i+1 to column i; sup[i] couples row i to column i+1.
     All systems in this package are strictly diagonally dominant M-matrices,
     so elimination is unconditionally stable; a zero pivot is still checked.
+    The inputs are never written to: dgtsv works on copies of them.
     """
-    n = diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup
-    ab[1, :] = diag
-    ab[2, :-1] = sub
-    try:
-        return scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise NumericalError(f"tridiagonal solve failed (zero pivot?): {exc}") from exc
+    if diag.size < 2:
+        # dgtsv rejects empty off-diagonals; a 1x1 system is one division
+        return rhs / diag
+    _, _, _, x, info = dgtsv(sub, diag, sup, rhs)
+    if info > 0:
+        raise NumericalError(f"tridiagonal solve failed: zero pivot in row {info}")
+    return x

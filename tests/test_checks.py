@@ -93,3 +93,55 @@ def test_solved_surfaces_pass_property_checks_at_modest_resolutions():
         surf = me.solve_hjb(g, me.SchemeConfig(cap_d=1e6))
         report = me.check_solution_properties(surf)
         assert report.passed, report.format_table()
+
+
+def _separate_decay_report(solver, T_values, alpha):
+    """The decay report built from one solve per horizon, as the check once did."""
+    results = []
+    distances = []
+    for T in T_values:
+        surface = solver(float(T))
+        g = surface.grid
+        x = g.x_nodes()
+        dist = np.abs(surface.values[0] - me.stationary_entropy(x))
+        bound = me.decay_envelope(x, float(T), alpha) + 10.0 * (g.k + g.h * g.h)
+        worst = float(np.max(dist - bound))
+        results.append(me.CheckResult(name=f"decay_bound_T={T:g}", passed=worst <= 0.0,
+                                      worst=worst, tolerance=0.0,
+                                      location=(0, int(np.argmax(dist - bound)))))
+        distances.append(float(np.max(dist)))
+    drift = max((b - a for a, b in zip(distances, distances[1:])), default=0.0)
+    results.append(me.CheckResult(name="decay_distance_monotone", passed=drift <= 1e-12,
+                                  worst=drift, tolerance=1e-12, location=None))
+    return me.CheckReport(results=tuple(results))
+
+
+@pytest.mark.parametrize("N, k, T_values", [
+    (50, 0.02, (1.0, 2.0, 4.0)),
+    (40, 0.01, (0.5, 3.0, 1.5)),
+])
+def test_decay_one_sweep_matches_separate_solves(N, k, T_values):
+    solver = me.hjb_horizon_solver(N=N, k=k, cap_d=1e4)
+    expected = _separate_decay_report(solver, T_values, 2)
+    assert me.decay_rate_check(solver, T_values, alpha=2).as_dict() == expected.as_dict()
+
+
+def test_decay_check_solves_once_with_the_longest_horizon():
+    solver = me.hjb_horizon_solver(N=20, k=0.05, cap_d=1e4)
+    calls = []
+
+    def counting(T):
+        calls.append(T)
+        return solver(T)
+
+    me.decay_rate_check(counting, (1.0, 3.0, 2.0), alpha=2)
+    assert calls == [3.0]
+
+
+def test_decay_check_rejects_horizons_off_the_step_grid():
+    solver = me.hjb_horizon_solver(N=20, k=0.05, cap_d=1e4)
+    with pytest.raises(ValidationError, match="not a grid time level"):
+        me.decay_rate_check(solver, (1.0, 1.03, 2.0), alpha=2)
+    for bad in ((), (1.0, 0.0), (1.0, -2.0), (1.0, math.nan), (math.inf,)):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            me.decay_rate_check(solver, bad, alpha=2)

@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,22 @@ def test_csv_reader_skips_interleaved_comments_and_blank_lines():
     assert list(ts) == [0.0, 1.0] and list(xs) == [0.0, 1.0]
     assert vals[0, 0] == 1.5 and vals[0, 1] == 0.0 and math.copysign(1.0, vals[0, 1]) == -1.0
     assert math.isnan(vals[1, 0]) and vals[1, 1] == -math.inf
+
+
+
+@pytest.mark.parametrize("text, match", [
+    ("# run = demo\nt,x,q\n", "needs t,x,value rows"),
+    ("t,x,q\n\n# no rows\n", "needs t,x,value rows"),
+    ("t,x,q\n0,0,1\n0,1,2\n1,0,3\n", "one per \\(t, x\\) pair"),
+    ("t,x,q\n1,0,1\n1,1,2\n0,0,3\n0,1,4\n", "ordered by t then x"),
+    ("t,x,q\n0,0,1\n0,1\n", "not rows of numbers"),
+    ("t,x\n0,0\n0,1\n", "needs t,x,value rows"),
+], ids=["header_only", "comments_only", "missing_row", "unordered", "short_row", "two_columns"])
+def test_csv_reader_rejects_malformed_bodies(text, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may leak out
+        with pytest.raises(ValidationError, match=match):
+            me.field_from_csv(io.StringIO(text))
 
 
 class _Discard(io.TextIOBase):
