@@ -19,7 +19,7 @@ from .density import (DensitySurface, VolatilityModel, benchmark_entropy,
 from .errors import (CflError, ConvergenceError, MatchEntropyError, NumericalError,
                      ValidationError)
 from .grid import (Grid, PField, ValueSurface, field_from_csv, field_to_csv,
-                   make_grid, stationary_entropy, surface_to_json)
+                   make_grid, stationary_entropy)
 from .hjb import (CONTROL_FLOOR, ControlField, SchemeConfig, explicit_step,
                   hamiltonian_capped, implicit_step, optimal_control_field,
                   solve_hjb, solve_hjb_with_iterations)
@@ -34,7 +34,7 @@ __all__ = [
     "CflError", "ConvergenceError", "MatchEntropyError", "NumericalError",
     "ValidationError",
     "Grid", "PField", "ValueSurface", "make_grid", "stationary_entropy",
-    "field_to_csv", "field_from_csv", "surface_to_json",
+    "field_to_csv", "field_from_csv",
     "SchemeConfig", "ControlField", "hamiltonian_capped",
     "explicit_step", "implicit_step", "solve_hjb",
     "solve_hjb_with_iterations", "optimal_control_field",

@@ -23,8 +23,7 @@ from .checks import (CheckReport, check_solution_properties, cross_solver_gap, d
 from .density import (VolatilityModel, solve_forward_density, survival_probability,
                       terminal_atoms)
 from .errors import MatchEntropyError, NumericalError, ValidationError
-from .grid import (dump_json, field_to_csv, make_grid, second_difference_interior,
-                   surface_to_json)
+from .grid import dump_json, field_to_csv, make_grid, second_difference_interior
 from .hjb import (SchemeConfig, optimal_control_field, solve_hjb,
                   solve_hjb_with_iterations)
 from .logdiff import LadderConfig, entropy_from_p, solve_log_diffusion
@@ -189,8 +188,8 @@ def _cmd_solve(config: RunConfig) -> int:
     surface, iters = solve_hjb_with_iterations(grid, cfg)
     control = optimal_control_field(surface, cfg)
     if config.format == "json":
-        payload = _json_payload(config, surface_to_json(surface))
-        dump_json(payload, _outpath(config, "solve_surface.json"))
+        payload = _json_payload(config, {"grid": {"N": grid.N, "M": grid.M, "T": grid.T}})
+        dump_json(payload, _outpath(config, "solve_surface.json"), values=surface.values)
     else:
         field_to_csv(grid, surface.values, _outpath(config, "solve_surface.csv"),
                      "value", _meta(config))
@@ -211,9 +210,8 @@ def _cmd_forward_p(config: RunConfig) -> int:
     p = solve_log_diffusion(grid, LadderConfig(regularisation_n=n))
     if config.format == "json":
         payload = _json_payload(config, {"grid": {"N": grid.N, "M": grid.M, "T": grid.T},
-                                         "regularisation_n": n,
-                                         "values": p.values.tolist()})
-        dump_json(payload, _outpath(config, "forward_p.json"))
+                                         "regularisation_n": n})
+        dump_json(payload, _outpath(config, "forward_p.json"), values=p.values)
     else:
         field_to_csv(grid, p.values, _outpath(config, "forward_p.csv"), "p", _meta(config))
     entropy = entropy_from_p(p)

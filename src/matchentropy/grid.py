@@ -7,6 +7,7 @@ dense in 64-bit floating point and are immutable after construction.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -200,17 +201,47 @@ def _field_from_lines(fh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ts, xs, vals
 
 
-def surface_to_json(surface: ValueSurface) -> dict:
-    """JSON envelope {grid: {N, M, T}, values: [[...]]}."""
-    g = surface.grid
-    return {"grid": {"N": g.N, "M": g.M, "T": g.T},
-            "values": surface.values.tolist()}
+def _json_float(v: float) -> str:
+    """One float as json.dumps spells it (allow_nan=True)."""
+    if v != v:
+        return "NaN"
+    if v in (math.inf, -math.inf):
+        return "Infinity" if v > 0 else "-Infinity"
+    return float.__repr__(v)
 
 
-def dump_json(payload: dict, path) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _json_rows(values):
+    """Rows of floats as json.dumps(indent=2) prints them as a top-level
+    value, one row at a time."""
+    opening = "[\n    "
+    for row in values:
+        row = np.asarray(row, dtype=float)
+        cells = row.tolist()
+        spell = float.__repr__ if np.isfinite(row).all() else _json_float
+        text = ",\n      ".join(map(spell, cells))
+        yield opening + (f"[\n      {text}\n    ]" if cells else "[]")
+        opening = ",\n    "
+    yield "[]" if opening == "[\n    " else "\n  ]"
+
+
+def dump_json(payload: dict, path, values=None) -> None:
+    """Write payload as json.dumps(payload, indent=2, sort_keys=True) would.
+
+    A 2-D float array given as `values` becomes the top-level "values" key;
+    its rows are streamed, so no list of Python floats or document string
+    the size of the whole array is built.
+    """
+    if values is None:
+        chunks = [json.dumps(payload, indent=2, sort_keys=True)]
+    else:
+        # a line break is escaped inside JSON strings, so this anchor can
+        # only be the top-level key itself
+        key = '\n  "values": '
+        text = json.dumps({**payload, "values": None}, indent=2, sort_keys=True)
+        head, _, tail = text.partition(key + "null")
+        chunks = itertools.chain((head, key), _json_rows(values), (tail,))
     if hasattr(path, "write"):
-        path.write(text)
+        path.writelines(chunks)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)

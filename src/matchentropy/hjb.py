@@ -76,18 +76,27 @@ class ControlField:
         object.__setattr__(self, "sigma_star", s)
 
 
-def hamiltonian_capped(q, cap_d: float) -> tuple[np.ndarray, np.ndarray]:
-    """Minimise -a*q - log(a) - 1 over a in [1/e, cap_d], elementwise over q.
+def capped_control(q, cap_d: float) -> np.ndarray:
+    """Minimiser of -a*q - log(a) - 1 over a in [1/e, cap_d], elementwise over q.
 
-    Returns (values, minimisers).  For q < 0 the minimiser is the clamp of
-    -1/q to the control interval and the value equals log(-q) whenever the
-    clamp is inactive; for q >= 0 (including zero, where -1/q is read as a
-    limit) the objective decreases in a, so the cap is the minimiser.
+    For q < 0 it is the clamp of -1/q to the control interval; for q >= 0
+    (including zero, where -1/q is read as a limit) the objective decreases
+    in a, so the cap is the minimiser.
     """
     q = np.asarray(q, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
         raw = -1.0 / q
-    a = np.where(q < 0.0, np.clip(raw, CONTROL_FLOOR, cap_d), cap_d)
+    return np.where(q < 0.0, np.minimum(np.maximum(raw, CONTROL_FLOOR), cap_d), cap_d)
+
+
+def hamiltonian_capped(q, cap_d: float) -> tuple[np.ndarray, np.ndarray]:
+    """Minimise -a*q - log(a) - 1 over a in [1/e, cap_d], elementwise over q.
+
+    Returns (values, minimisers), the minimisers being capped_control(q, cap_d);
+    the value equals log(-q) wherever the clamp is inactive.
+    """
+    q = np.asarray(q, dtype=float)
+    a = capped_control(q, cap_d)
     return -a * q - np.log(a) - 1.0, a
 
 
@@ -124,37 +133,45 @@ def implicit_step(v_next: np.ndarray, grid: Grid, cfg: SchemeConfig) -> tuple[np
     Starting from the previous time level (warm start), alternate the
     closed-form control update with one tridiagonal elimination until both
     the iterate change and the scaled nonlinear residual fall below
-    policy_tol.  The residual is scaled componentwise by the magnitude of
-    the terms entering it, since the raw residual of the stiff system has a
+    policy_tol.  The residual is evaluated only once the iterate change is
+    within tolerance.  It is scaled componentwise by the magnitude of the
+    terms entering it, since the raw residual of the stiff system has a
     floating-point floor proportional to k*cap_d/h^2.
     """
     v_next = np.asarray(v_next, dtype=float)
     k, h = grid.k, grid.h
     c = k / (2.0 * h * h)
+    half_k = 0.5 * k
     v_int = v_next[1:-1]
+    abs_v_int = np.abs(v_int)
+
+    def scaled_residual(u, q, a, log_a):
+        hvals = -a * q - log_a - 1.0  # hamiltonian_capped(q)[0], reusing log(a)
+        resid_raw = u[1:-1] + half_k * hvals - v_int
+        abs_u = np.abs(u)
+        scale = (1.0 + c * a * (abs_u[2:] + 2.0 * abs_u[1:-1] + abs_u[:-2])
+                 + half_k * np.abs(log_a + 1.0) + abs_v_int)
+        return float(np.max(np.abs(resid_raw) / scale))
+
     u = v_next.copy()
-    q = second_difference_interior(u, h)
-    _, a = hamiltonian_capped(q, cfg.cap_d)
+    a = capped_control(second_difference_interior(u, h), cfg.cap_d)
+    log_a = np.log(a)
     for it in range(1, cfg.max_policy_iters + 1):
         diag = 1.0 + 2.0 * c * a
         off = -c * a
-        rhs = v_int + 0.5 * k * (np.log(a) + 1.0)
+        rhs = v_int + half_k * (log_a + 1.0)
         u_new = np.zeros_like(u)
         u_new[1:-1] = solve_tridiagonal(off[1:], diag, off[:-1], rhs)
         delta = float(np.max(np.abs(u_new - u)))
         q = second_difference_interior(u_new, h)
-        hvals, a = hamiltonian_capped(q, cfg.cap_d)
-        resid_raw = u_new[1:-1] + 0.5 * k * hvals - v_int
-        scale = (1.0 + c * a * (np.abs(u_new[2:]) + 2.0 * np.abs(u_new[1:-1])
-                                + np.abs(u_new[:-2]))
-                 + 0.5 * k * np.abs(np.log(a) + 1.0) + np.abs(v_int))
-        resid = float(np.max(np.abs(resid_raw) / scale))
+        a = capped_control(q, cfg.cap_d)
+        log_a = np.log(a)
         u = u_new
-        if delta <= cfg.policy_tol and resid <= cfg.policy_tol:
+        if delta <= cfg.policy_tol and scaled_residual(u, q, a, log_a) <= cfg.policy_tol:
             return u, it
     raise ConvergenceError(
         f"policy iteration did not converge in {cfg.max_policy_iters} iterations "
-        f"(last change {delta:.3e}, scaled residual {resid:.3e})")
+        f"(last change {delta:.3e}, scaled residual {scaled_residual(u, q, a, log_a):.3e})")
 
 
 def solve_hjb_with_iterations(grid: Grid, cfg: SchemeConfig) -> tuple[ValueSurface, np.ndarray]:
@@ -188,7 +205,6 @@ def optimal_control_field(surface: ValueSurface, cfg: SchemeConfig) -> ControlFi
     cap, reading -1/q as a limit.
     """
     v = surface.values
-    _, a_int = hamiltonian_capped(second_difference_interior(v, surface.grid.h), cfg.cap_d)
     a = np.ones_like(v)
-    a[:, 1:-1] = a_int
+    a[:, 1:-1] = capped_control(second_difference_interior(v, surface.grid.h), cfg.cap_d)
     return ControlField(grid=surface.grid, a_star=a, sigma_star=np.sqrt(a))

@@ -60,16 +60,19 @@ def _newton_step(prev_int: np.ndarray, guess_int: np.ndarray, grid: Grid,
     for _ in range(cfg.max_newton_iters):
         if float(np.max(np.abs(F))) <= cfg.newton_tol:
             return w
-        diag = 2.0 / k + 2.0 / (h2 * w)
-        sub = -1.0 / (h2 * w[:-1])
-        sup = -1.0 / (h2 * w[1:])
+        h2w = h2 * w
+        diag = 2.0 / k + 2.0 / h2w
+        sub = -1.0 / h2w[:-1]
+        sup = -1.0 / h2w[1:]
         delta = solve_tridiagonal(sub, diag, sup, -F)
         lam = 1.0
-        while np.any(w + lam * delta <= _POSITIVITY_FLOOR):
+        trial = w + lam * delta
+        while np.any(trial <= _POSITIVITY_FLOOR):
             lam *= 0.5
             if lam < 1e-16:
                 raise ConvergenceError("Newton damping underflow: iterate cannot stay positive")
-        w = w + lam * delta
+            trial = w + lam * delta
+        w = trial
         F = residual(w)
     if float(np.max(np.abs(F))) <= cfg.newton_tol:
         return w
@@ -104,7 +107,8 @@ def entropy_surface_from_p_values(p_values: np.ndarray, grid: Grid) -> np.ndarra
     x = grid.x_nodes()
     inner = cumulative_trapezoid(p_values, dx=h, axis=1, initial=0.0)
     outer = cumulative_trapezoid(inner, dx=h, axis=1, initial=0.0)
-    e = -outer + x[np.newaxis, :] * outer[:, -1:]
+    e = x * outer[:, -1:]
+    e -= outer  # in place: the same bits as -outer + x*outer[:, -1:], one temporary fewer
     e[:, 0] = 0.0
     e[:, -1] = 0.0
     return e[::-1]  # e row m reads p at time T - m*k

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import tracemalloc
 import warnings
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 
 import matchentropy as me
 from matchentropy.errors import ValidationError
-from matchentropy.grid import second_difference_interior
+from matchentropy.grid import dump_json, second_difference_interior
 
 
 def test_make_grid_examples():
@@ -297,9 +298,43 @@ def test_csv_writer_memory_does_not_grow_with_steps():
 
 def test_json_envelope_round_trip():
     s = _tiny_surface()
-    env = me.surface_to_json(s)
+    sink = io.StringIO()
+    dump_json({"grid": {"N": 4, "M": 2, "T": 1.0}}, sink, values=s.values)
+    env = json.loads(sink.getvalue())
     assert set(env) == {"grid", "values"}
     assert env["grid"] == {"N": 4, "M": 2, "T": 1.0}
     back = me.ValueSurface(grid=me.make_grid(**env["grid"]), values=np.array(env["values"]))
     assert back.grid == s.grid
     assert np.array_equal(back.values, s.values)
+
+
+EXTREME_JSON_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300,
+                       -1e300, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("values", [
+    np.array(EXTREME_JSON_VALUES).reshape(1, -1),
+    np.array(EXTREME_JSON_VALUES[:12]).reshape(3, 4),
+    np.array([[0.1, 0.2], [0.3, 0.4]]),  # a row without non-finite values takes the fast path
+    np.array([[5e-324]]),
+    np.empty((2, 0)),
+    np.empty((0, 3)),
+    [],
+], ids=["one-row", "3x4", "finite", "1x1", "empty-rows", "no-rows", "empty-list"])
+def test_dump_json_streams_values_as_json_dumps_would(tmp_path, values):
+    payload = {"version": "0.1.0", "config": {"output": "out/a\nb", "values": None, "x": 1e-7},
+               "grid": {"N": 3, "M": 2, "T": 1.0}, "regularisation_n": 16, "zzz": [1, 2]}
+    expected = json.dumps({**payload, "values": np.asarray(values, dtype=float).tolist()},
+                          indent=2, sort_keys=True)
+    sink = io.StringIO()
+    dump_json(payload, sink, values=values)
+    assert sink.getvalue() == expected
+    dump_json(payload, tmp_path / "f.json", values=values)
+    assert (tmp_path / "f.json").read_text() == expected
+    assert "values" not in payload
+
+
+def test_dump_json_without_values_is_json_dumps(tmp_path):
+    payload = {"b": [1.5, math.nan], "a": {"values": [[1.0]]}}
+    dump_json(payload, tmp_path / "f.json")
+    assert (tmp_path / "f.json").read_text() == json.dumps(payload, indent=2, sort_keys=True)

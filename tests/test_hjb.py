@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import scipy.optimize
 from hypothesis import given, strategies as st
 
 import matchentropy as me
+from matchentropy import hjb
 from matchentropy.errors import CflError, ConvergenceError, ValidationError
 from matchentropy.grid import second_difference_interior
+from matchentropy.tridiag import solve_tridiagonal
 
 FLOOR = me.CONTROL_FLOOR
 
@@ -268,3 +271,80 @@ def test_minimal_grids_solve():
     ge = me.make_grid(2, 50, 1.0)
     se = me.solve_hjb(ge, me.SchemeConfig(cap_d=5.0, scheme="explicit"))
     assert 0.0 < se.values[0, 1] <= 0.125 + 1e-10
+
+
+def reference_implicit_step(v_next, grid, cfg):
+    """The policy-iteration loop as first written: every quantity recomputed
+    and the residual evaluated on every iteration."""
+    v_next = np.asarray(v_next, dtype=float)
+    k, h = grid.k, grid.h
+    c = k / (2.0 * h * h)
+    v_int = v_next[1:-1]
+    u = v_next.copy()
+    q = second_difference_interior(u, h)
+    with np.errstate(divide="ignore", over="ignore"):
+        raw = -1.0 / q
+    a = np.where(q < 0.0, np.clip(raw, FLOOR, cfg.cap_d), cfg.cap_d)
+    for it in range(1, cfg.max_policy_iters + 1):
+        diag = 1.0 + 2.0 * c * a
+        off = -c * a
+        rhs = v_int + 0.5 * k * (np.log(a) + 1.0)
+        u_new = np.zeros_like(u)
+        u_new[1:-1] = solve_tridiagonal(off[1:], diag, off[:-1], rhs)
+        delta = float(np.max(np.abs(u_new - u)))
+        q = second_difference_interior(u_new, h)
+        with np.errstate(divide="ignore", over="ignore"):
+            raw = -1.0 / q
+        a = np.where(q < 0.0, np.clip(raw, FLOOR, cfg.cap_d), cfg.cap_d)
+        hvals = -a * q - np.log(a) - 1.0
+        resid_raw = u_new[1:-1] + 0.5 * k * hvals - v_int
+        scale = (1.0 + c * a * (np.abs(u_new[2:]) + 2.0 * np.abs(u_new[1:-1])
+                                + np.abs(u_new[:-2]))
+                 + 0.5 * k * np.abs(np.log(a) + 1.0) + np.abs(v_int))
+        resid = float(np.max(np.abs(resid_raw) / scale))
+        u = u_new
+        if delta <= cfg.policy_tol and resid <= cfg.policy_tol:
+            return u, it
+    raise ConvergenceError("reference loop did not converge")
+
+
+@pytest.mark.parametrize("N, M, T, cap, reg_n, tol", [
+    (40, 300, 1.0, 100.0, None, 1e-12),
+    (200, 200, 1.0, 1e6, 1, 1e-12),
+    (100, 400, 2.0, 1e6, None, 1e-12),
+    (64, 64, 1.0, 1e4, None, 1e-12),
+    # a loose tolerance, where the residual test decides some steps' iteration counts
+    (40, 64, 1.0, 1e6, None, 1e-5),
+])
+def test_implicit_step_matches_reference_loop(monkeypatch, N, M, T, cap, reg_n, tol):
+    g = me.make_grid(N, M, T)
+    cfg = me.SchemeConfig(cap_d=cap, policy_tol=tol, terminal_regularisation_n=reg_n)
+    surface, iters = me.solve_hjb_with_iterations(g, cfg)
+    monkeypatch.setattr(hjb, "implicit_step", reference_implicit_step)
+    ref_surface, ref_iters = me.solve_hjb_with_iterations(g, cfg)
+    assert surface.values.tobytes() == ref_surface.values.tobytes()
+    assert iters.tobytes() == ref_iters.tobytes()
+    control = me.optimal_control_field(surface, cfg).a_star
+    _, a_int = me.hamiltonian_capped(second_difference_interior(surface.values, g.h), cap)
+    assert control[:, 1:-1].tobytes() == a_int.tobytes()
+
+
+def test_non_convergence_message_reports_finite_change_and_residual():
+    g = me.make_grid(64, 64, 1.0)
+    cfg = me.SchemeConfig(cap_d=1e6, max_policy_iters=1)
+    with pytest.raises(ConvergenceError) as err:
+        me.implicit_step(me.stationary_entropy(g.x_nodes()) * 0.3, g, cfg)
+    numbers = re.search(r"last change (\S+), scaled residual (\S+)\)", str(err.value))
+    assert numbers is not None
+    change, resid = (float(s) for s in numbers.groups())
+    assert math.isfinite(change) and change > cfg.policy_tol
+    assert math.isfinite(resid) and resid > 0.0
+
+
+def test_capped_control_matches_clip_bitwise():
+    q = np.array([-np.inf, -1e300, -math.e, -1.0, -0.5, -5e-324, -0.0, 0.0, 5e-324, 1.0,
+                  np.inf, np.nan])
+    for cap in (FLOOR, 1.0, 10.0, 1e6):
+        with np.errstate(divide="ignore", over="ignore"):
+            clipped = np.where(q < 0.0, np.clip(-1.0 / q, FLOOR, cap), cap)
+        assert hjb.capped_control(q, cap).tobytes() == clipped.tobytes()

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 import matchentropy as me
 from matchentropy.errors import ConvergenceError, NumericalError, ValidationError
 from matchentropy import logdiff
+from matchentropy.grid import second_difference_interior
 from matchentropy.logdiff import entropy_surface_from_p_values
+from matchentropy.tridiag import solve_tridiagonal
 
 
 def test_initial_row_is_constant_one_over_n():
@@ -128,3 +131,62 @@ def test_ladder_config_validation():
         me.LadderConfig(newton_tol=float("nan"))
     with pytest.raises(ValidationError):
         me.LadderConfig(max_newton_iters=0)
+
+
+def reference_newton_step(prev_int, guess_int, grid, cfg):
+    """The Newton loop as first written: the Jacobian products and the damped
+    trial iterate recomputed where they are used."""
+    k, h = grid.k, grid.h
+    h2 = h * h
+    w = guess_int.copy()
+
+    def residual(w_int):
+        logp = np.zeros(grid.N + 1)
+        logp[1:-1] = np.log(w_int)
+        return 2.0 * (w_int - prev_int) / k - second_difference_interior(logp, h)
+
+    F = residual(w)
+    for _ in range(cfg.max_newton_iters):
+        if float(np.max(np.abs(F))) <= cfg.newton_tol:
+            return w
+        diag = 2.0 / k + 2.0 / (h2 * w)
+        sub = -1.0 / (h2 * w[:-1])
+        sup = -1.0 / (h2 * w[1:])
+        delta = solve_tridiagonal(sub, diag, sup, -F)
+        lam = 1.0
+        while np.any(w + lam * delta <= 1e-30):
+            lam *= 0.5
+        w = w + lam * delta
+        F = residual(w)
+    raise ConvergenceError("reference Newton loop did not converge")
+
+
+@pytest.mark.parametrize("N, M, n", [(200, 200, 16), (64, 1000, 4), (50, 30, 1)])
+def test_log_diffusion_matches_reference_newton_loop(monkeypatch, N, M, n):
+    g = me.make_grid(N, M, 1.0)
+    cfg = me.LadderConfig(regularisation_n=n)
+    p = me.solve_log_diffusion(g, cfg).values
+    monkeypatch.setattr(logdiff, "_newton_step", reference_newton_step)
+    assert p.tobytes() == me.solve_log_diffusion(g, cfg).values.tobytes()
+
+
+@pytest.mark.parametrize("N, M, prev, guess", [(50, 100_000, 1e-12, 50.0),
+                                               (50, 1000, 1e-12, 1e6)])
+def test_damped_newton_step_matches_reference_loop(N, M, prev, guess):
+    # far-off guesses against a tiny previous level: full Newton steps would
+    # leave the positive cone, so the damping halves lam several times
+    g = me.make_grid(N, M, 1.0)
+    args = (np.full(N - 1, prev), np.full(N - 1, guess), g, me.LadderConfig())
+    assert logdiff._newton_step(*args).tobytes() == reference_newton_step(*args).tobytes()
+
+
+def test_entropy_rebuild_matches_reference_expression():
+    rng = np.random.default_rng(7)
+    for N, M in ((2, 1), (33, 7), (1000, 3)):
+        g = me.make_grid(N, M, 1.0)
+        pvals = rng.uniform(-1.0, 1.0, size=(M + 1, N + 1))
+        outer = cumulative_trapezoid(cumulative_trapezoid(pvals, dx=g.h, axis=1, initial=0.0),
+                                     dx=g.h, axis=1, initial=0.0)
+        expected = -outer + g.x_nodes()[np.newaxis, :] * outer[:, -1:]
+        expected[:, 0] = expected[:, -1] = 0.0
+        assert entropy_surface_from_p_values(pvals, g).tobytes() == expected[::-1].tobytes()
