@@ -20,13 +20,10 @@ from .errors import (CflError, ConvergenceError, MatchEntropyError, NumericalErr
                      ValidationError)
 from .grid import (Grid, PField, ValueSurface, field_from_csv, field_to_csv,
                    make_grid, stationary_entropy)
-from .hjb import (CONTROL_FLOOR, ControlField, SchemeConfig, explicit_step,
-                  hamiltonian_capped, implicit_step, optimal_control_field,
-                  solve_hjb, solve_hjb_with_iterations)
-from .logdiff import (LadderConfig, entropy_from_p, entropy_surface_from_p_values,
-                      solve_log_diffusion)
-from .montecarlo import (PathStats, QvReport, SimConfig, quadratic_variation_check,
-                         simulate_paths)
+from .hjb import (CONTROL_FLOOR, ControlField, SchemeConfig, hamiltonian_capped,
+                  optimal_control_field, solve_hjb, solve_hjb_with_iterations)
+from .logdiff import LadderConfig, entropy_from_p, solve_log_diffusion
+from .montecarlo import PathStats, SimConfig, quadratic_variation_check, simulate_paths
 
 __all__ = [
     "__version__",
@@ -35,14 +32,12 @@ __all__ = [
     "ValidationError",
     "Grid", "PField", "ValueSurface", "make_grid", "stationary_entropy",
     "field_to_csv", "field_from_csv",
-    "SchemeConfig", "ControlField", "hamiltonian_capped",
-    "explicit_step", "implicit_step", "solve_hjb",
+    "SchemeConfig", "ControlField", "hamiltonian_capped", "solve_hjb",
     "solve_hjb_with_iterations", "optimal_control_field",
     "LadderConfig", "solve_log_diffusion", "entropy_from_p",
-    "entropy_surface_from_p_values",
     "DensitySurface", "VolatilityModel", "benchmark_variance", "benchmark_entropy",
     "solve_forward_density", "survival_probability", "terminal_atoms",
-    "SimConfig", "PathStats", "QvReport", "simulate_paths",
+    "SimConfig", "PathStats", "simulate_paths",
     "quadratic_variation_check",
     "CheckReport", "CheckResult", "check_solution_properties", "cross_solver_gap",
     "decay_envelope", "decay_rate_check", "hjb_horizon_solver", "merge_reports",

@@ -10,7 +10,6 @@ resolved configuration, so identical configs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from dataclasses import dataclass
@@ -18,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .checks import (CheckReport, check_solution_properties, cross_solver_gap, decay_rate_check,
-                     hjb_horizon_solver, merge_reports, CheckResult)
+from .checks import (CheckReport, CheckResult, check_solution_properties, cross_solver_gap,
+                     decay_rate_check, hjb_horizon_solver, merge_reports)
 from .density import (VolatilityModel, solve_forward_density, survival_probability,
                       terminal_atoms)
 from .errors import MatchEntropyError, NumericalError, ValidationError
@@ -36,6 +35,14 @@ PROBE_FRACTIONS = (0.5, 0.9, 0.99)
 
 @dataclass
 class RunConfig:
+    """Every input of one CLI run, checked once.
+
+    Construction builds the run's grid, scheme and simulation configs, whose
+    own checks cover every numeric input, and keeps them as the attributes
+    `grid`, `scheme_config` and `sim_config`.  They are not fields, so the
+    echo, the output files and `==` do not see them.
+    """
+
     command: str
     grid_n: int = 1000
     grid_m: int = 1000
@@ -55,37 +62,39 @@ class RunConfig:
         if self.command not in COMMANDS:
             raise ValidationError(f"unknown command {self.command!r}")
         if self.model not in ("early_termination", "full_length"):
-            raise ValidationError(f"unknown model {self.model!r}")
+            raise ValidationError(
+                f"model must be early_termination or full_length, got {self.model!r}")
         if self.format not in ("csv", "json"):
             raise ValidationError(f"format must be csv or json, got {self.format!r}")
-        # the library checks every numeric input; run them here, before anything is echoed
-        make_grid(self.grid_n, self.grid_m, self.horizon)
-        SchemeConfig(self.cap_d, self.scheme, terminal_regularisation_n=self.regularisation_n)
-        SimConfig(self.n_paths, self.dt, self.seed, self.x0)
+        # the library checks every other input as it builds these, before anything is echoed
+        self.grid = make_grid(self.grid_n, self.grid_m, self.horizon)
+        self.scheme_config = SchemeConfig(self.cap_d, self.scheme,
+                                          terminal_regularisation_n=self.regularisation_n)
+        self.sim_config = SimConfig(self.n_paths, self.dt, self.seed, self.x0)
         if not self.output_path:
             self.output_path = os.environ.get(OUTDIR_ENV, ".")
 
 
-def serialise_config(config: RunConfig) -> str:
-    """Flat key=value text; parse_config_file inverts it."""
-    lines = []
-    for f in dataclasses.fields(RunConfig):
-        val = getattr(config, f.name)
-        lines.append(f"{f.name}={'' if val is None else val}")
-    return "\n".join(lines) + "\n"
+# The parser of each RunConfig field, for its command-line flag and its config-file line.
+_FIELD_PARSERS = {
+    "command": str, "grid_n": int, "grid_m": int, "horizon": float, "cap_d": float,
+    "scheme": str, "model": str, "regularisation_n": int, "n_paths": int, "seed": int,
+    "dt": float, "x0": float, "output_path": str, "format": str,
+}
 
 
 def config_as_dict(config: RunConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in dataclasses.fields(RunConfig)}
+    return {name: getattr(config, name) for name in _FIELD_PARSERS}
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_INT_FIELDS = {"grid_n", "grid_m", "n_paths", "seed", "regularisation_n"}
-_FLOAT_FIELDS = {"horizon", "cap_d", "dt", "x0"}
+def serialise_config(config: RunConfig) -> str:
+    """Flat key=value text; parse_config_file inverts it."""
+    return "".join(f"{name}={'' if val is None else val}\n"
+                   for name, val in config_as_dict(config).items())
 
 
 def _coerce(name: str, raw: str):
-    if name not in _FIELD_TYPES:
+    if name not in _FIELD_PARSERS:
         raise ValidationError(f"unknown config key {name!r}")
     raw = raw.strip()
     if raw == "":
@@ -94,13 +103,9 @@ def _coerce(name: str, raw: str):
             return None
         raise ValidationError(f"config key {name}: empty value")
     try:
-        if name in _INT_FIELDS:
-            return int(raw)
-        if name in _FLOAT_FIELDS:
-            return float(raw)
+        return _FIELD_PARSERS[name](raw)
     except ValueError as exc:
         raise ValidationError(f"config key {name}: cannot parse {raw!r}") from exc
-    return raw
 
 
 def parse_config_file(path: str) -> dict:
@@ -117,44 +122,34 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a command-line error as a ValidationError: one line, exit 1."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="matchentropy", exit_on_error=False,
-                                     description=__doc__.splitlines()[0])
+    parser = _ArgumentParser(prog="matchentropy", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, exit_on_error=False, argument_default=argparse.SUPPRESS)
+    for command in COMMANDS:
+        p = sub.add_parser(command, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", dest="config_file")
-        p.add_argument("--grid-n", dest="grid_n", type=int)
-        p.add_argument("--grid-m", dest="grid_m", type=int)
-        p.add_argument("--horizon", type=float)
-        p.add_argument("--cap-d", dest="cap_d", type=float)
-        p.add_argument("--scheme", choices=("explicit", "implicit"))
-        p.add_argument("--model", choices=("early_termination", "full_length"))
-        p.add_argument("--regularisation-n", dest="regularisation_n", type=int)
-        p.add_argument("--n-paths", dest="n_paths", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--x0", type=float)
-        p.add_argument("--output", dest="output_path")
-        p.add_argument("--format", choices=("csv", "json"))
+        for name, parse in _FIELD_PARSERS.items():
+            if name != "command":
+                flag = "--output" if name == "output_path" else "--" + name.replace("_", "-")
+                p.add_argument(flag, dest=name, type=parse)
     return parser
 
 
 def parse_config(argv) -> RunConfig:
     """Resolve argv (+ optional config file) into a RunConfig, echoed to stderr."""
-    parser = _build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except argparse.ArgumentError as exc:
-        raise ValidationError(str(exc)) from exc
-    values = {}
-    flag_values = {k: v for k, v in vars(ns).items() if k not in ("command", "config_file")}
-    config_file = getattr(ns, "config_file", None)
-    if config_file:
-        values.update(parse_config_file(config_file))
+    flags = vars(_build_parser().parse_args(argv))
+    command = flags.pop("command")
+    config_file = flags.pop("config_file", None)
+    values = parse_config_file(config_file) if config_file else {}
     values.pop("command", None)  # the subcommand on the command line governs
-    values.update(flag_values)
-    config = RunConfig(command=ns.command, **values)
+    config = RunConfig(command=command, **{**values, **flags})
     print("resolved config:", file=sys.stderr)
     for line in serialise_config(config).splitlines():
         print(f"  {line}", file=sys.stderr)
@@ -176,15 +171,8 @@ def _json_payload(config: RunConfig, body: dict) -> dict:
     return {"version": __version__, "config": config_as_dict(config), **body}
 
 
-def _grid_and_scheme(config: RunConfig):
-    grid = make_grid(config.grid_n, config.grid_m, config.horizon)
-    cfg = SchemeConfig(cap_d=config.cap_d, scheme=config.scheme,
-                       terminal_regularisation_n=config.regularisation_n)
-    return grid, cfg
-
-
 def _cmd_solve(config: RunConfig) -> int:
-    grid, cfg = _grid_and_scheme(config)
+    grid, cfg = config.grid, config.scheme_config
     surface, iters = solve_hjb_with_iterations(grid, cfg)
     control = optimal_control_field(surface, cfg)
     if config.format == "json":
@@ -205,7 +193,7 @@ def _cmd_solve(config: RunConfig) -> int:
 
 
 def _cmd_forward_p(config: RunConfig) -> int:
-    grid = make_grid(config.grid_n, config.grid_m, config.horizon)
+    grid = config.grid
     n = config.regularisation_n if config.regularisation_n is not None else 16
     p = solve_log_diffusion(grid, LadderConfig(regularisation_n=n))
     if config.format == "json":
@@ -221,14 +209,14 @@ def _cmd_forward_p(config: RunConfig) -> int:
     return 0
 
 
-def _density_for(config: RunConfig):
-    grid, cfg = _grid_and_scheme(config)
-    if config.model == "early_termination":
-        surface = solve_hjb(grid, cfg)
-        model = VolatilityModel.early_termination(optimal_control_field(surface, cfg))
-    else:
-        model = VolatilityModel.full_length(grid.T)
-    return grid, solve_forward_density(model, grid, config.x0)
+def _volatility_model(config: RunConfig) -> VolatilityModel:
+    """The model config.model names: the solved optimal control for early
+    termination, or the closed-form full-length benchmark."""
+    if config.model == "full_length":
+        return VolatilityModel.full_length(config.grid.T)
+    surface = solve_hjb(config.grid, config.scheme_config)
+    return VolatilityModel.early_termination(
+        optimal_control_field(surface, config.scheme_config))
 
 
 def _density_summary(grid, density) -> dict:
@@ -253,7 +241,8 @@ def _density_summary(grid, density) -> dict:
 
 
 def _cmd_density(config: RunConfig) -> int:
-    grid, density = _density_for(config)
+    grid = config.grid
+    density = solve_forward_density(_volatility_model(config), grid, config.x0)
     field_to_csv(grid, density.values, _outpath(config, "density.csv"), "q", _meta(config))
     summary = _density_summary(grid, density)
     dump_json(_json_payload(config, summary), _outpath(config, "density_summary.json"))
@@ -264,16 +253,8 @@ def _cmd_density(config: RunConfig) -> int:
 
 
 def _cmd_simulate(config: RunConfig) -> int:
-    grid, cfg = _grid_and_scheme(config)
-    if config.model == "early_termination":
-        surface = solve_hjb(grid, cfg)
-        control = optimal_control_field(surface, cfg)
-    else:
-        control = VolatilityModel.full_length(grid.T)
-    sim = SimConfig(n_paths=config.n_paths, dt=config.dt, base_seed=config.seed,
-                    x0=config.x0)
-    stats = simulate_paths(control, sim)
-    qv = quadratic_variation_check(stats, sim)
+    stats = simulate_paths(_volatility_model(config), config.sim_config)
+    qv = quadratic_variation_check(stats, config.sim_config)
     report = {
         "reward_mean": stats.reward_mean,
         "reward_stderr": stats.reward_stderr,
@@ -291,8 +272,8 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 
 def _cmd_check(config: RunConfig) -> int:
-    grid, cfg = _grid_and_scheme(config)
-    surface = solve_hjb(grid, cfg)
+    grid = config.grid
+    surface = solve_hjb(grid, config.scheme_config)
     properties = check_solution_properties(surface)
 
     n = config.regularisation_n if config.regularisation_n is not None else 1
@@ -316,7 +297,7 @@ def _cmd_check(config: RunConfig) -> int:
 
 
 def _cmd_reproduce_figures(config: RunConfig) -> int:
-    grid, cfg = _grid_and_scheme(config)
+    grid, cfg = config.grid, config.scheme_config
     surface = solve_hjb(grid, cfg)
     control = optimal_control_field(surface, cfg)
     meta = _meta(config)
@@ -374,9 +355,8 @@ def run(config: RunConfig) -> int:
 def main(argv=None) -> int:
     try:
         config = parse_config(sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:  # --help and argparse-internal exits
-        code = exc.code if isinstance(exc.code, int) else 1
-        return 0 if code == 0 else 1
+    except SystemExit as exc:  # --help; a command-line error raises ValidationError instead
+        return 0 if not exc.code else 1
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CflError, ConvergenceError, ValidationError
-from .grid import Grid, ValueSurface, second_difference_interior, stationary_entropy
+from .grid import (Grid, ValueSurface, _frozen_array, second_difference_interior,
+                   stationary_entropy)
 from .tridiag import solve_tridiagonal
 
 CONTROL_FLOOR = 1.0 / math.e
@@ -54,26 +55,20 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class ControlField:
-    """Optimal diffusion coefficient a*(t, x) and volatility sigma* = sqrt(a*)."""
+    """Optimal diffusion coefficient a*(t, x); the volatility sigma* = sqrt(a*)."""
 
     grid: Grid
     a_star: np.ndarray
-    sigma_star: np.ndarray
 
     def __post_init__(self):
-        shape = (self.grid.M + 1, self.grid.N + 1)
-        a = np.array(self.a_star, dtype=float)
-        s = np.array(self.sigma_star, dtype=float)
-        if a.shape != shape or s.shape != shape:
-            raise ValidationError(f"control field must have shape {shape}")
+        a = _frozen_array(self.a_star, (self.grid.M + 1, self.grid.N + 1))
         if np.any(a < CONTROL_FLOOR - 1e-12):
             raise ValidationError("a_star drops below the control floor 1/e")
-        if np.max(np.abs(s * s - a)) > 1e-9 * max(1.0, float(np.max(a))):
-            raise ValidationError("sigma_star**2 must equal a_star to round-off")
-        a.setflags(write=False)
-        s.setflags(write=False)
         object.__setattr__(self, "a_star", a)
-        object.__setattr__(self, "sigma_star", s)
+
+    @property
+    def sigma_star(self) -> np.ndarray:
+        return np.sqrt(self.a_star)
 
 
 def capped_control(q, cap_d: float) -> np.ndarray:
@@ -207,4 +202,4 @@ def optimal_control_field(surface: ValueSurface, cfg: SchemeConfig) -> ControlFi
     v = surface.values
     a = np.ones_like(v)
     a[:, 1:-1] = capped_control(second_difference_interior(v, surface.grid.h), cfg.cap_d)
-    return ControlField(grid=surface.grid, a_star=a, sigma_star=np.sqrt(a))
+    return ControlField(grid=surface.grid, a_star=a)

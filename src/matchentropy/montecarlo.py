@@ -98,7 +98,8 @@ def _interp_uniform(x, xs, ys, slopes):
 
 
 def _control_evaluator(control, T: float | None):
-    """Return (horizon, eval(t, x_array) -> a_array) for any supported control."""
+    """Return (horizon, eval(t, x_array) -> a_array) for a ControlField, the
+    full-length VolatilityModel or a constant."""
     if isinstance(control, ControlField):
         grid = control.grid
         nodes = grid.x_nodes()
@@ -117,9 +118,6 @@ def _control_evaluator(control, T: float | None):
 
         return grid.T, eval_field
     if isinstance(control, VolatilityModel):
-        if control.kind != FULL_LENGTH:
-            return _control_evaluator(control.control, control.T)
-
         return control.T, lambda t, x: benchmark_variance(t, x, control.T)
     a_const = float(control)
     if not (math.isfinite(a_const) and a_const > 0.0):
@@ -145,6 +143,8 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None, *,
     flags expose the naive absorption rule (no barrier shift, reward
     truncated before the exit step) for bias studies.
     """
+    if isinstance(control, VolatilityModel) and control.kind != FULL_LENGTH:
+        control = control.control  # an early-termination model is its solved field
     horizon, eval_a = _control_evaluator(control, T)
     if T is not None and isinstance(control, (ControlField, VolatilityModel)):
         if T > horizon + 1e-12:

@@ -61,6 +61,38 @@ def test_empty_config_value_exits_with_one_line_error(key, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_field_parsers_cover_every_config_field():
+    assert list(cli._FIELD_PARSERS) == [f.name for f in dataclasses.fields(cli.RunConfig)]
+
+
+def test_run_config_keeps_its_solver_objects_out_of_its_fields(capsys):
+    config = cli.parse_config(["simulate", "--grid-n", "30", "--cap-d", "50", "--dt", "0.01"])
+    assert config.grid.N == 30 and config.grid.M == 1000
+    assert config.scheme_config.cap_d == 50.0 and config.sim_config.dt == 0.01
+    assert "grid" not in {f.name for f in dataclasses.fields(config)}
+
+
+@pytest.mark.parametrize("argv,config_line", [
+    pytest.param([], None, id="no-command"),
+    pytest.param(["solve", "--no-such-flag"], None, id="unknown-flag"),
+    # the same values as flags are among BAD_INPUTS below
+    pytest.param(["solve"], "scheme=magic", id="scheme-file"),
+    pytest.param(["solve"], "model=x", id="model-file"),
+    pytest.param(["solve"], "format=xml", id="format-file"),
+])
+def test_cli_errors_are_one_line(argv, config_line, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(out))
+    if config_line is not None:
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(config_line + "\n")
+        argv = [*argv, "--config", str(cfg_file)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_validation_exit_codes(capsys):
     assert cli.main(["solve", "--grid-n", "0"]) == 1
     assert cli.main(["solve", "--no-such-flag"]) == 1
@@ -74,7 +106,8 @@ BAD_INPUTS = [("--grid-n", "1"), ("--grid-m", "0"),
               ("--cap-d", "nan"), ("--cap-d", "0.1"), ("--regularisation-n", "0"),
               ("--n-paths", "0"),
               ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"), ("--dt", "-1"),
-              ("--x0", "nan"), ("--x0", "0"), ("--x0", "1")]
+              ("--x0", "nan"), ("--x0", "0"), ("--x0", "1"),
+              ("--scheme", "magic"), ("--model", "x"), ("--format", "xml")]
 
 
 @pytest.mark.parametrize("command,flag,value", [

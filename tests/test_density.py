@@ -12,7 +12,7 @@ from matchentropy.hjb import ControlField
 
 def constant_control_field(grid, a=1.0):
     arr = np.full((grid.M + 1, grid.N + 1), float(a))
-    return ControlField(grid=grid, a_star=arr, sigma_star=np.sqrt(arr))
+    return ControlField(grid=grid, a_star=arr)
 
 
 def brownian_exit_survival(t, terms=60):
@@ -69,7 +69,7 @@ def test_density_step_matches_dense_solve():
     g = me.make_grid(8, 1, 0.01)
     rng = np.random.default_rng(5)
     a = rng.uniform(0.5, 2.0, size=(2, 9))
-    ctrl = ControlField(grid=g, a_star=a, sigma_star=np.sqrt(a))
+    ctrl = ControlField(grid=g, a_star=a)
     dens = me.solve_forward_density(me.VolatilityModel.early_termination(ctrl), g, 0.5)
 
     b = g.k / (2.0 * g.h * g.h)

@@ -126,7 +126,7 @@ def test_containers_are_immutable_after_construction():
     with pytest.raises(ValueError):
         p.values[0, 0] = 0.5
     a = np.ones((3, 5))
-    ctrl = me.ControlField(grid=g, a_star=a, sigma_star=np.sqrt(a))
+    ctrl = me.ControlField(grid=g, a_star=a)
     with pytest.raises(ValueError):
         ctrl.a_star[0, 0] = 2.0
 

@@ -89,7 +89,7 @@ def test_hamiltonian_value_monotone_in_cap(q, cap_lo, cap_hi):
 def test_explicit_step_zero_row_cap_e():
     g = me.make_grid(10, 300, 1.0)
     cfg = me.SchemeConfig(cap_d=math.e, scheme="explicit")
-    out = me.explicit_step(np.zeros(11), g, cfg)
+    out = hjb.explicit_step(np.zeros(11), g, cfg)
     assert out[0] == 0.0 and out[-1] == 0.0
     # with zero diffusion term the maximiser is the cap, giving k(log a + 1)/2 = k
     assert np.allclose(out[1:-1], g.k, rtol=1e-13)
@@ -99,7 +99,7 @@ def test_explicit_step_cfl_violation_names_the_numbers():
     g = me.make_grid(100, 100, 1.0)
     cfg = me.SchemeConfig(cap_d=1e6, scheme="explicit")
     with pytest.raises(CflError) as err:
-        me.explicit_step(np.zeros(101), g, cfg)
+        hjb.explicit_step(np.zeros(101), g, cfg)
     msg = str(err.value)
     assert "0.01" in msg and "1e+06" in msg and "exceeds 1" in msg
 
@@ -112,7 +112,7 @@ def test_explicit_step_preserves_stationary_bound():
     for _ in range(20):
         v = e_inf * rng.uniform(0.0, 1.0, size=e_inf.shape)
         v[0] = v[-1] = 0.0
-        out = me.explicit_step(v, g, cfg)
+        out = hjb.explicit_step(v, g, cfg)
         assert np.all(out <= e_inf + 1e-12)
 
 
@@ -144,7 +144,7 @@ def test_policy_update_floor_via_brute_force():
 def test_implicit_step_matches_dense_root_find():
     g = me.make_grid(4, 2, 1.0)
     cfg = me.SchemeConfig(cap_d=10.0, policy_tol=1e-13)
-    u, iters = me.implicit_step(np.zeros(5), g, cfg)
+    u, iters = hjb.implicit_step(np.zeros(5), g, cfg)
     assert iters >= 1
 
     def residual(u_int):
@@ -163,7 +163,7 @@ def test_implicit_step_respects_stationary_bounds():
     g = me.make_grid(32, 32, 1.0)
     cfg = me.SchemeConfig(cap_d=100.0)
     e_inf = me.stationary_entropy(g.x_nodes())
-    u, _ = me.implicit_step(e_inf, g, cfg)
+    u, _ = hjb.implicit_step(e_inf, g, cfg)
     assert np.all(u >= -1e-12)
     assert np.all(u <= e_inf + 1e-12)
 
@@ -172,7 +172,7 @@ def test_implicit_step_non_convergence_raises():
     g = me.make_grid(64, 64, 1.0)
     cfg = me.SchemeConfig(cap_d=1e6, max_policy_iters=1)
     with pytest.raises(ConvergenceError):
-        me.implicit_step(me.stationary_entropy(g.x_nodes()) * 0.3, g, cfg)
+        hjb.implicit_step(me.stationary_entropy(g.x_nodes()) * 0.3, g, cfg)
 
 
 def test_solve_hjb_boundaries_bounds_symmetry():
@@ -333,7 +333,7 @@ def test_non_convergence_message_reports_finite_change_and_residual():
     g = me.make_grid(64, 64, 1.0)
     cfg = me.SchemeConfig(cap_d=1e6, max_policy_iters=1)
     with pytest.raises(ConvergenceError) as err:
-        me.implicit_step(me.stationary_entropy(g.x_nodes()) * 0.3, g, cfg)
+        hjb.implicit_step(me.stationary_entropy(g.x_nodes()) * 0.3, g, cfg)
     numbers = re.search(r"last change (\S+), scaled residual (\S+)\)", str(err.value))
     assert numbers is not None
     change, resid = (float(s) for s in numbers.groups())

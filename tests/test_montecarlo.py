@@ -113,8 +113,7 @@ def test_control_lookup_equals_np_interp_bitwise():
     for n in (7, 97, 997, 1000):
         for _ in range(10):
             a = rng.uniform(0.5, 5.0, size=(2, n + 1))
-            fields.append(me.ControlField(grid=me.make_grid(n, 1, 1.0), a_star=a,
-                                          sigma_star=np.sqrt(a)))
+            fields.append(me.ControlField(grid=me.make_grid(n, 1, 1.0), a_star=a))
     for field in fields:
         _, eval_a = _control_evaluator(field, None)
         xs = field.grid.x_nodes()
@@ -239,6 +238,19 @@ def test_simulation_step_constraints():
             me.simulate_paths(1.0, cfg, T=bad_T)
         with pytest.raises(ValidationError):
             me.simulate_paths(ctrl, cfg, T=bad_T)
+
+
+def test_early_termination_model_runs_as_its_field():
+    ctrl, _ = small_control_field(10)  # k = 0.1
+    model = me.VolatilityModel.early_termination(ctrl)
+    too_coarse = me.SimConfig(n_paths=10, dt=0.5, base_seed=1, x0=0.5)
+    for control in (ctrl, model):
+        with pytest.raises(ValidationError, match="control grid step"):
+            me.simulate_paths(control, too_coarse)
+    cfg = me.SimConfig(n_paths=50, dt=0.05, base_seed=3, x0=0.4)
+    via_field, via_model = me.simulate_paths(ctrl, cfg), me.simulate_paths(model, cfg)
+    for name in PATH_ARRAYS:
+        assert getattr(via_model, name).tobytes() == getattr(via_field, name).tobytes()
 
 
 def test_asymmetric_start_martingale_and_value():
