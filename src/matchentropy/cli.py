@@ -2,9 +2,9 @@
 into reproducible runs that emit plot-ready data.
 
 Exit codes: 0 success, 1 validation, 2 numerical failure, 3 check failure,
-4 I/O.  Flags override config-file values, which override the defaults
-(N = M = 1000, T = 1, cap_d = 1e6).  Every emitted file embeds the fully
-resolved configuration, so identical configs produce byte-identical output.
+4 I/O or memory.  Flags override config-file values, which override the
+defaults (N = M = 1000, T = 1, cap_d = 1e6).  Every emitted file embeds the
+fully resolved configuration, so identical configs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ from .grid import dump_json, field_to_csv, make_grid, second_difference_interior
 from .hjb import (SchemeConfig, optimal_control_field, solve_hjb,
                   solve_hjb_with_iterations)
 from .logdiff import LadderConfig, entropy_from_p, solve_log_diffusion
-from .montecarlo import SimConfig, quadratic_variation_check, simulate_paths
+from .montecarlo import PROBE_FRACTIONS, SimConfig, quadratic_variation_check, simulate_paths
 
 COMMANDS = ("solve", "forward-p", "density", "simulate", "check", "reproduce-figures")
 OUTDIR_ENV = "MATCHENTROPY_OUTDIR"
-PROBE_FRACTIONS = (0.5, 0.9, 0.99)
 
 
 @dataclass
@@ -289,7 +288,7 @@ def _cmd_check(config: RunConfig) -> int:
         tolerance=gap_tol, location=None),))
 
     decay = decay_rate_check(hjb_horizon_solver(N=100, k=5e-3, cap_d=config.cap_d),
-                             (2.0, 5.0, 10.0, 20.0), alpha=2)
+                             (2.0, 5.0, 10.0, 20.0))
     report = merge_reports(properties, route_check, decay)
     dump_json(_json_payload(config, report.as_dict()), _outpath(config, "check_report.json"))
     print(report.format_table())
@@ -373,6 +372,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 4
     except MatchEntropyError as exc:  # pragma: no cover - safety net
         print(f"error: {exc}", file=sys.stderr)

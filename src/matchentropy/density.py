@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from .errors import NumericalError, ValidationError
-from .grid import Grid
+from .grid import Grid, _frozen_array
 from .hjb import ControlField
 from .tridiag import solve_tridiagonal
 
@@ -44,8 +44,10 @@ class VolatilityModel:
             raise ValidationError(f"unknown volatility model kind {self.kind!r}")
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise ValidationError(f"horizon T must be positive and finite, got {self.T!r}")
-        if self.kind == EARLY_TERMINATION and self.control is None:
-            raise ValidationError("early_termination model requires a ControlField")
+        if self.kind == EARLY_TERMINATION and (self.control is None
+                                               or self.control.grid.T != self.T):
+            raise ValidationError(
+                f"early_termination model requires a ControlField with horizon T={self.T!r}")
 
     @classmethod
     def early_termination(cls, control: ControlField) -> "VolatilityModel":
@@ -67,15 +69,9 @@ class DensitySurface:
 
     def __post_init__(self):
         g = self.grid
-        vals = np.array(self.values, dtype=float)
-        left = np.array(self.absorbed_mass_left, dtype=float)
-        right = np.array(self.absorbed_mass_right, dtype=float)
-        if vals.shape != (g.M + 1, g.N + 1):
-            raise ValidationError("density surface has the wrong shape")
-        if left.shape != (g.M + 1,) or right.shape != (g.M + 1,):
-            raise ValidationError("absorbed-mass arrays must have M+1 entries")
-        if not all(np.all(np.isfinite(arr)) for arr in (vals, left, right)):
-            raise ValidationError("density surface contains non-finite entries")
+        vals = _frozen_array(self.values, (g.M + 1, g.N + 1))
+        left = _frozen_array(self.absorbed_mass_left, (g.M + 1,))
+        right = _frozen_array(self.absorbed_mass_right, (g.M + 1,))
         if np.min(vals) < -1e-12:
             raise ValidationError("density has negative entries beyond tolerance")
         interior = trapezoid(vals, dx=g.h, axis=1)
@@ -84,8 +80,6 @@ class DensitySurface:
             m = int(np.argmax(np.abs(ledger - 1.0)))
             raise ValidationError(
                 f"mass ledger violated at time level {m}: interior+absorbed = {ledger[m]!r}")
-        for arr in (vals, left, right):
-            arr.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "absorbed_mass_left", left)
         object.__setattr__(self, "absorbed_mass_right", right)

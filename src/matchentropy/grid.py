@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +20,8 @@ from .errors import ValidationError
 
 # how far round-off may carry a solved p above its invariant p <= 1
 P_CEILING_TOL = 1e-8
+# most float64 entries one numpy array can hold: its size in bytes must fit in intp
+MAX_ARRAY_ENTRIES = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -41,24 +44,34 @@ class Grid:
     def t_nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.M + 1)
 
-    def time_index(self, t: float, tol: float = 1e-9) -> int:
+    def time_index(self, t: float) -> int:
         """Index m with m*k == t; rejects off-grid times (no nearest-node fallback)."""
         m = int(round(t / self.k))
-        if m < 0 or m > self.M or abs(m * self.k - t) > tol * max(1.0, self.T):
+        if m < 0 or m > self.M or abs(m * self.k - t) > 1e-9 * max(1.0, self.T):
             raise ValidationError(f"time {t} is not a grid time level (k={self.k})")
         return m
 
 
 def make_grid(N: int, M: int, T: float) -> Grid:
-    """Build a grid, rejecting N < 2, M < 1 and T <= 0."""
+    """Build a grid, rejecting N < 2, M < 1, T <= 0, a field too large for one
+    numpy array, and a step k = T/M that underflows or makes k/h^2 overflow."""
     if not isinstance(N, (int, np.integer)) or N < 2:
         raise ValidationError(f"N must be an integer >= 2, got {N!r}")
     if not isinstance(M, (int, np.integer)) or M < 1:
         raise ValidationError(f"M must be an integer >= 1, got {M!r}")
+    N, M = int(N), int(M)
+    if (N + 1) * (M + 1) > MAX_ARRAY_ENTRIES:
+        raise ValidationError(f"a field of (M+1) x (N+1) = {M + 1} x {N + 1} nodes is "
+                              "too large for one array")
     T = float(T)
     if not math.isfinite(T) or T <= 0.0:
         raise ValidationError(f"T must be a positive real, got {T!r}")
-    return Grid(N=int(N), M=int(M), T=T, h=1.0 / N, k=T / M)
+    # the solvers divide by k and by h^2; h = 1/N > 0 for any N the size bound admits
+    k, h = T / M, 1.0 / N
+    if k < sys.float_info.min or not math.isfinite(k / (h * h)):
+        raise ValidationError(f"the time step T/M = {T!r}/{M} underflows, or k/h^2 "
+                              f"overflows at N = {N}")
+    return Grid(N=N, M=M, T=T, h=h, k=k)
 
 
 def stationary_entropy(x):
@@ -77,9 +90,12 @@ def second_difference_interior(v: np.ndarray, h: float) -> np.ndarray:
 
 
 def _frozen_array(values, shape) -> np.ndarray:
+    """A read-only float copy of `values`, checked for its shape and finiteness."""
     arr = np.array(values, dtype=float)
     if arr.shape != shape:
         raise ValidationError(f"field has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("field contains non-finite entries")
     arr.setflags(write=False)
     return arr
 
@@ -94,8 +110,6 @@ class ValueSurface:
     def __post_init__(self):
         g = self.grid
         arr = _frozen_array(self.values, (g.M + 1, g.N + 1))
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("value surface contains non-finite entries")
         if np.any(arr[:, 0] != 0.0) or np.any(arr[:, -1] != 0.0):
             m = int(np.argmax((arr[:, 0] != 0.0) | (arr[:, -1] != 0.0)))
             raise ValidationError(
@@ -120,8 +134,6 @@ class PField:
         if self.regularisation_n < 1:
             raise ValidationError("regularisation_n must be a positive integer")
         arr = _frozen_array(self.values, (g.M + 1, g.N + 1))
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("p field contains non-finite entries")
         if np.any(arr <= 0.0):
             raise ValidationError("p field must be strictly positive")
         if np.any(arr > 1.0 + P_CEILING_TOL):

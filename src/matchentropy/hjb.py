@@ -24,18 +24,19 @@ from .grid import (Grid, ValueSurface, _frozen_array, second_difference_interior
 from .tridiag import solve_tridiagonal
 
 CONTROL_FLOOR = 1.0 / math.e
+# stop rule of the implicit step's policy iteration, read at call time
+POLICY_TOL = 1e-12
+MAX_POLICY_ITERS = 50
 
 _SCHEMES = ("explicit", "implicit")
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Solver parameters: control cap d, scheme choice, policy-iteration stop rule."""
+    """Solver parameters: control cap d, scheme choice, regularised terminal row."""
 
     cap_d: float = 1e6
     scheme: str = "implicit"
-    policy_tol: float = 1e-12
-    max_policy_iters: int = 50
     terminal_regularisation_n: int | None = None
 
     def __post_init__(self):
@@ -44,11 +45,6 @@ class SchemeConfig:
                 f"cap_d must be >= 1/e ({CONTROL_FLOOR:.6f}), got {self.cap_d!r}")
         if self.scheme not in _SCHEMES:
             raise ValidationError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if not (math.isfinite(self.policy_tol) and self.policy_tol > 0.0):
-            raise ValidationError(
-                f"policy_tol must be positive and finite, got {self.policy_tol!r}")
-        if self.max_policy_iters < 1:
-            raise ValidationError("max_policy_iters must be >= 1")
         if self.terminal_regularisation_n is not None and self.terminal_regularisation_n < 1:
             raise ValidationError("terminal_regularisation_n must be a positive integer")
 
@@ -128,10 +124,11 @@ def implicit_step(v_next: np.ndarray, grid: Grid, cfg: SchemeConfig) -> tuple[np
     Starting from the previous time level (warm start), alternate the
     closed-form control update with one tridiagonal elimination until both
     the iterate change and the scaled nonlinear residual fall below
-    policy_tol.  The residual is evaluated only once the iterate change is
-    within tolerance.  It is scaled componentwise by the magnitude of the
-    terms entering it, since the raw residual of the stiff system has a
-    floating-point floor proportional to k*cap_d/h^2.
+    POLICY_TOL, within MAX_POLICY_ITERS updates.  The residual is evaluated
+    only once the iterate change is within tolerance.  It is scaled
+    componentwise by the magnitude of the terms entering it, since the raw
+    residual of the stiff system has a floating-point floor proportional to
+    k*cap_d/h^2.
     """
     v_next = np.asarray(v_next, dtype=float)
     k, h = grid.k, grid.h
@@ -151,7 +148,7 @@ def implicit_step(v_next: np.ndarray, grid: Grid, cfg: SchemeConfig) -> tuple[np
     u = v_next.copy()
     a = capped_control(second_difference_interior(u, h), cfg.cap_d)
     log_a = np.log(a)
-    for it in range(1, cfg.max_policy_iters + 1):
+    for it in range(1, MAX_POLICY_ITERS + 1):
         diag = 1.0 + 2.0 * c * a
         off = -c * a
         rhs = v_int + half_k * (log_a + 1.0)
@@ -162,10 +159,10 @@ def implicit_step(v_next: np.ndarray, grid: Grid, cfg: SchemeConfig) -> tuple[np
         a = capped_control(q, cfg.cap_d)
         log_a = np.log(a)
         u = u_new
-        if delta <= cfg.policy_tol and scaled_residual(u, q, a, log_a) <= cfg.policy_tol:
+        if delta <= POLICY_TOL and scaled_residual(u, q, a, log_a) <= POLICY_TOL:
             return u, it
     raise ConvergenceError(
-        f"policy iteration did not converge in {cfg.max_policy_iters} iterations "
+        f"policy iteration did not converge in {MAX_POLICY_ITERS} iterations "
         f"(last change {delta:.3e}, scaled residual {scaled_residual(u, q, a, log_a):.3e})")
 
 
@@ -174,6 +171,9 @@ def solve_hjb_with_iterations(grid: Grid, cfg: SchemeConfig) -> tuple[ValueSurfa
 
     For the explicit scheme the counts are zeros.
     """
+    if not math.isfinite(grid.k * cfg.cap_d / (grid.h * grid.h)):
+        raise ValidationError(f"k*cap_d/h^2 overflows for k = {grid.k:.6g}, "
+                              f"cap_d = {cfg.cap_d:.6g}, h = {grid.h:.6g}")
     if cfg.scheme == "explicit":
         _check_cfl(grid, cfg)
     values = np.zeros((grid.M + 1, grid.N + 1))

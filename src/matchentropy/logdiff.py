@@ -13,7 +13,6 @@ evaluated with nested cumulative trapezoidal sums.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,28 +23,23 @@ from .grid import P_CEILING_TOL, Grid, PField, ValueSurface, second_difference_i
 from .tridiag import solve_tridiagonal
 
 _POSITIVITY_FLOOR = 1e-30
+# stop rule of each time level's Newton iteration, read at call time
+NEWTON_TOL = 1e-8
+MAX_NEWTON_ITERS = 60
 
 
 @dataclass(frozen=True)
 class LadderConfig:
-    """Ladder index n (initial row p = 1/n) and the Newton stop rule."""
+    """Ladder index n: the initial row is the constant p = 1/n."""
 
     regularisation_n: int = 1
-    newton_tol: float = 1e-8
-    max_newton_iters: int = 60
 
     def __post_init__(self):
         if self.regularisation_n < 1:
             raise ValidationError("regularisation_n must be a positive integer")
-        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0.0):
-            raise ValidationError(
-                f"newton_tol must be positive and finite, got {self.newton_tol!r}")
-        if self.max_newton_iters < 1:
-            raise ValidationError("max_newton_iters must be >= 1")
 
 
-def _newton_step(prev_int: np.ndarray, guess_int: np.ndarray, grid: Grid,
-                 cfg: LadderConfig) -> np.ndarray:
+def _newton_step(prev_int: np.ndarray, guess_int: np.ndarray, grid: Grid) -> np.ndarray:
     """Solve 2(p' - p)/k = A log(p') for the interior of one time level."""
     k, h = grid.k, grid.h
     h2 = h * h
@@ -57,8 +51,8 @@ def _newton_step(prev_int: np.ndarray, guess_int: np.ndarray, grid: Grid,
         return 2.0 * (w_int - prev_int) / k - second_difference_interior(logp, h)
 
     F = residual(w)
-    for _ in range(cfg.max_newton_iters):
-        if float(np.max(np.abs(F))) <= cfg.newton_tol:
+    for _ in range(MAX_NEWTON_ITERS):
+        if float(np.max(np.abs(F))) <= NEWTON_TOL:
             return w
         h2w = h2 * w
         diag = 2.0 / k + 2.0 / h2w
@@ -74,11 +68,11 @@ def _newton_step(prev_int: np.ndarray, guess_int: np.ndarray, grid: Grid,
             trial = w + lam * delta
         w = trial
         F = residual(w)
-    if float(np.max(np.abs(F))) <= cfg.newton_tol:
+    if float(np.max(np.abs(F))) <= NEWTON_TOL:
         return w
     raise ConvergenceError(
-        f"Newton iteration did not reach residual {cfg.newton_tol:.1e} within "
-        f"{cfg.max_newton_iters} iterations (residual {float(np.max(np.abs(F))):.3e})")
+        f"Newton iteration did not reach residual {NEWTON_TOL:.1e} within "
+        f"{MAX_NEWTON_ITERS} iterations (residual {float(np.max(np.abs(F))):.3e})")
 
 
 def solve_log_diffusion(grid: Grid, cfg: LadderConfig) -> PField:
@@ -86,12 +80,10 @@ def solve_log_diffusion(grid: Grid, cfg: LadderConfig) -> PField:
     n = cfg.regularisation_n
     values = np.zeros((grid.M + 1, grid.N + 1))
     values[0, :] = 1.0 / n
+    values[1:, [0, -1]] = 1.0
     for m in range(grid.M):
-        guess = values[m, 1:-1].copy() if m > 0 else np.full(grid.N - 1, 1.0 / n)
-        interior = _newton_step(values[m, 1:-1], guess, grid, cfg)
-        values[m + 1, 1:-1] = interior
-        values[m + 1, 0] = 1.0
-        values[m + 1, -1] = 1.0
+        # the previous level is also the guess; _newton_step iterates on a copy
+        values[m + 1, 1:-1] = _newton_step(values[m, 1:-1], values[m, 1:-1], grid)
     # round-off can push the implicit solution a hair above the invariant p <= 1;
     # clip only that far, so a real excess reaches the caller as an error
     peak = float(np.max(values))

@@ -28,6 +28,7 @@ import numpy as np
 
 from .density import FULL_LENGTH, VolatilityModel, benchmark_variance
 from .errors import ValidationError
+from .grid import MAX_ARRAY_ENTRIES
 from .hjb import ControlField
 
 _CHUNK = 8192
@@ -36,6 +37,8 @@ _BLOCK = 128
 
 # mean overshoot of a discretely monitored Brownian crossing, -zeta(1/2)/sqrt(2 pi)
 BARRIER_CORRECTION = 0.5825971579390107
+# probe times as fractions of the horizon, for absorbed fractions and interior masses
+PROBE_FRACTIONS = (0.5, 0.9, 0.99)
 
 
 @dataclass(frozen=True)
@@ -46,11 +49,12 @@ class SimConfig:
     dt: float
     base_seed: int
     x0: float
-    probe_times: tuple = ()
 
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValidationError("n_paths must be >= 1")
+        if self.n_paths > MAX_ARRAY_ENTRIES:
+            raise ValidationError(f"n_paths = {self.n_paths} is too large for one array")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
         if not 0.0 < self.x0 < 1.0:
@@ -76,7 +80,6 @@ class PathStats:
 class QvReport:
     """Outcome of the pathwise quadratic-variation identity check."""
 
-    qv_mean: float
     terminal_gap: float
     se_combined: float
     passed: bool
@@ -227,11 +230,9 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None, *,
         reward[ids] = r
         qv[ids] = q
 
-    probes = cfg.probe_times or (0.5 * horizon, 0.9 * horizon, 0.99 * horizon)
     absorbed = side != 0
-    fractions = {
-        float(t): float(np.mean(absorbed & (exit_time <= t + 1e-12))) for t in probes
-    }
+    probes = [frac * horizon for frac in PROBE_FRACTIONS]
+    fractions = {t: float(np.mean(absorbed & (exit_time <= t + 1e-12))) for t in probes}
     stderr = float(np.std(reward, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     for arr in (terminal, side, exit_time, reward, qv):
         arr.setflags(write=False)
@@ -256,5 +257,4 @@ def quadratic_variation_check(stats: PathStats, cfg: SimConfig) -> QvReport:
     se_qv = float(np.std(stats.qv_samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     se_x2 = float(np.std(x2, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     se = math.hypot(se_qv, se_x2)
-    return QvReport(qv_mean=stats.qv_mean, terminal_gap=gap, se_combined=se,
-                    passed=abs(gap) <= 3.0 * se)
+    return QvReport(terminal_gap=gap, se_combined=se, passed=abs(gap) <= 3.0 * se)

@@ -209,7 +209,7 @@ def test_monte_carlo_agreement(reference, mc_optimal):
 
 def test_decay_envelope_holds():
     solver = me.hjb_horizon_solver(N=100, k=5e-3, cap_d=CAP)
-    report = me.decay_rate_check(solver, (2.0, 5.0, 10.0, 20.0), alpha=2)
+    report = me.decay_rate_check(solver, (2.0, 5.0, 10.0, 20.0))
     _criterion("decay-envelope", report.passed,
                "; ".join(f"{r.name}: worst {r.worst:+.1e}" for r in report.results))
 

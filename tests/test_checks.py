@@ -56,20 +56,16 @@ def test_decay_envelope_arithmetic():
     # rate constant (alpha-1)/(pi alpha^2) at alpha=2 is 1/(4 pi)
     rate = 1.0 / (4.0 * math.pi)
     assert rate == pytest.approx(0.07957747, abs=1e-8)
-    val = me.decay_envelope(0.5, 20.0, 2)
+    val = me.decay_envelope(0.5, 20.0)
     assert val == pytest.approx(0.25 * math.exp(-20.0 * rate), abs=1e-15)
     assert val == pytest.approx(0.0509, abs=2e-4)
-    edges = me.decay_envelope(np.array([0.0, 1.0]), 5.0, 2)
+    edges = me.decay_envelope(np.array([0.0, 1.0]), 5.0)
     assert np.all(edges == 0.0)
-    with pytest.raises(ValidationError):
-        me.decay_envelope(0.5, 1.0, 3)
-    with pytest.raises(ValidationError):
-        me.decay_rate_check(lambda T: None, (1.0,), alpha=5)
 
 
 def test_decay_rate_check_small_run():
     solver = me.hjb_horizon_solver(N=50, k=0.02, cap_d=1e4)
-    report = me.decay_rate_check(solver, (1.0, 2.0, 4.0), alpha=2)
+    report = me.decay_rate_check(solver, (1.0, 2.0, 4.0))
     assert report.passed
     names = [r.name for r in report.results]
     assert names[-1] == "decay_distance_monotone"
@@ -95,7 +91,7 @@ def test_solved_surfaces_pass_property_checks_at_modest_resolutions():
         assert report.passed, report.format_table()
 
 
-def _separate_decay_report(solver, T_values, alpha):
+def _separate_decay_report(solver, T_values):
     """The decay report built from one solve per horizon, as the check once did."""
     results = []
     distances = []
@@ -104,7 +100,7 @@ def _separate_decay_report(solver, T_values, alpha):
         g = surface.grid
         x = g.x_nodes()
         dist = np.abs(surface.values[0] - me.stationary_entropy(x))
-        bound = me.decay_envelope(x, float(T), alpha) + 10.0 * (g.k + g.h * g.h)
+        bound = me.decay_envelope(x, float(T)) + 10.0 * (g.k + g.h * g.h)
         worst = float(np.max(dist - bound))
         results.append(me.CheckResult(name=f"decay_bound_T={T:g}", passed=worst <= 0.0,
                                       worst=worst, tolerance=0.0,
@@ -122,8 +118,8 @@ def _separate_decay_report(solver, T_values, alpha):
 ])
 def test_decay_one_sweep_matches_separate_solves(N, k, T_values):
     solver = me.hjb_horizon_solver(N=N, k=k, cap_d=1e4)
-    expected = _separate_decay_report(solver, T_values, 2)
-    assert me.decay_rate_check(solver, T_values, alpha=2).as_dict() == expected.as_dict()
+    expected = _separate_decay_report(solver, T_values)
+    assert me.decay_rate_check(solver, T_values).as_dict() == expected.as_dict()
 
 
 def test_decay_check_solves_once_with_the_longest_horizon():
@@ -134,14 +130,14 @@ def test_decay_check_solves_once_with_the_longest_horizon():
         calls.append(T)
         return solver(T)
 
-    me.decay_rate_check(counting, (1.0, 3.0, 2.0), alpha=2)
+    me.decay_rate_check(counting, (1.0, 3.0, 2.0))
     assert calls == [3.0]
 
 
 def test_decay_check_rejects_horizons_off_the_step_grid():
     solver = me.hjb_horizon_solver(N=20, k=0.05, cap_d=1e4)
     with pytest.raises(ValidationError, match="not a grid time level"):
-        me.decay_rate_check(solver, (1.0, 1.03, 2.0), alpha=2)
+        me.decay_rate_check(solver, (1.0, 1.03, 2.0))
     for bad in ((), (1.0, 0.0), (1.0, -2.0), (1.0, math.nan), (math.inf,)):
         with pytest.raises(ValidationError, match="positive and finite"):
-            me.decay_rate_check(solver, bad, alpha=2)
+            me.decay_rate_check(solver, bad)

@@ -1,10 +1,14 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import matchentropy as me
 from matchentropy import cli
@@ -61,8 +65,33 @@ def test_empty_config_value_exits_with_one_line_error(key, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_field_parsers_cover_every_config_field():
+# The RunConfig field that each field of the solver configs is built from.
+SOLVER_FIELD_SOURCES = {
+    me.SchemeConfig: {"cap_d": "cap_d", "scheme": "scheme",
+                      "terminal_regularisation_n": "regularisation_n"},
+    me.LadderConfig: {"regularisation_n": "regularisation_n"},
+    me.SimConfig: {"n_paths": "n_paths", "dt": "dt", "base_seed": "seed", "x0": "x0"},
+}
+
+
+def test_field_parsers_cover_every_config_field(tmp_path, monkeypatch, capsys):
     assert list(cli._FIELD_PARSERS) == [f.name for f in dataclasses.fields(cli.RunConfig)]
+    for cls, sources in SOLVER_FIELD_SOURCES.items():
+        assert [f.name for f in dataclasses.fields(cls)] == list(sources)
+        assert set(sources.values()) <= set(cli._FIELD_PARSERS)
+    config = cli.parse_config(["forward-p", "--grid-n", "8", "--grid-m", "4", "--cap-d", "7",
+                               "--scheme", "explicit", "--regularisation-n", "3",
+                               "--n-paths", "5", "--dt", "0.25", "--seed", "11",
+                               "--x0", "0.375", "--output", str(tmp_path)])
+    ladders = []
+    solve = cli.solve_log_diffusion
+    monkeypatch.setattr(cli, "solve_log_diffusion",
+                        lambda grid, cfg: ladders.append(cfg) or solve(grid, cfg))
+    assert cli.run(config) == 0
+    for cls, built in ((me.SchemeConfig, config.scheme_config),
+                       (me.LadderConfig, ladders[0]), (me.SimConfig, config.sim_config)):
+        for name, source in SOLVER_FIELD_SOURCES[cls].items():
+            assert getattr(built, name) == getattr(config, source), (cls.__name__, name)
 
 
 def test_run_config_keeps_its_solver_objects_out_of_its_fields(capsys):
@@ -107,7 +136,13 @@ BAD_INPUTS = [("--grid-n", "1"), ("--grid-m", "0"),
               ("--n-paths", "0"),
               ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"), ("--dt", "-1"),
               ("--x0", "nan"), ("--x0", "0"), ("--x0", "1"),
-              ("--scheme", "magic"), ("--model", "x"), ("--format", "xml")]
+              ("--scheme", "magic"), ("--model", "x"), ("--format", "xml"),
+              # a zero step, an overflowing k/h^2 and sizes numpy cannot index:
+              # each fails before anything is allocated
+              ("--horizon", "5e-324"), ("--horizon", "1e308"),
+              ("--grid-n", str(2**63 - 1)), ("--grid-n", str(10**30)),
+              ("--grid-m", str(2**63 - 1)), ("--grid-m", str(10**30)),
+              ("--n-paths", str(2**63 - 1))]
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -123,6 +158,74 @@ def test_non_finite_inputs_exit_with_one_line_error(command, flag, value, tmp_pa
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _message_lines(err: str) -> list[str]:
+    """The stderr lines of a run other than its resolved-config echo."""
+    return [line for line in err.splitlines()
+            if line != "resolved config:" and not line.startswith("  ")]
+
+
+def test_overflowing_cfl_number_exits_with_one_line_error(tmp_path, capsys):
+    assert cli.main(["solve", "--grid-n", "8", "--grid-m", "8", "--cap-d", "1e308",
+                     "--output", str(tmp_path)]) == 1
+    (message,) = _message_lines(capsys.readouterr().err)
+    assert message.startswith("error: k*cap_d/h^2 overflows")
+
+
+def test_memory_error_exits_four_with_one_line(tmp_path, monkeypatch, capsys):
+    def exhausted(grid, cfg):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000001, 1001)")
+
+    monkeypatch.setattr(cli, "solve_hjb_with_iterations", exhausted)
+    assert cli.main(["solve", *SMALL, "--output", str(tmp_path)]) == 4
+    (message,) = _message_lines(capsys.readouterr().err)
+    assert message.startswith("out of memory: Unable to allocate")
+
+
+# Every value each field flag draws in the property test below: non-finite,
+# zero, negative, subnormal, huge, past int64, empty, non-numeric, fractional.
+EXTREME_VALUES = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e308", "-1e308",
+                  str(2**63 - 1), str(10**30), "", "abc", "1.5"]
+FIELD_FLAGS = ["--output" if name == "output_path" else "--" + name.replace("_", "-")
+               for name in cli._FIELD_PARSERS if name != "command"]
+PROPERTY_BASE = ["--grid-n", "8", "--grid-m", "8", "--n-paths", "16", "--dt", "0.125"]
+
+
+def _simulated_steps(flags: dict) -> float:
+    """horizon/dt of a draw: the number of steps a simulation would make."""
+    try:
+        return float(flags.get("--horizon", "1")) / float(flags.get("--dt", "0.125"))
+    except (ValueError, ZeroDivisionError):
+        return 0.0
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(cli.COMMANDS),
+       flags=st.dictionaries(st.sampled_from(FIELD_FLAGS), st.sampled_from(EXTREME_VALUES),
+                             min_size=1, max_size=3))
+def test_extreme_field_values_exit_with_a_documented_code(command, flags, tmp_path,
+                                                          monkeypatch):
+    # a simulation that passes validation runs horizon/dt steps; leave out the
+    # draws that make that count astronomical (--horizon 1e30 at dt = 0.125)
+    steps = _simulated_steps(flags)
+    assume(command != "simulate" or not (math.isfinite(steps) and steps > 1e4))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.OUTDIR_ENV, "out")
+    argv = [command, *PROPERTY_BASE]
+    for flag, value in flags.items():
+        argv += [flag, value]  # a drawn flag overrides its base value
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    messages = _message_lines(err.getvalue())
+    if code == 3:  # a failed check reports through its table on stdout
+        assert not messages and out.getvalue().splitlines()[-1].endswith("checks passed")
+    elif code != 0:
+        assert len(messages) == 1, messages
 
 
 def test_explicit_scheme_cfl_precheck_fails_fast(capsys):

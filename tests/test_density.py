@@ -202,6 +202,8 @@ def test_density_input_validation():
         me.VolatilityModel(kind="bogus", T=1.0)
     with pytest.raises(ValidationError):
         me.VolatilityModel(kind="early_termination", T=1.0)
+    with pytest.raises(ValidationError, match="horizon"):
+        me.VolatilityModel(kind="early_termination", T=5.0, control=ctrl)
     for bad_T in (float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             me.VolatilityModel.full_length(bad_T)

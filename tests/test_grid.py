@@ -29,6 +29,13 @@ def test_make_grid_rejects_bad_inputs_naming_the_field():
         me.make_grid(4, 2, 0.0)
     with pytest.raises(ValidationError, match="T"):
         me.make_grid(4, 2, -3.0)
+    for N, M in ((2**63 - 1, 8), (8, 2**63 - 1), (10**30, 8), (8, 10**30)):
+        with pytest.raises(ValidationError, match="too large for one array"):
+            me.make_grid(N, M, 1.0)
+    # T/M zero or subnormal, or k/h^2 = T*N^2/M past the largest double
+    for N, M, T in ((8, 8, 5e-324), (8, 1, 5e-324), (8, 2, 4e-308), (8, 8, 1e308)):
+        with pytest.raises(ValidationError, match="underflows, or k/h\\^2 overflows"):
+            me.make_grid(N, M, T)
 
 
 @given(N=st.integers(2, 5000), M=st.integers(1, 5000),
@@ -111,6 +118,16 @@ def test_value_surface_rejects_non_finite():
     vals[1, 2] = np.inf
     with pytest.raises(ValidationError):
         me.ValueSurface(grid=g, values=vals)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_control_field_rejects_non_finite_entries(bad):
+    # `a < 1/e` is False at NaN and inf, so only the finiteness gate catches them
+    g = me.make_grid(10, 10, 1.0)
+    a = np.ones((11, 11))
+    a[4, 5] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        me.ControlField(grid=g, a_star=a)
 
 
 def test_value_surface_is_immutable():

@@ -141,9 +141,10 @@ def test_policy_update_floor_via_brute_force():
     assert control == pytest.approx(FLOOR, abs=1e-15)
 
 
-def test_implicit_step_matches_dense_root_find():
+def test_implicit_step_matches_dense_root_find(monkeypatch):
+    monkeypatch.setattr(hjb, "POLICY_TOL", 1e-13)
     g = me.make_grid(4, 2, 1.0)
-    cfg = me.SchemeConfig(cap_d=10.0, policy_tol=1e-13)
+    cfg = me.SchemeConfig(cap_d=10.0)
     u, iters = hjb.implicit_step(np.zeros(5), g, cfg)
     assert iters >= 1
 
@@ -168,9 +169,10 @@ def test_implicit_step_respects_stationary_bounds():
     assert np.all(u <= e_inf + 1e-12)
 
 
-def test_implicit_step_non_convergence_raises():
+def test_implicit_step_non_convergence_raises(monkeypatch):
+    monkeypatch.setattr(hjb, "MAX_POLICY_ITERS", 1)
     g = me.make_grid(64, 64, 1.0)
-    cfg = me.SchemeConfig(cap_d=1e6, max_policy_iters=1)
+    cfg = me.SchemeConfig(cap_d=1e6)
     with pytest.raises(ConvergenceError):
         hjb.implicit_step(me.stationary_entropy(g.x_nodes()) * 0.3, g, cfg)
 
@@ -245,15 +247,15 @@ def test_scheme_config_validation():
     with pytest.raises(ValidationError):
         me.SchemeConfig(scheme="magic")
     with pytest.raises(ValidationError):
-        me.SchemeConfig(policy_tol=0.0)
-    with pytest.raises(ValidationError):
-        me.SchemeConfig(policy_tol=float("nan"))
-    with pytest.raises(ValidationError):
-        me.SchemeConfig(policy_tol=float("inf"))
-    with pytest.raises(ValidationError):
-        me.SchemeConfig(max_policy_iters=0)
-    with pytest.raises(ValidationError):
         me.SchemeConfig(terminal_regularisation_n=0)
+
+
+@pytest.mark.parametrize("scheme", ["implicit", "explicit"])
+def test_overflowing_cfl_number_is_rejected_before_the_sweep(scheme):
+    # k*cap_d/h^2 = 8e308 overflows; the implicit diagonal would overflow with it
+    g = me.make_grid(8, 8, 1.0)
+    with pytest.raises(ValidationError, match="overflows"):
+        me.solve_hjb(g, me.SchemeConfig(cap_d=1e308, scheme=scheme))
 
 
 def test_implicit_iterations_stay_small_with_warm_start():
@@ -285,7 +287,7 @@ def reference_implicit_step(v_next, grid, cfg):
     with np.errstate(divide="ignore", over="ignore"):
         raw = -1.0 / q
     a = np.where(q < 0.0, np.clip(raw, FLOOR, cfg.cap_d), cfg.cap_d)
-    for it in range(1, cfg.max_policy_iters + 1):
+    for it in range(1, hjb.MAX_POLICY_ITERS + 1):
         diag = 1.0 + 2.0 * c * a
         off = -c * a
         rhs = v_int + 0.5 * k * (np.log(a) + 1.0)
@@ -303,7 +305,7 @@ def reference_implicit_step(v_next, grid, cfg):
                  + 0.5 * k * np.abs(np.log(a) + 1.0) + np.abs(v_int))
         resid = float(np.max(np.abs(resid_raw) / scale))
         u = u_new
-        if delta <= cfg.policy_tol and resid <= cfg.policy_tol:
+        if delta <= hjb.POLICY_TOL and resid <= hjb.POLICY_TOL:
             return u, it
     raise ConvergenceError("reference loop did not converge")
 
@@ -317,8 +319,9 @@ def reference_implicit_step(v_next, grid, cfg):
     (40, 64, 1.0, 1e6, None, 1e-5),
 ])
 def test_implicit_step_matches_reference_loop(monkeypatch, N, M, T, cap, reg_n, tol):
+    monkeypatch.setattr(hjb, "POLICY_TOL", tol)
     g = me.make_grid(N, M, T)
-    cfg = me.SchemeConfig(cap_d=cap, policy_tol=tol, terminal_regularisation_n=reg_n)
+    cfg = me.SchemeConfig(cap_d=cap, terminal_regularisation_n=reg_n)
     surface, iters = me.solve_hjb_with_iterations(g, cfg)
     monkeypatch.setattr(hjb, "implicit_step", reference_implicit_step)
     ref_surface, ref_iters = me.solve_hjb_with_iterations(g, cfg)
@@ -329,15 +332,16 @@ def test_implicit_step_matches_reference_loop(monkeypatch, N, M, T, cap, reg_n, 
     assert control[:, 1:-1].tobytes() == a_int.tobytes()
 
 
-def test_non_convergence_message_reports_finite_change_and_residual():
+def test_non_convergence_message_reports_finite_change_and_residual(monkeypatch):
+    monkeypatch.setattr(hjb, "MAX_POLICY_ITERS", 1)
     g = me.make_grid(64, 64, 1.0)
-    cfg = me.SchemeConfig(cap_d=1e6, max_policy_iters=1)
+    cfg = me.SchemeConfig(cap_d=1e6)
     with pytest.raises(ConvergenceError) as err:
         hjb.implicit_step(me.stationary_entropy(g.x_nodes()) * 0.3, g, cfg)
     numbers = re.search(r"last change (\S+), scaled residual (\S+)\)", str(err.value))
     assert numbers is not None
     change, resid = (float(s) for s in numbers.groups())
-    assert math.isfinite(change) and change > cfg.policy_tol
+    assert math.isfinite(change) and change > hjb.POLICY_TOL
     assert math.isfinite(resid) and resid > 0.0
 
 
