@@ -12,6 +12,7 @@ reproduces the numbers behind that choice.
 import argparse
 
 import matchentropy as me
+from matchentropy.montecarlo import PROBE_FRACTIONS
 
 
 def run(n_paths, dt, seed):
@@ -22,7 +23,8 @@ def run(n_paths, dt, seed):
     pde_value = surface.values[0, grid.N // 2]
     density = me.solve_forward_density(
         me.VolatilityModel.early_termination(control), grid, 0.5)
-    pde_fracs = {t: 1.0 - me.survival_probability(density, t) for t in (0.5, 0.9, 0.99)}
+    probes = [frac * grid.T for frac in PROBE_FRACTIONS]
+    pde_fracs = {t: 1.0 - me.survival_probability(density, t) for t in probes}
     print(f"pde value {pde_value:.6f}; pde absorbed fractions "
           + ", ".join(f"{t}: {v:.4f}" for t, v in pde_fracs.items()))
 
@@ -37,7 +39,7 @@ def run(n_paths, dt, seed):
                   f"reward {stats.reward_mean:.5f} ({dev:+.1f} se) | "
                   f"qv gap {qv.terminal_gap:+.5f} "
                   f"({qv.terminal_gap / qv.se_combined:+.1f} se) | "
-                  f"absorbed@0.5 {stats.fraction_absorbed_by[0.5]:.4f}")
+                  f"absorbed@{probes[0]:g} {stats.fraction_absorbed_by[probes[0]]:.4f}")
 
 
 if __name__ == "__main__":

@@ -220,7 +220,6 @@ def _volatility_model(config: RunConfig) -> VolatilityModel:
 
 def _density_summary(grid, density) -> dict:
     times = grid.t_nodes()
-    interior = [float(survival_probability(density, t)) for t in times]
     probes = {}
     for frac in PROBE_FRACTIONS:
         t = frac * grid.T
@@ -231,7 +230,7 @@ def _density_summary(grid, density) -> dict:
     atoms = terminal_atoms(density)
     return {
         "times": [float(t) for t in times],
-        "interior_mass": interior,
+        "interior_mass": density.interior_mass.tolist(),
         "absorbed_left": [float(v) for v in density.absorbed_mass_left],
         "absorbed_right": [float(v) for v in density.absorbed_mass_right],
         "interior_mass_at_probe_fractions": probes,

@@ -17,13 +17,12 @@ atoms are read from the penultimate level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import NumericalError, ValidationError
-from .grid import Grid, _frozen_array
+from .grid import Grid, _frozen_array, trapezoid_panels
 from .hjb import ControlField
 from .tridiag import solve_tridiagonal
 
@@ -60,12 +59,16 @@ class VolatilityModel:
 
 @dataclass(frozen=True)
 class DensitySurface:
-    """Sub-probability density rows plus the cumulative boundary absorption."""
+    """Sub-probability density rows plus the cumulative boundary absorption.
+
+    `interior_mass`, not an argument, holds each row's trapezoidal integral
+    as the mass-ledger check computes it (read-only)."""
 
     grid: Grid
     values: np.ndarray
     absorbed_mass_left: np.ndarray
     absorbed_mass_right: np.ndarray
+    interior_mass: np.ndarray = field(init=False)
 
     def __post_init__(self):
         g = self.grid
@@ -74,7 +77,7 @@ class DensitySurface:
         right = _frozen_array(self.absorbed_mass_right, (g.M + 1,))
         if np.min(vals) < -1e-12:
             raise ValidationError("density has negative entries beyond tolerance")
-        interior = trapezoid(vals, dx=g.h, axis=1)
+        interior = np.sum(trapezoid_panels(vals, g.h), axis=1)
         ledger = interior + left + right
         if np.max(np.abs(ledger - 1.0)) > 1e-6:
             m = int(np.argmax(np.abs(ledger - 1.0)))
@@ -83,6 +86,8 @@ class DensitySurface:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "absorbed_mass_left", left)
         object.__setattr__(self, "absorbed_mass_right", right)
+        interior.setflags(write=False)
+        object.__setattr__(self, "interior_mass", interior)
 
 
 def benchmark_variance(t: float, x, T: float) -> np.ndarray:
@@ -168,8 +173,7 @@ def solve_forward_density(model: VolatilityModel, grid: Grid, x0: float) -> Dens
 
 def survival_probability(density: DensitySurface, t: float) -> float:
     """Trapezoidal integral of q(t, .) over (0,1); t must be a grid time level."""
-    m = density.grid.time_index(t)
-    return float(trapezoid(density.values[m], dx=density.grid.h))
+    return float(density.interior_mass[density.grid.time_index(t)])
 
 
 def terminal_atoms(density: DensitySurface) -> tuple[float, float]:

@@ -89,6 +89,13 @@ def second_difference_interior(v: np.ndarray, h: float) -> np.ndarray:
     return (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / (h * h)
 
 
+def trapezoid_panels(y: np.ndarray, h: float) -> np.ndarray:
+    """Trapezoid-rule panels h (y[n+1] + y[n]) / 2 along the last axis: their
+    sum is the integral, their cumulative sum the running integral (both are
+    tested bit for bit against a reference quadrature, so keep this order)."""
+    return h * (y[..., 1:] + y[..., :-1]) / 2.0
+
+
 def _frozen_array(values, shape) -> np.ndarray:
     """A read-only float copy of `values`, checked for its shape and finiteness."""
     arr = np.array(values, dtype=float)

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConvergenceError, NumericalError, ValidationError
-from .grid import P_CEILING_TOL, Grid, PField, ValueSurface, second_difference_interior
+from .grid import (P_CEILING_TOL, Grid, PField, ValueSurface, second_difference_interior,
+                   trapezoid_panels)
 from .tridiag import solve_tridiagonal
 
 _POSITIVITY_FLOOR = 1e-30
@@ -95,11 +95,11 @@ def solve_log_diffusion(grid: Grid, cfg: LadderConfig) -> PField:
 
 def entropy_surface_from_p_values(p_values: np.ndarray, grid: Grid) -> np.ndarray:
     """Entropy rows from raw p rows via nested cumulative trapezoidal sums."""
-    h = grid.h
-    x = grid.x_nodes()
-    inner = cumulative_trapezoid(p_values, dx=h, axis=1, initial=0.0)
-    outer = cumulative_trapezoid(inner, dx=h, axis=1, initial=0.0)
-    e = x * outer[:, -1:]
+    inner = np.zeros(np.shape(p_values))  # column 0 is each running integral's start, 0
+    np.cumsum(trapezoid_panels(p_values, grid.h), axis=1, out=inner[:, 1:])
+    outer = np.zeros_like(inner)
+    np.cumsum(trapezoid_panels(inner, grid.h), axis=1, out=outer[:, 1:])
+    e = grid.x_nodes() * outer[:, -1:]
     e -= outer  # in place: the same bits as -outer + x*outer[:, -1:], one temporary fewer
     e[:, 0] = 0.0
     e[:, -1] = 0.0

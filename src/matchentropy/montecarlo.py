@@ -156,10 +156,17 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None, *,
     if isinstance(control, ControlField) and cfg.dt > control.grid.k + 1e-15:
         raise ValidationError(f"dt={cfg.dt!r} exceeds the control grid step {control.grid.k!r}")
     n_steps_f = horizon / cfg.dt
+    # past 2**53 steps the step times j*dt are no longer distinct doubles
+    if n_steps_f > 2.0 ** 53:
+        raise ValidationError(f"horizon/dt = {n_steps_f:.6g} steps is more than 2**53")
     n_steps = int(round(n_steps_f)) if math.isfinite(n_steps_f) else 0
     if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-9:
         raise ValidationError(f"dt={cfg.dt!r} must divide the horizon {horizon!r} evenly")
     dt = cfg.dt
+    a_start = float(eval_a(0.0, np.array([cfg.x0]))[0])  # every path's first reward is log of it
+    if not a_start > 0.0:
+        raise ValidationError(f"the diffusion coefficient a(0, x0={cfg.x0!r}) is {a_start!r}, "
+                              "not positive")
 
     n = cfg.n_paths
     terminal = np.empty(n)

@@ -187,6 +187,28 @@ def test_minimal_grid_density_conserves_mass():
     assert me.survival_probability(full, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("N, M", [(2, 1), (2, 4), (40, 1), (64, 30)])
+def test_interior_mass_is_the_reference_trapezoid_bit_for_bit(N, M):
+    g = me.make_grid(N, M, 1.0)
+    a = np.random.default_rng(N + M).uniform(0.5, 2.0, size=(M + 1, N + 1))
+    for model in (me.VolatilityModel.early_termination(ControlField(grid=g, a_star=a)),
+                  me.VolatilityModel.full_length(1.0)):
+        dens = me.solve_forward_density(model, g, 0.5)
+        mass = dens.interior_mass
+        assert mass.tobytes() == trapezoid(dens.values, dx=g.h, axis=1).tobytes()
+        for m, t in enumerate(g.t_nodes()):
+            survival = me.survival_probability(dens, t)
+            assert survival == mass[m]
+            assert np.float64(survival).tobytes() == trapezoid(dens.values[m], dx=g.h).tobytes()
+        assert not mass.flags.writeable
+        with pytest.raises(ValueError):
+            mass[0] = 0.0
+        with pytest.raises(TypeError):
+            me.DensitySurface(grid=g, values=dens.values,
+                              absorbed_mass_left=dens.absorbed_mass_left,
+                              absorbed_mass_right=dens.absorbed_mass_right, interior_mass=mass)
+
+
 def test_density_input_validation():
     g = me.make_grid(10, 10, 1.0)
     ctrl = constant_control_field(g)
