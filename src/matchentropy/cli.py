@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .checks import (CheckReport, CheckResult, check_solution_properties, cross_solver_gap,
                      decay_rate_check, hjb_horizon_solver, merge_reports)
-from .density import (VolatilityModel, solve_forward_density, survival_probability,
-                      terminal_atoms)
+from .density import (EARLY_TERMINATION, FULL_LENGTH, VolatilityModel,
+                      solve_forward_density, survival_probability, terminal_atoms)
 from .errors import MatchEntropyError, NumericalError, ValidationError
 from .grid import dump_json, field_to_csv, make_grid, second_difference_interior
 from .hjb import (SchemeConfig, optimal_control_field, solve_hjb,
@@ -28,7 +28,6 @@ from .hjb import (SchemeConfig, optimal_control_field, solve_hjb,
 from .logdiff import LadderConfig, entropy_from_p, solve_log_diffusion
 from .montecarlo import PROBE_FRACTIONS, SimConfig, quadratic_variation_check, simulate_paths
 
-COMMANDS = ("solve", "forward-p", "density", "simulate", "check", "reproduce-figures")
 OUTDIR_ENV = "MATCHENTROPY_OUTDIR"
 
 
@@ -48,7 +47,7 @@ class RunConfig:
     horizon: float = 1.0
     cap_d: float = 1e6
     scheme: str = "implicit"
-    model: str = "early_termination"
+    model: str = EARLY_TERMINATION
     regularisation_n: int | None = None
     n_paths: int = 100_000
     seed: int = 20240
@@ -58,11 +57,10 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValidationError(f"unknown command {self.command!r}")
-        if self.model not in ("early_termination", "full_length"):
+        # the command is checked by the parser, its only source
+        if self.model not in (EARLY_TERMINATION, FULL_LENGTH):
             raise ValidationError(
-                f"model must be early_termination or full_length, got {self.model!r}")
+                f"model must be {EARLY_TERMINATION} or {FULL_LENGTH}, got {self.model!r}")
         if self.format not in ("csv", "json"):
             raise ValidationError(f"format must be csv or json, got {self.format!r}")
         # the library checks every other input as it builds these, before anything is echoed
@@ -72,6 +70,9 @@ class RunConfig:
         self.sim_config = SimConfig(self.n_paths, self.dt, self.seed, self.x0)
         if not self.output_path:
             self.output_path = os.environ.get(OUTDIR_ENV, ".")
+        # every output file's header and the config echo hold the path as one line of UTF-8
+        if not self.output_path.isprintable():
+            raise ValidationError(f"output_path must be printable text, got {self.output_path!r}")
 
 
 # The parser of each RunConfig field, for its command-line flag and its config-file line.
@@ -109,15 +110,19 @@ def _coerce(name: str, raw: str):
 
 def parse_config_file(path: str) -> dict:
     values = {}
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            values[key.strip()] = _coerce(key.strip(), raw)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"config file {path} is not UTF-8 text: {exc.reason}") from exc
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{line_no}: expected key=value, got {line!r}")
+        key, _, raw = line.partition("=")
+        values[key.strip()] = _coerce(key.strip(), raw)
     return values
 
 
@@ -129,26 +134,24 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(prog="matchentropy", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
-        p = sub.add_parser(command, argument_default=argparse.SUPPRESS)
-        p.add_argument("--config", dest="config_file")
-        for name, parse in _FIELD_PARSERS.items():
-            if name != "command":
-                flag = "--output" if name == "output_path" else "--" + name.replace("_", "-")
-                p.add_argument(flag, dest=name, type=parse)
+    parser = _ArgumentParser(prog="matchentropy", description=__doc__.splitlines()[0],
+                             argument_default=argparse.SUPPRESS)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", dest="config_file")
+    for name, parse in _FIELD_PARSERS.items():
+        if name != "command":
+            flag = "--output" if name == "output_path" else "--" + name.replace("_", "-")
+            parser.add_argument(flag, dest=name, type=parse)
     return parser
 
 
 def parse_config(argv) -> RunConfig:
     """Resolve argv (+ optional config file) into a RunConfig, echoed to stderr."""
     flags = vars(_build_parser().parse_args(argv))
-    command = flags.pop("command")
     config_file = flags.pop("config_file", None)
     values = parse_config_file(config_file) if config_file else {}
-    values.pop("command", None)  # the subcommand on the command line governs
-    config = RunConfig(command=command, **{**values, **flags})
+    values.pop("command", None)  # the command on the command line governs
+    config = RunConfig(**{**values, **flags})
     print("resolved config:", file=sys.stderr)
     for line in serialise_config(config).splitlines():
         print(f"  {line}", file=sys.stderr)
@@ -170,16 +173,22 @@ def _json_payload(config: RunConfig, body: dict) -> dict:
     return {"version": __version__, "config": config_as_dict(config), **body}
 
 
+def _write_field(config: RunConfig, stem: str, label: str, values, **extra) -> None:
+    """Write a full field as stem.csv, or with --format json as stem.json with
+    `extra` beside the grid in its envelope."""
+    grid = config.grid
+    if config.format == "json":
+        payload = _json_payload(config, {"grid": {"N": grid.N, "M": grid.M, "T": grid.T}, **extra})
+        dump_json(payload, _outpath(config, stem + ".json"), values=values)
+    else:
+        field_to_csv(grid, values, _outpath(config, stem + ".csv"), label, _meta(config))
+
+
 def _cmd_solve(config: RunConfig) -> int:
     grid, cfg = config.grid, config.scheme_config
     surface, iters = solve_hjb_with_iterations(grid, cfg)
     control = optimal_control_field(surface, cfg)
-    if config.format == "json":
-        payload = _json_payload(config, {"grid": {"N": grid.N, "M": grid.M, "T": grid.T}})
-        dump_json(payload, _outpath(config, "solve_surface.json"), values=surface.values)
-    else:
-        field_to_csv(grid, surface.values, _outpath(config, "solve_surface.csv"),
-                     "value", _meta(config))
+    _write_field(config, "solve_surface", "value", surface.values)
     field_to_csv(grid, control.a_star, _outpath(config, "solve_control.csv"),
                  "a", _meta(config))
     field_to_csv(grid, control.sigma_star, _outpath(config, "solve_volatility.csv"),
@@ -195,12 +204,7 @@ def _cmd_forward_p(config: RunConfig) -> int:
     grid = config.grid
     n = config.regularisation_n if config.regularisation_n is not None else 16
     p = solve_log_diffusion(grid, LadderConfig(regularisation_n=n))
-    if config.format == "json":
-        payload = _json_payload(config, {"grid": {"N": grid.N, "M": grid.M, "T": grid.T},
-                                         "regularisation_n": n})
-        dump_json(payload, _outpath(config, "forward_p.json"), values=p.values)
-    else:
-        field_to_csv(grid, p.values, _outpath(config, "forward_p.csv"), "p", _meta(config))
+    _write_field(config, "forward_p", "p", p.values, regularisation_n=n)
     entropy = entropy_from_p(p)
     mid = grid.N // 2
     print(f"forward p solved with initial value 1/{n}: "
@@ -211,7 +215,7 @@ def _cmd_forward_p(config: RunConfig) -> int:
 def _volatility_model(config: RunConfig) -> VolatilityModel:
     """The model config.model names: the solved optimal control for early
     termination, or the closed-form full-length benchmark."""
-    if config.model == "full_length":
+    if config.model == FULL_LENGTH:
         return VolatilityModel.full_length(config.grid.T)
     surface = solve_hjb(config.grid, config.scheme_config)
     return VolatilityModel.early_termination(
@@ -304,14 +308,11 @@ def _cmd_reproduce_figures(config: RunConfig) -> int:
     probe_ms = [grid.time_index(t) for t in probe_ts]
 
     percentages = {}
-    for name, model in (
-        ("early_termination", VolatilityModel.early_termination(control)),
-        ("full_length", VolatilityModel.full_length(grid.T)),
-    ):
+    for model in (VolatilityModel.early_termination(control), VolatilityModel.full_length(grid.T)):
         density = solve_forward_density(model, grid, config.x0)
-        field_to_csv(grid, density.values[probe_ms], _outpath(config, f"fig1_density_{name}.csv"),
-                     "q", meta, times=probe_ts)
-        percentages[name] = {
+        field_to_csv(grid, density.values[probe_ms],
+                     _outpath(config, f"fig1_density_{model.kind}.csv"), "q", meta, times=probe_ts)
+        percentages[model.kind] = {
             f"{t:g}": float(survival_probability(density, t)) for t in probe_ts
         }
     dump_json(_json_payload(config, {"interior_mass": percentages}),
@@ -343,6 +344,7 @@ _DISPATCH = {
     "check": _cmd_check,
     "reproduce-figures": _cmd_reproduce_figures,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run(config: RunConfig) -> int:
@@ -352,17 +354,9 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(sys.argv[1:] if argv is None else argv)
+        return run(parse_config(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # --help; a command-line error raises ValidationError instead
         return 0 if not exc.code else 1
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    try:
-        return run(config)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

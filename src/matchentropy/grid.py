@@ -127,19 +127,13 @@ class ValueSurface:
 
 @dataclass(frozen=True)
 class PField:
-    """Forward logarithmic-diffusion field p(m*k, n*h), boundary value 1.
-
-    regularisation_n is the ladder index: the initial row is the constant 1/n.
-    """
+    """Forward logarithmic-diffusion field p(m*k, n*h), boundary value 1."""
 
     grid: Grid
     values: np.ndarray
-    regularisation_n: int
 
     def __post_init__(self):
         g = self.grid
-        if self.regularisation_n < 1:
-            raise ValidationError("regularisation_n must be a positive integer")
         arr = _frozen_array(self.values, (g.M + 1, g.N + 1))
         if np.any(arr <= 0.0):
             raise ValidationError("p field must be strictly positive")
@@ -220,39 +214,33 @@ def _field_from_lines(fh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ts, xs, vals
 
 
-def _json_float(v: float) -> str:
-    """One float as json.dumps spells it (allow_nan=True)."""
-    if v != v:
-        return "NaN"
-    if v in (math.inf, -math.inf):
-        return "Infinity" if v > 0 else "-Infinity"
-    return float.__repr__(v)
-
-
-def _json_rows(values):
-    """Rows of floats as json.dumps(indent=2) prints them as a top-level
-    value, one row at a time."""
+def _json_rows(values: np.ndarray):
+    """The rows of a non-empty 2-D array of finite floats as json.dumps(indent=2)
+    prints them as a top-level value, one row at a time."""
     opening = "[\n    "
     for row in values:
-        row = np.asarray(row, dtype=float)
-        cells = row.tolist()
-        spell = float.__repr__ if np.isfinite(row).all() else _json_float
-        text = ",\n      ".join(map(spell, cells))
-        yield opening + (f"[\n      {text}\n    ]" if cells else "[]")
+        text = ",\n      ".join(map(float.__repr__, row.tolist()))
+        yield f"{opening}[\n      {text}\n    ]"
         opening = ",\n    "
-    yield "[]" if opening == "[\n    " else "\n  ]"
+    yield "\n  ]"
 
 
 def dump_json(payload: dict, path, values=None) -> None:
     """Write payload as json.dumps(payload, indent=2, sort_keys=True) would.
 
-    A 2-D float array given as `values` becomes the top-level "values" key;
-    its rows are streamed, so no list of Python floats or document string
-    the size of the whole array is built.
+    `values`, if given, must be a non-empty 2-D array of finite floats, such
+    as a field's values; it becomes the top-level "values" key, and its rows
+    are streamed, so no list of Python floats or document string the size of
+    the whole array is built.  Other `values` are rejected before the file
+    is opened.
     """
     if values is None:
         chunks = [json.dumps(payload, indent=2, sort_keys=True)]
     else:
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2 or values.size == 0 or not np.isfinite(values).all():
+            raise ValidationError("JSON values must be a non-empty 2-D array of finite "
+                                  f"floats (shape {values.shape})")
         # a line break is escaped inside JSON strings, so this anchor can
         # only be the top-level key itself
         key = '\n  "values": '

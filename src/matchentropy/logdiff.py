@@ -90,7 +90,7 @@ def solve_log_diffusion(grid: Grid, cfg: LadderConfig) -> PField:
     if peak > 1.0 + P_CEILING_TOL:
         raise NumericalError(f"p reached {peak!r}, above 1 beyond solver tolerance")
     np.clip(values, None, 1.0, out=values)
-    return PField(grid=grid, values=values, regularisation_n=n)
+    return PField(grid=grid, values=values)
 
 
 def entropy_surface_from_p_values(p_values: np.ndarray, grid: Grid) -> np.ndarray:

@@ -111,8 +111,6 @@ def _control_evaluator(control, T: float | None):
         a_rows = control.a_star
 
         def eval_field(t, x):
-            if np.any(x < 0.0) or np.any(x > 1.0):
-                raise ValidationError("control field queried outside [0, 1]")
             mf = t / grid.k
             m = min(int(mf), grid.M - 1)
             wt = mf - m

@@ -44,7 +44,7 @@ def test_cross_solver_gap_basics():
     s = stationary_surface(64)
     assert me.cross_solver_gap(s, s) == 0.0
     g = s.grid
-    ones = me.PField(grid=g, values=np.ones((g.M + 1, g.N + 1)), regularisation_n=1)
+    ones = me.PField(grid=g, values=np.ones((g.M + 1, g.N + 1)))
     rebuilt = me.entropy_from_p(ones)
     assert me.cross_solver_gap(s, rebuilt) <= 1e-12
     other = stationary_surface(32)

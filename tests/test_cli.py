@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import matchentropy as me
 from matchentropy import cli
@@ -103,25 +103,40 @@ def test_run_config_keeps_its_solver_objects_out_of_its_fields(capsys):
     assert "grid" not in {f.name for f in dataclasses.fields(config)}
 
 
-@pytest.mark.parametrize("argv,config_line", [
+@pytest.mark.parametrize("argv,config_bytes", [
     pytest.param([], None, id="no-command"),
     pytest.param(["solve", "--no-such-flag"], None, id="unknown-flag"),
     # the same values as flags are among BAD_INPUTS below
-    pytest.param(["solve"], "scheme=magic", id="scheme-file"),
-    pytest.param(["solve"], "model=x", id="model-file"),
-    pytest.param(["solve"], "format=xml", id="format-file"),
+    pytest.param(["solve"], b"scheme=magic", id="scheme-file"),
+    pytest.param(["solve"], b"model=x", id="model-file"),
+    pytest.param(["solve"], b"format=xml", id="format-file"),
+    # bytes no flag can carry
+    pytest.param(["solve"], b"# caf\xe9 latin-1\ngrid_n=8", id="non-utf8-file"),
+    pytest.param(["solve"], b"output_path=out\x00/x", id="nul-output-file"),
+    # a path no output header can hold as one line of UTF-8
+    pytest.param(["solve", "--output", "out\nx"], None, id="line-break-output"),
+    pytest.param(["solve", "--output", "out\udcff"], None, id="undecodable-output"),
 ])
-def test_cli_errors_are_one_line(argv, config_line, tmp_path, monkeypatch, capsys):
+def test_cli_errors_are_one_line(argv, config_bytes, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
     monkeypatch.setenv(cli.OUTDIR_ENV, str(out))
-    if config_line is not None:
+    if config_bytes is not None:
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text(config_line + "\n")
+        cfg_file.write_bytes(config_bytes + b"\n")
         argv = [*argv, "--config", str(cfg_file)]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert not out.exists()
+    assert not out.exists() and not any(path.is_dir() for path in tmp_path.iterdir())
+
+
+def test_missing_config_file_exits_four_with_one_line(tmp_path, capsys):
+    assert cli.main(["solve", "--config", str(tmp_path / "absent.cfg"),
+                     "--output", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure:") and len(err.splitlines()) == 1
+    assert "absent.cfg" in err and not (tmp_path / "out").exists()
 
 
 def test_validation_exit_codes(capsys):
@@ -199,6 +214,9 @@ PROPERTY_BASE = ["--grid-n", "8", "--grid-m", "8", "--n-paths", "16", "--dt", "0
 @given(command=st.sampled_from(cli.COMMANDS),
        flags=st.dictionaries(st.sampled_from(FIELD_FLAGS), st.sampled_from(EXTREME_VALUES),
                              min_size=1, max_size=3))
+# runs of more than 2**53 steps, which no derandomised draw makes, reach the step cap
+@example(command="simulate", flags={"--horizon": str(10**30)})
+@example(command="simulate", flags={"--dt": "5e-324"})
 def test_extreme_field_values_exit_with_a_documented_code(command, flags, tmp_path,
                                                           monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -465,3 +483,4 @@ def test_outputs_match_golden_digests(command, tmp_path, monkeypatch, capsys):
 
 def test_main_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
+    assert cli.main(["solve", "--help"]) == 0

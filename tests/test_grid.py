@@ -139,7 +139,7 @@ def test_value_surface_is_immutable():
 
 def test_containers_are_immutable_after_construction():
     g = me.make_grid(4, 2, 1.0)
-    p = me.PField(grid=g, values=np.ones((3, 5)), regularisation_n=1)
+    p = me.PField(grid=g, values=np.ones((3, 5)))
     with pytest.raises(ValueError):
         p.values[0, 0] = 0.5
     a = np.ones((3, 5))
@@ -151,17 +151,15 @@ def test_containers_are_immutable_after_construction():
 def test_pfield_invariants():
     g = me.make_grid(4, 2, 1.0)
     good = np.ones((3, 5))
-    me.PField(grid=g, values=good, regularisation_n=1)
+    me.PField(grid=g, values=good)
     bad_boundary = good.copy()
     bad_boundary[2, 0] = 0.5
     with pytest.raises(ValidationError, match="boundary"):
-        me.PField(grid=g, values=bad_boundary, regularisation_n=1)
+        me.PField(grid=g, values=bad_boundary)
     with pytest.raises(ValidationError, match="positive"):
-        me.PField(grid=g, values=np.zeros((3, 5)), regularisation_n=1)
+        me.PField(grid=g, values=np.zeros((3, 5)))
     with pytest.raises(ValidationError):
-        me.PField(grid=g, values=2.0 * good, regularisation_n=1)
-    with pytest.raises(ValidationError):
-        me.PField(grid=g, values=good, regularisation_n=0)
+        me.PField(grid=g, values=2.0 * good)
 
 
 def _tiny_surface():
@@ -327,23 +325,38 @@ def test_json_envelope_round_trip():
 
 EXTREME_JSON_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300,
                        -1e300, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+FINITE_JSON_VALUES = EXTREME_JSON_VALUES[3:]
 
 
-@pytest.mark.parametrize("values", [
-    np.array(EXTREME_JSON_VALUES).reshape(1, -1),
-    np.array(EXTREME_JSON_VALUES[:12]).reshape(3, 4),
-    np.array([[0.1, 0.2], [0.3, 0.4]]),  # a row without non-finite values takes the fast path
-    np.array([[5e-324]]),
-    np.empty((2, 0)),
-    np.empty((0, 3)),
-    [],
-], ids=["one-row", "3x4", "finite", "1x1", "empty-rows", "no-rows", "empty-list"])
-def test_dump_json_streams_values_as_json_dumps_would(tmp_path, values):
+@pytest.mark.parametrize("values,streams", [
+    # only a non-empty 2-D array of finite floats streams; anything else is refused
+    pytest.param(np.array(EXTREME_JSON_VALUES).reshape(1, -1), False, id="one-row"),
+    pytest.param(np.array(EXTREME_JSON_VALUES[:12]).reshape(3, 4), False, id="3x4"),
+    pytest.param(np.array([[0.5, math.nan]]), False, id="nan"),
+    pytest.param(np.array([[0.5], [math.inf]]), False, id="inf"),
+    pytest.param(np.array([[-math.inf, 0.5]]), False, id="-inf"),
+    pytest.param(np.array([[0.1, 0.2], [0.3, 0.4]]), True, id="finite"),
+    pytest.param(np.array([[5e-324]]), True, id="1x1"),
+    pytest.param(np.array(FINITE_JSON_VALUES).reshape(1, -1), True, id="finite-extremes-row"),
+    pytest.param(np.array(FINITE_JSON_VALUES).reshape(5, 2), True, id="finite-extremes-5x2"),
+    pytest.param(np.empty((2, 0)), False, id="empty-rows"),
+    pytest.param(np.empty((0, 3)), False, id="no-rows"),
+    pytest.param([], False, id="empty-list"),
+    pytest.param(np.array(FINITE_JSON_VALUES), False, id="1-D"),
+])
+def test_dump_json_streams_values_as_json_dumps_would(tmp_path, values, streams):
     payload = {"version": "0.1.0", "config": {"output": "out/a\nb", "values": None, "x": 1e-7},
                "grid": {"N": 3, "M": 2, "T": 1.0}, "regularisation_n": 16, "zzz": [1, 2]}
+    sink = io.StringIO()
+    if not streams:
+        with pytest.raises(ValidationError, match="non-empty 2-D array of finite floats"):
+            dump_json(payload, sink, values=values)
+        with pytest.raises(ValidationError):
+            dump_json(payload, tmp_path / "f.json", values=values)
+        assert sink.getvalue() == "" and not (tmp_path / "f.json").exists()
+        return
     expected = json.dumps({**payload, "values": np.asarray(values, dtype=float).tolist()},
                           indent=2, sort_keys=True)
-    sink = io.StringIO()
     dump_json(payload, sink, values=values)
     assert sink.getvalue() == expected
     dump_json(payload, tmp_path / "f.json", values=values)

@@ -39,7 +39,7 @@ def test_p_symmetric_for_even_n_nodes():
 
 def test_entropy_from_constant_one_is_stationary_profile():
     g = me.make_grid(128, 16, 1.0)
-    p = me.PField(grid=g, values=np.ones((17, 129)), regularisation_n=1)
+    p = me.PField(grid=g, values=np.ones((17, 129)))
     e = me.entropy_from_p(p)
     expected = me.stationary_entropy(g.x_nodes())
     assert np.max(np.abs(e.values - expected)) <= 1e-14

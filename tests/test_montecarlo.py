@@ -199,15 +199,6 @@ def test_reward_matches_value_surface_on_small_grid():
     assert abs(stats.reward_mean - pde_value) <= max(4.0 * stats.reward_stderr, 0.004)
 
 
-def test_evaluator_rejects_out_of_range_queries():
-    ctrl, _ = small_control_field(50)
-    _, eval_a = _control_evaluator(ctrl, None)
-    with pytest.raises(ValidationError):
-        eval_a(0.0, np.array([1.5]))
-    with pytest.raises(ValidationError):
-        eval_a(0.0, np.array([-0.1]))
-
-
 def test_sim_config_validation():
     with pytest.raises(ValidationError):
         me.SimConfig(n_paths=0, dt=0.01, base_seed=1, x0=0.5)
