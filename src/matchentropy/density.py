@@ -135,37 +135,43 @@ def solve_forward_density(model: VolatilityModel, grid: Grid, x0: float) -> Dens
 
     N, M, h, k = grid.N, grid.M, grid.h, grid.k
     b = k / (2.0 * h * h)
+    two_b, bh = 2.0 * b, b * h
     reflecting = model.kind == FULL_LENGTH
 
     q = np.zeros((M + 1, N + 1))
     q[0, j0] = 1.0 / h
     left = np.zeros(M + 1)
     right = np.zeros(M + 1)
+    # the system is symmetric: one buffer -b s[1:N] holds both off-diagonals
+    diag, off = np.empty((2, N - 1))
+    sub, sup = off[:-1], off[1:]
 
     for m in range(M):
         s = _sigma_squared_row(model, grid, m + 1)
-        diag = 1.0 + 2.0 * b * s[1:N]
-        sup = -b * s[2:N]
-        sub = -b * s[1:N - 1]
+        np.multiply(s[1:N], two_b, out=diag)
+        diag += 1.0
+        np.multiply(s[1:N], -b, out=off)
         if reflecting:
             # mirror the would-be boundary flux back: no absorption before T
             diag[0] -= b * s[1]
             diag[-1] -= b * s[N - 1]
         interior = solve_tridiagonal(sub, diag, sup, q[m, 1:N])
         lowest = float(np.min(interior))
-        peak = float(np.max(np.abs(interior))) if interior.size else 0.0
-        if lowest < -1e-12 * max(1.0, peak):
-            raise NumericalError(
-                f"negative density {lowest:.3e} at time level {m + 1}: "
-                "discretisation lost monotonicity")
-        np.clip(interior, 0.0, None, out=interior)
+        if not lowest > 0.0:
+            # only a row with a zero, negative or NaN entry can fail the guard
+            # or change under the clip (which also turns -0.0 into 0.0)
+            if lowest < -1e-12 * max(1.0, float(np.max(np.abs(interior)))):
+                raise NumericalError(
+                    f"negative density {lowest:.3e} at time level {m + 1}: "
+                    "discretisation lost monotonicity")
+            np.clip(interior, 0.0, None, out=interior)
         q[m + 1, 1:N] = interior
         if reflecting:
             left[m + 1] = left[m]
             right[m + 1] = right[m]
         else:
-            left[m + 1] = left[m] + b * h * s[1] * interior[0]
-            right[m + 1] = right[m] + b * h * s[N - 1] * interior[-1]
+            left[m + 1] = left[m] + bh * s[1] * interior[0]
+            right[m + 1] = right[m] + bh * s[N - 1] * interior[-1]
 
     return DensitySurface(grid=grid, values=q,
                           absorbed_mass_left=left, absorbed_mass_right=right)

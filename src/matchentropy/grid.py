@@ -83,10 +83,17 @@ def stationary_entropy(x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def second_difference_interior(v: np.ndarray, h: float) -> np.ndarray:
+def second_difference_interior(v: np.ndarray, h: float,
+                               out: np.ndarray | None = None) -> np.ndarray:
     """Centred second differences (v[n+1] - 2 v[n] + v[n-1]) / h^2 at the
-    interior nodes of the last axis, for one row or a stack of rows."""
-    return (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / (h * h)
+    interior nodes of the last axis, for one row or a stack of rows; written
+    into `out` when given.  Evaluated in that order, so in place or not the
+    bits are those of the expression."""
+    out = np.multiply(v[..., 1:-1], 2.0, out=out)
+    np.subtract(v[..., 2:], out, out=out)
+    out += v[..., :-2]
+    out /= h * h
+    return out
 
 
 def trapezoid_panels(y: np.ndarray, h: float) -> np.ndarray:

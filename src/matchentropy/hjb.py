@@ -67,17 +67,22 @@ class ControlField:
         return np.sqrt(self.a_star)
 
 
-def capped_control(q, cap_d: float) -> np.ndarray:
+def capped_control(q, cap_d: float, out: np.ndarray | None = None) -> np.ndarray:
     """Minimiser of -a*q - log(a) - 1 over a in [1/e, cap_d], elementwise over q.
 
     For q < 0 it is the clamp of -1/q to the control interval; for q >= 0
     (including zero, where -1/q is read as a limit) the objective decreases
-    in a, so the cap is the minimiser.
+    in a, so the cap is the minimiser.  Written into `out` when given.
     """
     q = np.asarray(q, dtype=float)
+    if out is None:
+        out = np.empty_like(q)
     with np.errstate(divide="ignore", over="ignore"):
-        raw = -1.0 / q
-    return np.where(q < 0.0, np.minimum(np.maximum(raw, CONTROL_FLOOR), cap_d), cap_d)
+        np.divide(-1.0, q, out=out)
+    np.maximum(out, CONTROL_FLOOR, out=out)
+    np.minimum(out, cap_d, out=out)
+    out[~(q < 0.0)] = cap_d
+    return out
 
 
 def hamiltonian_capped(q, cap_d: float) -> tuple[np.ndarray, np.ndarray]:
@@ -119,9 +124,20 @@ def explicit_step(v_next: np.ndarray, grid: Grid, cfg: SchemeConfig) -> np.ndarr
 
 
 def implicit_step(v_next: np.ndarray, grid: Grid, cfg: SchemeConfig) -> tuple[np.ndarray, int]:
-    """One backward step of the implicit scheme, solved by policy iteration.
+    """One backward step of the implicit scheme: the sweep over the two rows
+    (result, v_next).  Returns the new row and its policy-iteration count."""
+    v_next = np.asarray(v_next, dtype=float)
+    values = np.zeros((2, v_next.size))
+    values[1] = v_next
+    iters = _implicit_sweep(values, grid, cfg.cap_d)
+    return values[0], int(iters[0])
 
-    Starting from the previous time level (warm start), alternate the
+
+def _implicit_sweep(values: np.ndarray, grid: Grid, cap_d: float) -> np.ndarray:
+    """Fill the rows of `values` backwards from its last row by policy iteration;
+    returns the iteration count of each filled row.
+
+    Each level starts from the level above (warm start) and alternates the
     closed-form control update with one tridiagonal elimination until both
     the iterate change and the scaled nonlinear residual fall below
     POLICY_TOL, within MAX_POLICY_ITERS updates.  The residual is evaluated
@@ -129,41 +145,85 @@ def implicit_step(v_next: np.ndarray, grid: Grid, cfg: SchemeConfig) -> tuple[np
     componentwise by the magnitude of the terms entering it, since the raw
     residual of the stiff system has a floating-point floor proportional to
     k*cap_d/h^2.
+
+    The control of a converged iterate is the next level's first control, so
+    it is computed once per iteration plus once for the last row.  Iterates
+    are written straight into their row, whose lateral entries stay 0, and
+    every other array is a work buffer filled in place in the order of
+    operations of the plain expressions, which keeps their bits.
     """
-    v_next = np.asarray(v_next, dtype=float)
     k, h = grid.k, grid.h
     c = k / (2.0 * h * h)
-    half_k = 0.5 * k
-    v_int = v_next[1:-1]
-    abs_v_int = np.abs(v_int)
+    two_c, half_k = 2.0 * c, 0.5 * k
+    n = values.shape[1] - 2
+    q, a, log_a, diag, off, rhs, resid, scale, work = np.empty((9, n))
+    residual_work = (resid, scale, work, np.empty(n + 2))
+    # the iterate change is taken over whole rows: the first iterate also
+    # moves the last row's lateral entries (0 in every row the sweep writes)
+    change = np.zeros(n + 2)
+    change[0], change[-1] = values[-1, 0], values[-1, -1]
+    change_int = change[1:-1]
+    iters = np.zeros(len(values) - 1, dtype=int)
+    capped_control(second_difference_interior(values[-1], h, out=q), cap_d, out=a)
+    np.log(a, out=log_a)
+    for m in range(len(values) - 1, 0, -1):
+        v_int, u, u_int = values[m, 1:-1], values[m - 1], values[m - 1, 1:-1]
+        previous = v_int
+        for it in range(1, MAX_POLICY_ITERS + 1):
+            np.multiply(a, two_c, out=diag)
+            diag += 1.0
+            np.multiply(a, -c, out=off)
+            np.add(log_a, 1.0, out=rhs)
+            rhs *= half_k
+            rhs += v_int
+            x = solve_tridiagonal(off[1:], diag, off[:-1], rhs)
+            np.subtract(x, previous, out=change_int)
+            delta = float(np.abs(change, out=change).max())
+            change[0] = change[-1] = 0.0
+            u_int[...] = x
+            previous = u_int
+            capped_control(second_difference_interior(u, h, out=q), cap_d, out=a)
+            np.log(a, out=log_a)
+            if delta <= POLICY_TOL and _scaled_residual(
+                    u, v_int, q, a, log_a, c, half_k, residual_work) <= POLICY_TOL:
+                iters[m - 1] = it
+                break
+        else:
+            resid = _scaled_residual(u, v_int, q, a, log_a, c, half_k, residual_work)
+            raise ConvergenceError(
+                f"policy iteration did not converge in {MAX_POLICY_ITERS} iterations "
+                f"(last change {delta:.3e}, scaled residual {resid:.3e})")
+    return iters
 
-    def scaled_residual(u, q, a, log_a):
-        hvals = -a * q - log_a - 1.0  # hamiltonian_capped(q)[0], reusing log(a)
-        resid_raw = u[1:-1] + half_k * hvals - v_int
-        abs_u = np.abs(u)
-        scale = (1.0 + c * a * (abs_u[2:] + 2.0 * abs_u[1:-1] + abs_u[:-2])
-                 + half_k * np.abs(log_a + 1.0) + abs_v_int)
-        return float(np.max(np.abs(resid_raw) / scale))
 
-    u = v_next.copy()
-    a = capped_control(second_difference_interior(u, h), cfg.cap_d)
-    log_a = np.log(a)
-    for it in range(1, MAX_POLICY_ITERS + 1):
-        diag = 1.0 + 2.0 * c * a
-        off = -c * a
-        rhs = v_int + half_k * (log_a + 1.0)
-        u_new = np.zeros_like(u)
-        u_new[1:-1] = solve_tridiagonal(off[1:], diag, off[:-1], rhs)
-        delta = float(np.max(np.abs(u_new - u)))
-        q = second_difference_interior(u_new, h)
-        a = capped_control(q, cfg.cap_d)
-        log_a = np.log(a)
-        u = u_new
-        if delta <= POLICY_TOL and scaled_residual(u, q, a, log_a) <= POLICY_TOL:
-            return u, it
-    raise ConvergenceError(
-        f"policy iteration did not converge in {MAX_POLICY_ITERS} iterations "
-        f"(last change {delta:.3e}, scaled residual {scaled_residual(u, q, a, log_a):.3e})")
+def _scaled_residual(u, v_int, q, a, log_a, c, half_k, work_arrays) -> float:
+    """max |u + (k/2) H(q, a) - v| / scale at the interior nodes, in place in
+    `work_arrays` (three interior rows and one full row); the same bits as
+    the plain expressions, with hvals = -a*q - log_a - 1.0:
+    |u[1:-1] + half_k*hvals - v_int| / (1.0 + c*a*(|u[2:]| + 2.0*|u[1:-1]|
+    + |u[:-2]|) + half_k*|log_a + 1.0| + |v_int|)."""
+    resid, scale, work, abs_u = work_arrays
+    np.negative(a, out=resid)
+    resid *= q
+    resid -= log_a
+    resid -= 1.0
+    resid *= half_k
+    resid += u[1:-1]
+    resid -= v_int
+    np.abs(resid, out=resid)
+    np.abs(u, out=abs_u)
+    np.multiply(abs_u[1:-1], 2.0, out=scale)
+    scale += abs_u[2:]
+    scale += abs_u[:-2]
+    scale *= np.multiply(a, c, out=work)
+    scale += 1.0
+    np.add(log_a, 1.0, out=work)
+    np.abs(work, out=work)
+    work *= half_k
+    scale += work
+    scale += np.abs(v_int, out=work)
+    resid /= scale
+    return float(resid.max())
 
 
 def solve_hjb_with_iterations(grid: Grid, cfg: SchemeConfig) -> tuple[ValueSurface, np.ndarray]:
@@ -178,12 +238,12 @@ def solve_hjb_with_iterations(grid: Grid, cfg: SchemeConfig) -> tuple[ValueSurfa
         _check_cfl(grid, cfg)
     values = np.zeros((grid.M + 1, grid.N + 1))
     values[grid.M] = _terminal_row(grid, cfg)
-    iters = np.zeros(grid.M, dtype=int)
-    for m in range(grid.M, 0, -1):
-        if cfg.scheme == "explicit":
+    if cfg.scheme == "explicit":
+        iters = np.zeros(grid.M, dtype=int)
+        for m in range(grid.M, 0, -1):
             values[m - 1] = explicit_step(values[m], grid, cfg)
-        else:
-            values[m - 1], iters[m - 1] = implicit_step(values[m], grid, cfg)
+    else:
+        iters = _implicit_sweep(values, grid, cfg.cap_d)
     return ValueSurface(grid=grid, values=values), iters
 
 

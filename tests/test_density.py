@@ -6,8 +6,10 @@ import pytest
 from scipy.integrate import trapezoid
 
 import matchentropy as me
-from matchentropy.errors import ValidationError
+from matchentropy import density
+from matchentropy.errors import NumericalError, ValidationError
 from matchentropy.hjb import ControlField
+from matchentropy.tridiag import solve_tridiagonal
 
 
 def constant_control_field(grid, a=1.0):
@@ -207,6 +209,87 @@ def test_interior_mass_is_the_reference_trapezoid_bit_for_bit(N, M):
             me.DensitySurface(grid=g, values=dens.values,
                               absorbed_mass_left=dens.absorbed_mass_left,
                               absorbed_mass_right=dens.absorbed_mass_right, interior_mass=mass)
+
+
+def reference_forward_density(model, grid, x0):
+    """The implicit march as first written: fresh coefficient arrays at every
+    level and the monotonicity guard's peak taken on every row."""
+    N, M, h, k = grid.N, grid.M, grid.h, grid.k
+    b = k / (2.0 * h * h)
+    reflecting = model.kind == density.FULL_LENGTH
+    q = np.zeros((M + 1, N + 1))
+    q[0, int(round(x0 * N))] = 1.0 / h
+    left = np.zeros(M + 1)
+    right = np.zeros(M + 1)
+    for m in range(M):
+        if reflecting:
+            s = me.benchmark_variance(min(m + 1, M - 1) * k, grid.x_nodes(), model.T)
+        else:
+            s = model.control.a_star[m + 1]
+        diag = 1.0 + 2.0 * b * s[1:N]
+        sup = -b * s[2:N]
+        sub = -b * s[1:N - 1]
+        if reflecting:
+            diag[0] -= b * s[1]
+            diag[-1] -= b * s[N - 1]
+        interior = solve_tridiagonal(sub, diag, sup, q[m, 1:N])
+        lowest = float(np.min(interior))
+        peak = float(np.max(np.abs(interior))) if interior.size else 0.0
+        if lowest < -1e-12 * max(1.0, peak):
+            raise NumericalError(f"negative density at time level {m + 1}")
+        np.clip(interior, 0.0, None, out=interior)
+        q[m + 1, 1:N] = interior
+        if reflecting:
+            left[m + 1] = left[m]
+            right[m + 1] = right[m]
+        else:
+            left[m + 1] = left[m] + b * h * s[1] * interior[0]
+            right[m + 1] = right[m] + b * h * s[N - 1] * interior[-1]
+    return q, left, right
+
+
+@pytest.mark.parametrize("N, M, x0, solved", [
+    (2, 1, 0.5, False),  # one interior node: a 1x1 solve with empty off-diagonals
+    (2, 4, 0.5, True),
+    (3, 5, 0.4, False),
+    (64, 30, 0.3, False),
+    (40, 300, 0.5, True),
+])
+def test_forward_density_matches_reference_loop(N, M, x0, solved):
+    g = me.make_grid(N, M, 1.0)
+    if solved:
+        cfg = me.SchemeConfig(cap_d=1e6)
+        control = me.optimal_control_field(me.solve_hjb(g, cfg), cfg)
+    else:
+        a = np.random.default_rng(N * M).uniform(0.5, 2.0, size=(M + 1, N + 1))
+        control = ControlField(grid=g, a_star=a)
+    for model in (me.VolatilityModel.early_termination(control),
+                  me.VolatilityModel.full_length(1.0)):
+        dens = me.solve_forward_density(model, g, x0)
+        values, left, right = reference_forward_density(model, g, x0)
+        assert dens.values.tobytes() == values.tobytes()
+        assert dens.absorbed_mass_left.tobytes() == left.tobytes()
+        assert dens.absorbed_mass_right.tobytes() == right.tobytes()
+
+
+@pytest.mark.parametrize("entry, fires", [(-1e-9, True), (-1e-15, False)])
+def test_monotonicity_guard_fires_beyond_round_off(monkeypatch, entry, fires):
+    # so short a horizon that node 1 holds about 1e-19 of the Dirac at node 5:
+    # overwriting it leaves the mass ledger intact
+    def solve_with_one_negative_entry(sub, diag, sup, rhs):
+        x = solve_tridiagonal(sub, diag, sup, rhs)
+        x[0] = entry
+        return x
+
+    monkeypatch.setattr(density, "solve_tridiagonal", solve_with_one_negative_entry)
+    g = me.make_grid(10, 4, 1e-6)
+    model = me.VolatilityModel.early_termination(constant_control_field(g))
+    if fires:
+        with pytest.raises(NumericalError, match="time level 1:"):
+            me.solve_forward_density(model, g, 0.5)
+    else:
+        dens = me.solve_forward_density(model, g, 0.5)
+        assert dens.values[1:, 1].tobytes() == np.zeros(g.M).tobytes()
 
 
 def test_density_input_validation():

@@ -323,13 +323,39 @@ def test_implicit_step_matches_reference_loop(monkeypatch, N, M, T, cap, reg_n, 
     g = me.make_grid(N, M, T)
     cfg = me.SchemeConfig(cap_d=cap, terminal_regularisation_n=reg_n)
     surface, iters = me.solve_hjb_with_iterations(g, cfg)
-    monkeypatch.setattr(hjb, "implicit_step", reference_implicit_step)
-    ref_surface, ref_iters = me.solve_hjb_with_iterations(g, cfg)
-    assert surface.values.tobytes() == ref_surface.values.tobytes()
+    ref_values = np.zeros((M + 1, N + 1))
+    if reg_n is not None:
+        ref_values[M] = me.stationary_entropy(g.x_nodes()) / reg_n
+    ref_iters = np.zeros(M, dtype=int)
+    for m in range(M, 0, -1):
+        ref_values[m - 1], ref_iters[m - 1] = reference_implicit_step(ref_values[m], g, cfg)
+    assert surface.values.tobytes() == ref_values.tobytes()
     assert iters.tobytes() == ref_iters.tobytes()
     control = me.optimal_control_field(surface, cfg).a_star
     _, a_int = me.hamiltonian_capped(second_difference_interior(surface.values, g.h), cap)
     assert control[:, 1:-1].tobytes() == a_int.tobytes()
+
+
+def test_sweep_updates_the_control_once_per_policy_iteration(monkeypatch):
+    # each level starts from the control its predecessor's last iteration left,
+    # so only the terminal row adds an update of its own
+    calls = {"capped_control": 0, "solve_tridiagonal": 0}
+
+    def counted(name):
+        original = getattr(hjb, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(hjb, name, counted(name))
+    g = me.make_grid(32, 40, 1.0)
+    _, iters = me.solve_hjb_with_iterations(g, me.SchemeConfig(cap_d=1e6))
+    assert iters.sum() > g.M
+    assert calls["capped_control"] == iters.sum() + 1
+    assert calls["solve_tridiagonal"] == iters.sum()
 
 
 def test_non_convergence_message_reports_finite_change_and_residual(monkeypatch):
