@@ -115,20 +115,15 @@ def benchmark_entropy(t: float, x: float, T: float) -> float:
     return (T - t) * (math.log(math.sin(math.pi * x) / (math.pi * math.sqrt(T - t))) + 0.5)
 
 
-def _sigma_squared_row(model: VolatilityModel, grid: Grid, m: int) -> np.ndarray:
-    """sigma^2 at all nodes of time level m; the full-length row at t = T is
-    capped at its value one step earlier (the closed form is singular there)."""
-    if model.kind == EARLY_TERMINATION:
-        return model.control.a_star[m]
-    return benchmark_variance(min(m, grid.M - 1) * grid.k, grid.x_nodes(), model.T)
-
-
 def solve_forward_density(model: VolatilityModel, grid: Grid, x0: float) -> DensitySurface:
     """Propagate a discrete Dirac at x0 through the implicit conservative scheme."""
     if not 0.0 < x0 < 1.0:
         raise ValidationError(f"x0 must lie strictly inside (0, 1), got {x0!r}")
     if model.kind == EARLY_TERMINATION and model.control.grid != grid:
         raise ValidationError("control field and density grid do not match")
+    if model.kind == FULL_LENGTH and model.T != grid.T:
+        raise ValidationError(f"full_length model horizon T={model.T!r} and density grid "
+                              f"horizon {grid.T!r} do not match")
     j0 = int(round(x0 * grid.N))
     if j0 <= 0 or j0 >= grid.N:
         raise ValidationError(f"x0={x0!r} rounds onto a boundary node at this resolution")
@@ -146,8 +141,15 @@ def solve_forward_density(model: VolatilityModel, grid: Grid, x0: float) -> Dens
     diag, off = np.empty((2, N - 1))
     sub, sup = off[:-1], off[1:]
 
+    if reflecting:
+        # benchmark_variance's numerator; the row at t = T is capped at its
+        # value one step earlier (the closed form is singular there)
+        sin_squared = np.sin(math.pi * grid.x_nodes()) ** 2
     for m in range(M):
-        s = _sigma_squared_row(model, grid, m + 1)
+        if reflecting:
+            s = sin_squared / (math.pi ** 2 * (model.T - min(m + 1, M - 1) * k))
+        else:
+            s = model.control.a_star[m + 1]
         np.multiply(s[1:N], two_b, out=diag)
         diag += 1.0
         np.multiply(s[1:N], -b, out=off)

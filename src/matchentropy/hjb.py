@@ -96,41 +96,15 @@ def hamiltonian_capped(q, cap_d: float) -> tuple[np.ndarray, np.ndarray]:
     return -a * q - np.log(a) - 1.0, a
 
 
-def _check_cfl(grid: Grid, cfg: SchemeConfig) -> None:
-    bound = grid.k * cfg.cap_d / (grid.h * grid.h)
-    if bound > 1.0 + 1e-12:
-        raise CflError(
-            f"explicit scheme unstable: k*cap_d/h^2 = {grid.k:.6g}*{cfg.cap_d:.6g}"
-            f"/{grid.h:.6g}^2 = {bound:.6g} exceeds 1"
-        )
-
-
-def _terminal_row(grid: Grid, cfg: SchemeConfig) -> np.ndarray:
-    row = np.zeros(grid.N + 1)
-    if cfg.terminal_regularisation_n is not None:
-        row[:] = stationary_entropy(grid.x_nodes()) / cfg.terminal_regularisation_n
-    return row
-
-
-def explicit_step(v_next: np.ndarray, grid: Grid, cfg: SchemeConfig) -> np.ndarray:
-    """One backward step of the explicit scheme; requires k*cap_d/h^2 <= 1."""
-    _check_cfl(grid, cfg)
-    v = np.asarray(v_next, dtype=float)
-    q = second_difference_interior(v, grid.h)
-    hvals, _ = hamiltonian_capped(q, cfg.cap_d)
-    out = np.zeros_like(v)
-    out[1:-1] = v[1:-1] - 0.5 * grid.k * hvals
-    return out
-
-
-def implicit_step(v_next: np.ndarray, grid: Grid, cfg: SchemeConfig) -> tuple[np.ndarray, int]:
-    """One backward step of the implicit scheme: the sweep over the two rows
-    (result, v_next).  Returns the new row and its policy-iteration count."""
-    v_next = np.asarray(v_next, dtype=float)
-    values = np.zeros((2, v_next.size))
-    values[1] = v_next
-    iters = _implicit_sweep(values, grid, cfg.cap_d)
-    return values[0], int(iters[0])
+def _explicit_sweep(values: np.ndarray, grid: Grid, cap_d: float) -> np.ndarray:
+    """Fill the rows of `values` backwards from its last row by the explicit
+    scheme (stable for k*cap_d/h^2 <= 1); returns the iteration count of each
+    filled row, zero for this scheme.  Lateral entries stay 0."""
+    h, half_k = grid.h, 0.5 * grid.k
+    for m in range(len(values) - 1, 0, -1):
+        hvals, _ = hamiltonian_capped(second_difference_interior(values[m], h), cap_d)
+        values[m - 1, 1:-1] = values[m, 1:-1] - half_k * hvals
+    return np.zeros(len(values) - 1, dtype=int)
 
 
 def _implicit_sweep(values: np.ndarray, grid: Grid, cap_d: float) -> np.ndarray:
@@ -229,21 +203,22 @@ def _scaled_residual(u, v_int, q, a, log_a, c, half_k, work_arrays) -> float:
 def solve_hjb_with_iterations(grid: Grid, cfg: SchemeConfig) -> tuple[ValueSurface, np.ndarray]:
     """Full backward sweep; also returns policy-iteration counts per step.
 
-    For the explicit scheme the counts are zeros.
+    For the explicit scheme the counts are zeros.  The CFL number
+    k*cap_d/h^2 is checked once, before the first step.
     """
-    if not math.isfinite(grid.k * cfg.cap_d / (grid.h * grid.h)):
+    cfl = grid.k * cfg.cap_d / (grid.h * grid.h)
+    if not math.isfinite(cfl):
         raise ValidationError(f"k*cap_d/h^2 overflows for k = {grid.k:.6g}, "
                               f"cap_d = {cfg.cap_d:.6g}, h = {grid.h:.6g}")
-    if cfg.scheme == "explicit":
-        _check_cfl(grid, cfg)
+    if cfg.scheme == "explicit" and cfl > 1.0 + 1e-12:
+        raise CflError(
+            f"explicit scheme unstable: k*cap_d/h^2 = {grid.k:.6g}*{cfg.cap_d:.6g}"
+            f"/{grid.h:.6g}^2 = {cfl:.6g} exceeds 1")
     values = np.zeros((grid.M + 1, grid.N + 1))
-    values[grid.M] = _terminal_row(grid, cfg)
-    if cfg.scheme == "explicit":
-        iters = np.zeros(grid.M, dtype=int)
-        for m in range(grid.M, 0, -1):
-            values[m - 1] = explicit_step(values[m], grid, cfg)
-    else:
-        iters = _implicit_sweep(values, grid, cfg.cap_d)
+    if cfg.terminal_regularisation_n is not None:
+        values[grid.M] = stationary_entropy(grid.x_nodes()) / cfg.terminal_regularisation_n
+    sweep = _explicit_sweep if cfg.scheme == "explicit" else _implicit_sweep
+    iters = sweep(values, grid, cfg.cap_d)
     return ValueSurface(grid=grid, values=values), iters
 
 

@@ -256,20 +256,22 @@ def reference_forward_density(model, grid, x0):
     (40, 300, 0.5, True),
 ])
 def test_forward_density_matches_reference_loop(N, M, x0, solved):
-    g = me.make_grid(N, M, 1.0)
-    if solved:
-        cfg = me.SchemeConfig(cap_d=1e6)
-        control = me.optimal_control_field(me.solve_hjb(g, cfg), cfg)
-    else:
-        a = np.random.default_rng(N * M).uniform(0.5, 2.0, size=(M + 1, N + 1))
-        control = ControlField(grid=g, a_star=a)
-    for model in (me.VolatilityModel.early_termination(control),
-                  me.VolatilityModel.full_length(1.0)):
-        dens = me.solve_forward_density(model, g, x0)
-        values, left, right = reference_forward_density(model, g, x0)
-        assert dens.values.tobytes() == values.tobytes()
-        assert dens.absorbed_mass_left.tobytes() == left.tobytes()
-        assert dens.absorbed_mass_right.tobytes() == right.tobytes()
+    # T = 2.5 pins the full-length variance's divisor pi^2 (T - t) away from T = 1
+    for T in (1.0, 2.5):
+        g = me.make_grid(N, M, T)
+        if solved:
+            cfg = me.SchemeConfig(cap_d=1e6)
+            control = me.optimal_control_field(me.solve_hjb(g, cfg), cfg)
+        else:
+            a = np.random.default_rng(N * M).uniform(0.5, 2.0, size=(M + 1, N + 1))
+            control = ControlField(grid=g, a_star=a)
+        for model in (me.VolatilityModel.early_termination(control),
+                      me.VolatilityModel.full_length(T)):
+            dens = me.solve_forward_density(model, g, x0)
+            values, left, right = reference_forward_density(model, g, x0)
+            assert dens.values.tobytes() == values.tobytes()
+            assert dens.absorbed_mass_left.tobytes() == left.tobytes()
+            assert dens.absorbed_mass_right.tobytes() == right.tobytes()
 
 
 @pytest.mark.parametrize("entry, fires", [(-1e-9, True), (-1e-15, False)])
@@ -309,6 +311,8 @@ def test_density_input_validation():
         me.VolatilityModel(kind="early_termination", T=1.0)
     with pytest.raises(ValidationError, match="horizon"):
         me.VolatilityModel(kind="early_termination", T=5.0, control=ctrl)
+    with pytest.raises(ValidationError, match="do not match"):
+        me.solve_forward_density(me.VolatilityModel.full_length(2.0), g, 0.5)
     for bad_T in (float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             me.VolatilityModel.full_length(bad_T)

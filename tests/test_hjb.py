@@ -86,10 +86,19 @@ def test_hamiltonian_value_monotone_in_cap(q, cap_lo, cap_hi):
     assert v_hi <= v_lo + 1e-12  # minimising over a larger set can only help
 
 
+def one_step(sweep, v_next, grid, cap_d):
+    """One backward step of a scheme: its sweep over the rows (result, v_next).
+    Returns the new row and its iteration count."""
+    values = np.zeros((2, len(v_next)))
+    values[1] = v_next
+    iters = sweep(values, grid, cap_d)
+    return values[0], int(iters[0])
+
+
 def test_explicit_step_zero_row_cap_e():
     g = me.make_grid(10, 300, 1.0)
-    cfg = me.SchemeConfig(cap_d=math.e, scheme="explicit")
-    out = hjb.explicit_step(np.zeros(11), g, cfg)
+    out, iters = one_step(hjb._explicit_sweep, np.zeros(11), g, math.e)
+    assert iters == 0
     assert out[0] == 0.0 and out[-1] == 0.0
     # with zero diffusion term the maximiser is the cap, giving k(log a + 1)/2 = k
     assert np.allclose(out[1:-1], g.k, rtol=1e-13)
@@ -99,25 +108,24 @@ def test_explicit_step_cfl_violation_names_the_numbers():
     g = me.make_grid(100, 100, 1.0)
     cfg = me.SchemeConfig(cap_d=1e6, scheme="explicit")
     with pytest.raises(CflError) as err:
-        hjb.explicit_step(np.zeros(101), g, cfg)
+        me.solve_hjb_with_iterations(g, cfg)
     msg = str(err.value)
     assert "0.01" in msg and "1e+06" in msg and "exceeds 1" in msg
 
 
 def test_explicit_step_preserves_stationary_bound():
     g = me.make_grid(16, 600, 1.0)
-    cfg = me.SchemeConfig(cap_d=2.0, scheme="explicit")
     e_inf = me.stationary_entropy(g.x_nodes())
     rng = np.random.default_rng(3)
     for _ in range(20):
         v = e_inf * rng.uniform(0.0, 1.0, size=e_inf.shape)
         v[0] = v[-1] = 0.0
-        out = hjb.explicit_step(v, g, cfg)
+        out, _ = one_step(hjb._explicit_sweep, v, g, 2.0)
         assert np.all(out <= e_inf + 1e-12)
 
 
 def policy_controls(u, grid, cap_d):
-    """The control update of implicit_step: minimisers at the interior nodes of u."""
+    """The control update of the implicit sweep: minimisers at the interior nodes of u."""
     return me.hamiltonian_capped(second_difference_interior(u, grid.h), cap_d)[1]
 
 
@@ -144,8 +152,7 @@ def test_policy_update_floor_via_brute_force():
 def test_implicit_step_matches_dense_root_find(monkeypatch):
     monkeypatch.setattr(hjb, "POLICY_TOL", 1e-13)
     g = me.make_grid(4, 2, 1.0)
-    cfg = me.SchemeConfig(cap_d=10.0)
-    u, iters = hjb.implicit_step(np.zeros(5), g, cfg)
+    u, iters = one_step(hjb._implicit_sweep, np.zeros(5), g, 10.0)
     assert iters >= 1
 
     def residual(u_int):
@@ -162,9 +169,8 @@ def test_implicit_step_matches_dense_root_find(monkeypatch):
 
 def test_implicit_step_respects_stationary_bounds():
     g = me.make_grid(32, 32, 1.0)
-    cfg = me.SchemeConfig(cap_d=100.0)
     e_inf = me.stationary_entropy(g.x_nodes())
-    u, _ = hjb.implicit_step(e_inf, g, cfg)
+    u, _ = one_step(hjb._implicit_sweep, e_inf, g, 100.0)
     assert np.all(u >= -1e-12)
     assert np.all(u <= e_inf + 1e-12)
 
@@ -172,9 +178,8 @@ def test_implicit_step_respects_stationary_bounds():
 def test_implicit_step_non_convergence_raises(monkeypatch):
     monkeypatch.setattr(hjb, "MAX_POLICY_ITERS", 1)
     g = me.make_grid(64, 64, 1.0)
-    cfg = me.SchemeConfig(cap_d=1e6)
     with pytest.raises(ConvergenceError):
-        hjb.implicit_step(me.stationary_entropy(g.x_nodes()) * 0.3, g, cfg)
+        one_step(hjb._implicit_sweep, me.stationary_entropy(g.x_nodes()) * 0.3, g, 1e6)
 
 
 def test_solve_hjb_boundaries_bounds_symmetry():
@@ -218,7 +223,12 @@ def test_explicit_and_implicit_agree_and_tighten():
     assert coarse / fine >= 1.8
 
 
-def test_solve_hjb_explicit_cfl_precheck():
+def test_solve_hjb_explicit_cfl_precheck(monkeypatch):
+    # the bound is checked once, before the first step: the sweep never runs
+    def no_sweep(*args):
+        raise AssertionError("the explicit sweep ran past a violated CFL bound")
+
+    monkeypatch.setattr(hjb, "_explicit_sweep", no_sweep)
     g = me.make_grid(1000, 1000, 1.0)
     with pytest.raises(CflError):
         me.solve_hjb(g, me.SchemeConfig(cap_d=1e6, scheme="explicit"))
@@ -273,6 +283,35 @@ def test_minimal_grids_solve():
     ge = me.make_grid(2, 50, 1.0)
     se = me.solve_hjb(ge, me.SchemeConfig(cap_d=5.0, scheme="explicit"))
     assert 0.0 < se.values[0, 1] <= 0.125 + 1e-10
+
+
+def reference_explicit_step(v_next, grid, cfg):
+    """One backward step of the explicit scheme as first written."""
+    v = np.asarray(v_next, dtype=float)
+    q = second_difference_interior(v, grid.h)
+    hvals, _ = me.hamiltonian_capped(q, cfg.cap_d)
+    out = np.zeros_like(v)
+    out[1:-1] = v[1:-1] - 0.5 * grid.k * hvals
+    return out
+
+
+@pytest.mark.parametrize("N, M, cap, reg_n", [
+    (32, 2048, 2.0, None),  # k*cap_d/h^2 exactly 1
+    (16, 600, 2.0, 1),
+    (2, 50, 5.0, None),
+    (23, 1100, 2.0, 3),
+])
+def test_explicit_sweep_matches_reference_loop(N, M, cap, reg_n):
+    g = me.make_grid(N, M, 1.0)
+    cfg = me.SchemeConfig(cap_d=cap, scheme="explicit", terminal_regularisation_n=reg_n)
+    surface, iters = me.solve_hjb_with_iterations(g, cfg)
+    ref_values = np.zeros((M + 1, N + 1))
+    if reg_n is not None:
+        ref_values[M] = me.stationary_entropy(g.x_nodes()) / reg_n
+    for m in range(M, 0, -1):
+        ref_values[m - 1] = reference_explicit_step(ref_values[m], g, cfg)
+    assert surface.values.tobytes() == ref_values.tobytes()
+    assert iters.tobytes() == np.zeros(M, dtype=int).tobytes()
 
 
 def reference_implicit_step(v_next, grid, cfg):
@@ -361,9 +400,8 @@ def test_sweep_updates_the_control_once_per_policy_iteration(monkeypatch):
 def test_non_convergence_message_reports_finite_change_and_residual(monkeypatch):
     monkeypatch.setattr(hjb, "MAX_POLICY_ITERS", 1)
     g = me.make_grid(64, 64, 1.0)
-    cfg = me.SchemeConfig(cap_d=1e6)
     with pytest.raises(ConvergenceError) as err:
-        hjb.implicit_step(me.stationary_entropy(g.x_nodes()) * 0.3, g, cfg)
+        one_step(hjb._implicit_sweep, me.stationary_entropy(g.x_nodes()) * 0.3, g, 1e6)
     numbers = re.search(r"last change (\S+), scaled residual (\S+)\)", str(err.value))
     assert numbers is not None
     change, resid = (float(s) for s in numbers.groups())
@@ -378,3 +416,26 @@ def test_capped_control_matches_clip_bitwise():
         with np.errstate(divide="ignore", over="ignore"):
             clipped = np.where(q < 0.0, np.clip(-1.0 / q, FLOOR, cap), cap)
         assert hjb.capped_control(q, cap).tobytes() == clipped.tobytes()
+
+
+def test_scaled_residual_keeps_the_plain_expressions_bits():
+    # rows of mixed sign and magnitude, so that reordering the sum in the
+    # scale changes its rounding
+    rng = np.random.default_rng(20240)
+    n, h, k = 999, 1e-3, 1e-3
+    c, half_k = k / (2.0 * h * h), 0.5 * k
+    work = (*np.empty((3, n)), np.empty(n + 2))
+    for cap in [10.0, 1e4, 1e6] * 7:
+        u = np.zeros(n + 2)
+        u[1:-1] = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 1.0, n)
+        v_int = u[1:-1] + rng.standard_normal(n) * 1e-6
+        q = second_difference_interior(u, h)
+        a = hjb.capped_control(q, cap)
+        log_a = np.log(a)
+        got = hjb._scaled_residual(u, v_int, q, a, log_a, c, half_k, work)
+        hvals = -a * q - log_a - 1.0
+        plain = (np.abs(u[1:-1] + half_k * hvals - v_int)
+                 / (1.0 + c * a * (np.abs(u[2:]) + 2.0 * np.abs(u[1:-1]) + np.abs(u[:-2]))
+                    + half_k * np.abs(log_a + 1.0) + np.abs(v_int)))
+        assert work[0].tobytes() == plain.tobytes()
+        assert np.float64(got).tobytes() == np.float64(plain.max()).tobytes()
