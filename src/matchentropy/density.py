@@ -100,7 +100,20 @@ def benchmark_variance(t: float, x, T: float) -> np.ndarray:
         raise ValidationError(f"x must lie in [0, 1], got {x!r}")
     if not 0.0 <= t < T:
         raise ValidationError(f"t must lie in [0, T), got t={t!r}, T={T!r}")
-    return np.sin(math.pi * x) ** 2 / (math.pi ** 2 * (T - t))
+    return _full_length_variance(t, x, T, np.empty_like(x))[()]
+
+
+def _full_length_variance(t: float, x: np.ndarray, T: float, out: np.ndarray) -> np.ndarray:
+    """benchmark_variance written into `out`, without its checks.
+
+    The operations are those of np.sin(math.pi * x) ** 2 / (math.pi ** 2 * (T - t)),
+    in that order, so the bits are the same.
+    """
+    np.multiply(x, math.pi, out=out)
+    np.sin(out, out=out)
+    np.square(out, out=out)
+    out /= math.pi ** 2 * (T - t)
+    return out
 
 
 def benchmark_entropy(t: float, x: float, T: float) -> float:

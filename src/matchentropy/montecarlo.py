@@ -12,11 +12,15 @@ step, and nothing accrues after stopping.
 
 Every path owns a counter-based generator keyed by (base_seed, path index),
 so results are bit-identical regardless of batch layout, and the reduction
-order is fixed by path index.  Noise is drawn lazily, one block of steps at a
-time and only for paths still alive; consecutive draws continue each path's
+order is fixed by path index.  Noise is drawn lazily in two levels: each
+generator call draws one block of steps for one path still alive, and the
+block is transposed a slab of steps at a time into a step-major array of the
+paths alive at the slab's start.  Consecutive draws continue each path's
 stream, so the results equal those of drawing the whole horizon up front.
-Memory is O(chunk x block), independent of dt.  A solved control is read by
-index arithmetic on its uniform x grid, bit-identical to np.interp.
+Memory is O(chunk x (block + slab)), independent of dt.  A step runs in
+preallocated work rows, in the order of operations of the plain expressions
+it stands for, so its bits are theirs.  A solved control is read by index
+arithmetic on its uniform x grid, bit-identical to np.interp.
 """
 
 from __future__ import annotations
@@ -25,15 +29,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-from .density import FULL_LENGTH, VolatilityModel, benchmark_variance
+from .density import FULL_LENGTH, VolatilityModel, _full_length_variance
 from .errors import ValidationError
 from .grid import MAX_ARRAY_ENTRIES
 from .hjb import ControlField
 
 _CHUNK = 8192
-# steps of noise drawn per path at a time: bounds the noise buffers at _CHUNK x _BLOCK
-_BLOCK = 128
+# steps of noise drawn per path and generator call: the drawn block is _CHUNK x _BLOCK
+_BLOCK = 256
+# steps of a block transposed at a time into the step-major slab, _SLAB x _CHUNK
+_SLAB = 32
+# paths per tile of that transpose, which keeps each tile in cache
+_TILE = 512
 
 # mean overshoot of a discretely monitored Brownian crossing, -zeta(1/2)/sqrt(2 pi)
 BARRIER_CORRECTION = 0.5825971579390107
@@ -55,6 +64,9 @@ class SimConfig:
             raise ValidationError("n_paths must be >= 1")
         if self.n_paths > MAX_ARRAY_ENTRIES:
             raise ValidationError(f"n_paths = {self.n_paths} is too large for one array")
+        # Philox takes the seed as one 64-bit key word, so a wider one would alias
+        if not 0 <= self.base_seed < 2 ** 64:
+            raise ValidationError(f"base_seed must lie in [0, 2**64), got {self.base_seed!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
         if not 0.0 < self.x0 < 1.0:
@@ -85,51 +97,83 @@ class QvReport:
     passed: bool
 
 
-def _interp_uniform(x, xs, ys, slopes):
-    """np.interp(x, xs[:-1], ys) bit for bit, for x in [0, 1] and finite ys.
+class _ZeroSeed(ISeedSequence):
+    """Seeds a Philox with key 0 and none of SeedSequence's hashing; each path
+    writes its own key and counter before it draws."""
 
-    `xs` is linspace(0, 1, n + 1) followed by an inf sentinel, and `slopes`
-    is np.diff(ys) / np.diff(xs[:-1]) followed by a 0 that only x = 1 reads.
-    The bracketing index comes from floor(x * n), corrected by one comparison
-    each way, and the value from np.interp's own formula; at a node x - xs[j]
-    is 0, so the formula returns the node value exactly, as np.interp does.
-    """
-    j = (x * (ys.size - 1)).astype(np.intp)
-    j -= xs[j] > x
-    j += xs[j + 1] <= x
-    return slopes[j] * (x - xs[j]) + ys[j]
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
 
 
-def _control_evaluator(control, T: float | None):
-    """Return (horizon, eval(t, x_array) -> a_array) for a ControlField, the
-    full-length VolatilityModel or a constant."""
+def _control_evaluator(control, T: float | None, size: int):
+    """Return (horizon, eval(t, x, out) -> out) for a ControlField, the
+    full-length VolatilityModel or a constant: eval writes a(t, x) into `out`,
+    for arrays x of at most `size` entries."""
     if isinstance(control, ControlField):
-        grid = control.grid
-        nodes = grid.x_nodes()
-        xs = np.append(nodes, np.inf)
-        dxs = np.diff(nodes)
-        a_rows = control.a_star
-
-        def eval_field(t, x):
-            mf = t / grid.k
-            m = min(int(mf), grid.M - 1)
-            wt = mf - m
-            row = a_rows[m] if wt == 0.0 else (1.0 - wt) * a_rows[m] + wt * a_rows[m + 1]
-            return _interp_uniform(x, xs, row, np.append(np.diff(row) / dxs, 0.0))
-
-        return grid.T, eval_field
+        return control.grid.T, _field_evaluator(control, size)
     if isinstance(control, VolatilityModel):
-        return control.T, lambda t, x: benchmark_variance(t, x, control.T)
+        # live paths lie strictly inside (0, 1) and t < horizon <= T
+        return control.T, lambda t, x, out: _full_length_variance(t, x, control.T, out)
     a_const = float(control)
     if not (math.isfinite(a_const) and a_const > 0.0):
         raise ValidationError(f"constant control must be positive and finite, got {control!r}")
     if T is None:
         raise ValidationError("a horizon T is required with a constant control")
 
-    def eval_const(t, x):
-        return np.full(x.shape, a_const)
+    def eval_const(t, x, out):
+        out.fill(a_const)
+        return out
 
     return float(T), eval_const
+
+
+def _field_evaluator(control: ControlField, size: int):
+    """Bilinear lookup of a*(t, x): the rows either side of t blended in time,
+    then np.interp(x, nodes, row) bit for bit, for x in [0, 1].
+
+    The bracketing index comes from floor(x * N), corrected by one comparison
+    each way against the nodes followed by an inf sentinel, and the value from
+    np.interp's own formula slope[j] * (x - x_j) + row[j]; at a node x - x_j
+    is 0, so the formula returns the node value exactly, as np.interp does.
+    The slope after the last node is 0, and only x = 1 reads it.
+    """
+    grid = control.grid
+    nodes = grid.x_nodes()
+    xs = np.append(nodes, np.inf)
+    xs_next = xs[1:]
+    dxs = np.diff(nodes)
+    a_rows = control.a_star
+    blend, other = np.empty((2, grid.N + 1))
+    slopes = np.zeros(grid.N + 1)
+    index = np.empty(size, dtype=np.intp)
+    work = np.empty(size)
+    flag = np.empty(size, dtype=bool)
+
+    def eval_field(t, x, out):
+        mf = t / grid.k
+        m = min(int(mf), grid.M - 1)
+        wt = mf - m
+        if wt == 0.0:
+            row = a_rows[m]
+        else:  # (1 - wt) * a_m + wt * a_{m+1}
+            row = np.multiply(a_rows[m], 1.0 - wt, out=blend)
+            row += np.multiply(a_rows[m + 1], wt, out=other)
+        np.subtract(row[1:], row[:-1], out=slopes[:-1])
+        slopes[:-1] /= dxs
+        j, w, f = index[:x.size], work[:x.size], flag[:x.size]
+        np.multiply(x, grid.N, out=w)
+        np.copyto(j, w, casting="unsafe")  # truncates, as astype(np.intp)
+        np.greater(xs.take(j, out=w, mode="clip"), x, out=f)
+        j -= f
+        np.less_equal(xs_next.take(j, out=w, mode="clip"), x, out=f)
+        j += f
+        np.subtract(x, xs.take(j, out=w, mode="clip"), out=w)
+        slopes.take(j, out=out, mode="clip")
+        out *= w
+        out += row.take(j, out=w, mode="clip")
+        return out
+
+    return eval_field
 
 
 def simulate_paths(control, cfg: SimConfig, T: float | None = None, *,
@@ -146,7 +190,9 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None, *,
     """
     if isinstance(control, VolatilityModel) and control.kind != FULL_LENGTH:
         control = control.control  # an early-termination model is its solved field
-    horizon, eval_a = _control_evaluator(control, T)
+    n = cfg.n_paths
+    slots = min(n, _CHUNK)
+    horizon, eval_a = _control_evaluator(control, T, slots)
     if T is not None and isinstance(control, (ControlField, VolatilityModel)):
         if T > horizon + 1e-12:
             raise ValidationError(f"T={T!r} exceeds the control horizon {horizon!r}")
@@ -161,35 +207,41 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None, *,
     if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-9:
         raise ValidationError(f"dt={cfg.dt!r} must divide the horizon {horizon!r} evenly")
     dt = cfg.dt
-    a_start = float(eval_a(0.0, np.array([cfg.x0]))[0])  # every path's first reward is log of it
+    # every path's first reward is log of it
+    a_start = float(eval_a(0.0, np.array([cfg.x0]), np.empty(1))[0])
     if not a_start > 0.0:
         raise ValidationError(f"the diffusion coefficient a(0, x0={cfg.x0!r}) is {a_start!r}, "
                               "not positive")
 
-    n = cfg.n_paths
     terminal = np.empty(n)
     side = np.zeros(n, dtype=np.int8)
     exit_time = np.full(n, horizon)
     reward = np.zeros(n)
     qv = np.zeros(n)
 
-    seed_word = cfg.base_seed & 0xFFFFFFFFFFFFFFFF
-    slots = min(n, _CHUNK)
     # One generator per chunk slot, set for each chunk to the start of the stream
-    # of Philox(key=[seed_word, path]); setting a state is several times cheaper
-    # than building a Philox.
-    gens = [np.random.Generator(np.random.Philox(0)) for _ in range(slots)]
+    # of Philox(key=[base_seed, path]) by writing the path into one state dict;
+    # setting a state is several times cheaper than building a Philox.
+    zero_seed = _ZeroSeed()
+    bits = [np.random.Philox(zero_seed) for _ in range(slots)]
+    draws = [np.random.Generator(bit).standard_normal for bit in bits]
+    key = np.array([cfg.base_seed, 0], dtype=np.uint64)
     fresh = np.zeros(4, dtype=np.uint64)
-    # each block of noise is drawn path by path, then transposed to steps x paths
-    drawn_buf = np.empty((slots, min(_BLOCK, n_steps)))
-    noise_buf = np.empty((min(_BLOCK, n_steps), slots))
+    state = {"bit_generator": "Philox", "state": {"counter": fresh, "key": key},
+             "buffer": fresh, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    # a block of noise is drawn path by path, then copied a slab of steps at a
+    # time, in tiles of paths, into steps x paths for the paths still alive
+    block = min(_BLOCK, n_steps)
+    drawn_buf = np.empty((slots, block))
+    slab_buf = np.empty((min(_SLAB, block), slots))
+    # work rows of one step, cut to the paths alive
+    a_buf, a_dt_buf, sd_buf, w_buf, xi_buf = np.empty((5, slots))
+    inside_buf, flag_buf = np.empty((2, slots), dtype=bool)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        for path, gen in zip(range(lo, hi), gens):
-            gen.bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": fresh, "key": np.array([seed_word, path], dtype=np.uint64)},
-                "buffer": fresh, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for path, bit in zip(range(lo, hi), bits):
+            key[1] = path
+            bit.state = state
         # state of the live paths only, in path order; a path leaves the step it exits
         ids = np.arange(lo, hi)
         x = np.full(ids.size, cfg.x0)
@@ -201,36 +253,66 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None, *,
             width = min(_BLOCK, n_steps - start)
             drawn = drawn_buf[:ids.size, :width]
             for row, i in zip(drawn, (ids - lo).tolist()):
-                gens[i].standard_normal(out=row)
-            noise = noise_buf[:width, :ids.size]
-            np.copyto(noise, drawn.T)
-            cols = None  # columns of `noise` still alive, once a path has left
-            for j in range(start, start + width):
-                a = eval_a(j * dt, x)
-                a_dt = a * dt
-                step_sd = np.sqrt(a_dt)
-                xi = noise[j - start] if cols is None else noise[j - start, cols]
-                x_new = x + step_sd * xi
-                shift = BARRIER_CORRECTION * step_sd if barrier_correction else 0.0
-                inside = (x_new > shift) & (x_new < 1.0 - shift)
-                r_new = r + 0.5 * (1.0 + np.log(a)) * dt
-                q_new = q + a_dt
-                if inside.all():
-                    x, r, q = x_new, r_new, q_new
-                    continue
-                out = ~inside
-                gone = ids[out]
-                # record the nearer boundary; endpoints clip to {0, 1}
-                left_exit = x_new[out] <= 0.5
-                side[gone] = np.where(left_exit, -1, 1)
-                terminal[gone] = np.where(left_exit, 0.0, 1.0)
-                exit_time[gone] = (j + 1) * dt
-                reward[gone] = (r_new if include_exit_step else r)[out]
-                qv[gone] = (q_new if include_exit_step else q)[out]
-                ids, x, r, q = ids[inside], x_new[inside], r_new[inside], q_new[inside]
-                cols = np.flatnonzero(inside) if cols is None else cols[inside]
+                draws[i](out=row)
+            rows = None  # rows of `drawn` still alive, once a path has left
+            for s0 in range(start, start + width, _SLAB):
                 if ids.size == 0:
                     break
+                live, s1 = ids.size, min(s0 + _SLAB, start + width)
+                part = drawn[:, s0 - start:s1 - start]
+                slab = slab_buf[:s1 - s0, :live]
+                for t0 in range(0, live, _TILE):
+                    t1 = min(t0 + _TILE, live)
+                    tile = part[t0:t1] if rows is None else part[rows[t0:t1]]
+                    np.copyto(slab[:, t0:t1], tile.T)
+                cols = None  # columns of `slab` still alive, once a path has left
+                a, a_dt, sd, w = a_buf[:live], a_dt_buf[:live], sd_buf[:live], w_buf[:live]
+                inside, flag = inside_buf[:live], flag_buf[:live]
+                for j in range(s0, s1):
+                    xi = (slab[j - s0] if cols is None else
+                          slab[j - s0].take(cols, out=xi_buf[:live], mode="clip"))
+                    # in the order of operations of the plain expressions in the comments
+                    eval_a(j * dt, x, a)
+                    np.multiply(a, dt, out=a_dt)
+                    np.sqrt(a_dt, out=sd)                       # step_sd = sqrt(a * dt)
+                    x += np.multiply(sd, xi, out=w)             # x + step_sd * xi
+                    if barrier_correction:                      # shift < x < 1 - shift
+                        shift = np.multiply(sd, BARRIER_CORRECTION, out=w)
+                        np.greater(x, shift, out=inside)
+                        np.less(x, np.subtract(1.0, shift, out=w), out=flag)
+                    else:
+                        np.greater(x, 0.0, out=inside)
+                        np.less(x, 1.0, out=flag)
+                    inside &= flag
+                    np.log(a, out=a)                            # 0.5 * (1 + log a) * dt
+                    a += 1.0
+                    a *= 0.5
+                    a *= dt
+                    if np.count_nonzero(inside) == live:
+                        r += a
+                        q += a_dt
+                        continue
+                    gone = np.logical_not(inside, out=flag).nonzero()[0]
+                    paths = ids[gone]
+                    # record the nearer boundary; endpoints clip to {0, 1}
+                    left_exit = x[gone] <= 0.5
+                    side[paths] = np.where(left_exit, -1, 1)
+                    terminal[paths] = np.where(left_exit, 0.0, 1.0)
+                    exit_time[paths] = (j + 1) * dt
+                    # the naive rule drops the exit step's reward
+                    reward[paths] = r[gone] + a[gone] if include_exit_step else r[gone]
+                    qv[paths] = q[gone] + a_dt[gone] if include_exit_step else q[gone]
+                    r += a
+                    q += a_dt
+                    ids, x, r, q = ids[inside], x[inside], r[inside], q[inside]
+                    cols = np.flatnonzero(inside) if cols is None else cols[inside]
+                    live = ids.size
+                    if live == 0:
+                        break
+                    a, a_dt, sd, w = a_buf[:live], a_dt_buf[:live], sd_buf[:live], w_buf[:live]
+                    inside, flag = inside_buf[:live], flag_buf[:live]
+                if cols is not None:
+                    rows = cols if rows is None else rows[cols]
         terminal[ids] = x
         reward[ids] = r
         qv[ids] = q

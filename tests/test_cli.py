@@ -159,7 +159,9 @@ BAD_INPUTS = [("--grid-n", "1"), ("--grid-m", "0"),
               ("--horizon", "5e-324"), ("--horizon", "1e308"),
               ("--grid-n", str(2**63 - 1)), ("--grid-n", str(10**30)),
               ("--grid-m", str(2**63 - 1)), ("--grid-m", str(10**30)),
-              ("--n-paths", str(2**63 - 1))]
+              ("--n-paths", str(2**63 - 1)),
+              # seeds outside one 64-bit key word
+              ("--seed", "-1"), ("--seed", "18446744073709551616")]
 
 
 @pytest.mark.parametrize("command,flag,value", [

@@ -8,7 +8,7 @@ import pytest
 import matchentropy as me
 from matchentropy import montecarlo
 from matchentropy.errors import ValidationError
-from matchentropy.montecarlo import _BLOCK, _CHUNK, _control_evaluator
+from matchentropy.montecarlo import BARRIER_CORRECTION, _BLOCK, _CHUNK, _control_evaluator
 
 PATH_ARRAYS = ("reward_samples", "qv_samples", "terminal_values", "exit_time_samples",
                "absorbed_side")
@@ -49,6 +49,7 @@ def test_per_path_streams_do_not_depend_on_batch(monkeypatch):
         assert_same_paths(run(40), many, slice(0, 40))
         monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
         monkeypatch.setattr(montecarlo, "_BLOCK", 7)
+        monkeypatch.setattr(montecarlo, "_SLAB", 3)  # does not divide the block
         assert_same_paths(run(n_many), many)
         monkeypatch.undo()
 
@@ -115,14 +116,124 @@ def test_control_lookup_equals_np_interp_bitwise():
             a = rng.uniform(0.5, 5.0, size=(2, n + 1))
             fields.append(me.ControlField(grid=me.make_grid(n, 1, 1.0), a_star=a))
     for field in fields:
-        _, eval_a = _control_evaluator(field, None)
         xs = field.grid.x_nodes()
         queries = np.concatenate([xs, np.nextafter(xs[1:], 0.0), np.nextafter(xs[:-1], 1.0),
                                   [0.0, 1.0], rng.uniform(0.0, 1.0, 10_000)])
+        _, eval_a = _control_evaluator(field, None, queries.size)
         a0, a1 = field.a_star[0], field.a_star[1]
         for t, row in ((0.0, a0), (0.5 * field.grid.k, 0.5 * a0 + 0.5 * a1)):
-            got = eval_a(t, queries)
+            got = eval_a(t, queries, np.empty(queries.size))
             assert np.array_equal(got.view(np.uint64), np.interp(queries, xs, row).view(np.uint64))
+
+
+def test_full_length_evaluator_equals_benchmark_variance_bitwise():
+    rng = np.random.default_rng(8)
+    x = np.concatenate([rng.uniform(0.0, 1.0, 5000), [5e-324, 0.5, np.nextafter(1.0, 0.0)]])
+    x = x[(x > 0.0) & (x < 1.0)]
+    for T in (1.0, 0.3, 2.5):
+        _, eval_a = _control_evaluator(me.VolatilityModel.full_length(T), None, x.size)
+        for t in (0.0, 0.1 * T, 0.5 * T, np.nextafter(T, 0.0)):
+            got = eval_a(t, x, np.empty(x.size))
+            assert got.tobytes() == me.benchmark_variance(t, x, T).tobytes()
+
+
+def reference_simulate_paths(control, cfg, T=None, barrier_correction=True,
+                             include_exit_step=True):
+    """The simulator's loop before its noise slabs and work buffers, kept as the
+    bitwise reference: per-path Philox streams drawn 128 steps at a time and
+    transposed whole, every step written as plain numpy expressions."""
+    if isinstance(control, me.ControlField):
+        grid = control.grid
+        xs = grid.x_nodes()
+        horizon = grid.T
+
+        def eval_a(t, x):
+            mf = t / grid.k
+            m = min(int(mf), grid.M - 1)
+            wt = mf - m
+            rows = control.a_star
+            row = rows[m] if wt == 0.0 else (1.0 - wt) * rows[m] + wt * rows[m + 1]
+            return np.interp(x, xs, row)
+    elif isinstance(control, me.VolatilityModel):
+        horizon = control.T
+
+        def eval_a(t, x):
+            return me.benchmark_variance(t, x, control.T)
+    else:
+        horizon = T
+
+        def eval_a(t, x):
+            return np.full(x.shape, float(control))
+    horizon = horizon if T is None else T
+    dt, n, block = cfg.dt, cfg.n_paths, 128
+    n_steps = int(round(horizon / dt))
+    terminal, side = np.empty(n), np.zeros(n, dtype=np.int8)
+    exit_time, reward, qv = np.full(n, horizon), np.zeros(n), np.zeros(n)
+    gens = [np.random.Generator(np.random.Philox(
+        key=np.array([cfg.base_seed, path], dtype=np.uint64))) for path in range(n)]
+    ids, x, r, q = np.arange(n), np.full(n, cfg.x0), np.zeros(n), np.zeros(n)
+    for start in range(0, n_steps, block):
+        if ids.size == 0:
+            break
+        width = min(block, n_steps - start)
+        noise = np.array([gens[i].standard_normal(width) for i in ids]).T
+        cols = None
+        for j in range(start, start + width):
+            a = eval_a(j * dt, x)
+            a_dt = a * dt
+            step_sd = np.sqrt(a_dt)
+            xi = noise[j - start] if cols is None else noise[j - start, cols]
+            x_new = x + step_sd * xi
+            shift = BARRIER_CORRECTION * step_sd if barrier_correction else 0.0
+            inside = (x_new > shift) & (x_new < 1.0 - shift)
+            r_new = r + 0.5 * (1.0 + np.log(a)) * dt
+            q_new = q + a_dt
+            if inside.all():
+                x, r, q = x_new, r_new, q_new
+                continue
+            out = ~inside
+            gone = ids[out]
+            left_exit = x_new[out] <= 0.5
+            side[gone] = np.where(left_exit, -1, 1)
+            terminal[gone] = np.where(left_exit, 0.0, 1.0)
+            exit_time[gone] = (j + 1) * dt
+            reward[gone] = (r_new if include_exit_step else r)[out]
+            qv[gone] = (q_new if include_exit_step else q)[out]
+            ids, x, r, q = ids[inside], x_new[inside], r_new[inside], q_new[inside]
+            cols = np.flatnonzero(inside) if cols is None else cols[inside]
+            if ids.size == 0:
+                break
+    terminal[ids], reward[ids], qv[ids] = x, r, q
+    return {"reward_samples": reward, "qv_samples": qv, "terminal_values": terminal,
+            "exit_time_samples": exit_time, "absorbed_side": side}
+
+
+@pytest.mark.parametrize("layout", [None, (128, 7, 3, 5)], ids=["default", "tiny"])
+def test_paths_match_reference_loop_bitwise(layout, monkeypatch):
+    if layout is not None:
+        # chunk, block, slab and tile edges all fall in the middle of the runs
+        for name, value in zip(("_CHUNK", "_BLOCK", "_SLAB", "_TILE"), layout):
+            monkeypatch.setattr(montecarlo, name, value)
+    ctrl, _ = small_control_field(50)  # k = 0.02
+    full = me.VolatilityModel.full_length(1.0)
+    cases = [
+        (ctrl, me.SimConfig(n_paths=300, dt=0.005, base_seed=11, x0=0.5), {}),  # dt < k
+        (ctrl, me.SimConfig(n_paths=300, dt=0.02, base_seed=9, x0=0.4), {"T": 0.5}),
+        (ctrl, me.SimConfig(n_paths=300, dt=0.01, base_seed=12, x0=0.6),
+         {"barrier_correction": False, "include_exit_step": False}),
+        (ctrl, me.SimConfig(n_paths=300, dt=0.01, base_seed=2**64 - 1, x0=0.6),
+         {"barrier_correction": True, "include_exit_step": False}),
+        (ctrl, me.SimConfig(n_paths=300, dt=0.01, base_seed=0, x0=0.3),
+         {"barrier_correction": False, "include_exit_step": True}),
+        (1.0, me.SimConfig(n_paths=500, dt=0.01, base_seed=3, x0=0.3), {"T": 1.0}),
+        (full, me.SimConfig(n_paths=200, dt=2.5e-3, base_seed=5, x0=0.5), {}),
+        (full, me.SimConfig(n_paths=150, dt=2.5e-3, base_seed=6, x0=0.2), {"T": 0.75}),
+    ]
+    for control, cfg, kwargs in cases:
+        stats = me.simulate_paths(control, cfg, **kwargs)
+        reference = reference_simulate_paths(control, cfg, **kwargs)
+        for name in PATH_ARRAYS:
+            assert getattr(stats, name).tobytes() == reference[name].tobytes(), (name, cfg)
 
 
 def test_different_seeds_differ():
@@ -214,6 +325,12 @@ def test_sim_config_validation():
     for huge in (2**63 - 1, 10**30):
         with pytest.raises(ValidationError, match="too large for one array"):
             me.SimConfig(n_paths=huge, dt=0.01, base_seed=1, x0=0.5)
+    # the seed is one 64-bit key word: a wider one would run as its low 64 bits
+    for seed in (-1, 2**64, 5 + 2**64, -(2**64)):
+        with pytest.raises(ValidationError, match="base_seed"):
+            me.SimConfig(n_paths=10, dt=0.01, base_seed=seed, x0=0.5)
+    for seed in (0, 2**64 - 1):
+        assert me.SimConfig(n_paths=10, dt=0.01, base_seed=seed, x0=0.5).base_seed == seed
 
 
 def test_simulation_step_constraints():
