@@ -151,11 +151,9 @@ def decay_rate_check(solver: Callable[[float], ValueSurface],
         if steps == 0:
             raise ValidationError(f"horizon {T!r} is shorter than one step (k={g.k})")
         dist = np.abs(surface.values[g.M - steps] - e_inf)
-        bound = decay_envelope(x, T) + slack
-        worst = float(np.max(dist - bound))
-        loc = (0, int(np.argmax(dist - bound)))
-        results.append(CheckResult(name=f"decay_bound_T={T:g}", passed=worst <= 0.0,
-                                   worst=worst, tolerance=0.0, location=loc))
+        excess = dist - (decay_envelope(x, T) + slack)
+        # one row at t = 0, so the location is [0, j]
+        results.append(_result(f"decay_bound_T={T:g}", excess[np.newaxis], 0.0))
         distances.append(float(np.max(dist)))
     drift = max((b - a for a, b in zip(distances, distances[1:])), default=0.0)
     results.append(CheckResult(name="decay_distance_monotone", passed=drift <= 1e-12,

@@ -81,8 +81,8 @@ class DensitySurface:
         ledger = interior + left + right
         if np.max(np.abs(ledger - 1.0)) > 1e-6:
             m = int(np.argmax(np.abs(ledger - 1.0)))
-            raise ValidationError(
-                f"mass ledger violated at time level {m}: interior+absorbed = {ledger[m]!r}")
+            raise ValidationError(f"mass ledger violated at time level {m}: "
+                                  f"interior+absorbed = {float(ledger[m])!r}")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "absorbed_mass_left", left)
         object.__setattr__(self, "absorbed_mass_right", right)
@@ -150,7 +150,9 @@ def solve_forward_density(model: VolatilityModel, grid: Grid, x0: float) -> Dens
     q[0, j0] = 1.0 / h
     left = np.zeros(M + 1)
     right = np.zeros(M + 1)
-    # the system is symmetric: one buffer -b s[1:N] holds both off-diagonals
+    # the step I - (k/2) A diag(s) is scaled by columns (the transpose of the
+    # HJB step's row-scaled I - (k/2) diag(a) A), so each off-diagonal entry
+    # is -b times its column's s: one buffer -b s[1:N] holds both off-diagonals
     diag, off = np.empty((2, N - 1))
     sub, sup = off[:-1], off[1:]
 
@@ -181,10 +183,7 @@ def solve_forward_density(model: VolatilityModel, grid: Grid, x0: float) -> Dens
                     "discretisation lost monotonicity")
             np.clip(interior, 0.0, None, out=interior)
         q[m + 1, 1:N] = interior
-        if reflecting:
-            left[m + 1] = left[m]
-            right[m + 1] = right[m]
-        else:
+        if not reflecting:  # the reflecting ledger stays at its zeros
             left[m + 1] = left[m] + bh * s[1] * interior[0]
             right[m + 1] = right[m] + bh * s[N - 1] * interior[-1]
 

@@ -146,7 +146,7 @@ class PField:
             raise ValidationError("p field must be strictly positive")
         if np.any(arr > 1.0 + P_CEILING_TOL):
             raise ValidationError("p field exceeds 1 beyond solver tolerance")
-        if g.M >= 1 and (np.any(arr[1:, 0] != 1.0) or np.any(arr[1:, -1] != 1.0)):
+        if np.any(arr[1:, 0] != 1.0) or np.any(arr[1:, -1] != 1.0):
             raise ValidationError("p field boundary values must equal 1 for m >= 1")
         object.__setattr__(self, "values", arr)
 
@@ -178,11 +178,7 @@ def field_to_csv(grid: Grid, values: np.ndarray, path, value_label: str, meta: d
             t_text = f"{t:.17g}"
             yield (t_text + t_text.join(x_cells)) % tuple(row.tolist())
 
-    if hasattr(path, "write"):
-        path.writelines(chunks())
-    else:
-        with open(path, "w") as fh:
-            fh.writelines(chunks())
+    _write_chunks(path, chunks())
 
 
 def field_from_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -254,6 +250,11 @@ def dump_json(payload: dict, path, values=None) -> None:
         text = json.dumps({**payload, "values": None}, indent=2, sort_keys=True)
         head, _, tail = text.partition(key + "null")
         chunks = itertools.chain((head, key), _json_rows(values), (tail,))
+    _write_chunks(path, chunks)
+
+
+def _write_chunks(path, chunks) -> None:
+    """Write text chunks to a file object, or to a new file at `path`."""
     if hasattr(path, "write"):
         path.writelines(chunks)
     else:

@@ -93,7 +93,16 @@ def hamiltonian_capped(q, cap_d: float) -> tuple[np.ndarray, np.ndarray]:
     """
     q = np.asarray(q, dtype=float)
     a = capped_control(q, cap_d)
-    return -a * q - np.log(a) - 1.0, a
+    return _hamiltonian_values(q, a, np.log(a), np.empty_like(q))[()], a
+
+
+def _hamiltonian_values(q, a, log_a, out: np.ndarray) -> np.ndarray:
+    """-a*q - log_a - 1.0 written into `out`, in that order of operations."""
+    np.negative(a, out=out)
+    out *= q
+    out -= log_a
+    out -= 1.0
+    return out
 
 
 def _explicit_sweep(values: np.ndarray, grid: Grid, cap_d: float) -> np.ndarray:
@@ -130,13 +139,8 @@ def _implicit_sweep(values: np.ndarray, grid: Grid, cap_d: float) -> np.ndarray:
     c = k / (2.0 * h * h)
     two_c, half_k = 2.0 * c, 0.5 * k
     n = values.shape[1] - 2
-    q, a, log_a, diag, off, rhs, resid, scale, work = np.empty((9, n))
+    q, a, log_a, diag, off, rhs, change, resid, scale, work = np.empty((10, n))
     residual_work = (resid, scale, work, np.empty(n + 2))
-    # the iterate change is taken over whole rows: the first iterate also
-    # moves the last row's lateral entries (0 in every row the sweep writes)
-    change = np.zeros(n + 2)
-    change[0], change[-1] = values[-1, 0], values[-1, -1]
-    change_int = change[1:-1]
     iters = np.zeros(len(values) - 1, dtype=int)
     capped_control(second_difference_interior(values[-1], h, out=q), cap_d, out=a)
     np.log(a, out=log_a)
@@ -151,9 +155,8 @@ def _implicit_sweep(values: np.ndarray, grid: Grid, cap_d: float) -> np.ndarray:
             rhs *= half_k
             rhs += v_int
             x = solve_tridiagonal(off[1:], diag, off[:-1], rhs)
-            np.subtract(x, previous, out=change_int)
+            np.subtract(x, previous, out=change)
             delta = float(np.abs(change, out=change).max())
-            change[0] = change[-1] = 0.0
             u_int[...] = x
             previous = u_int
             capped_control(second_difference_interior(u, h, out=q), cap_d, out=a)
@@ -177,10 +180,7 @@ def _scaled_residual(u, v_int, q, a, log_a, c, half_k, work_arrays) -> float:
     |u[1:-1] + half_k*hvals - v_int| / (1.0 + c*a*(|u[2:]| + 2.0*|u[1:-1]|
     + |u[:-2]|) + half_k*|log_a + 1.0| + |v_int|)."""
     resid, scale, work, abs_u = work_arrays
-    np.negative(a, out=resid)
-    resid *= q
-    resid -= log_a
-    resid -= 1.0
+    _hamiltonian_values(q, a, log_a, out=resid)
     resid *= half_k
     resid += u[1:-1]
     resid -= v_int

@@ -207,6 +207,8 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None, *,
     if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-9:
         raise ValidationError(f"dt={cfg.dt!r} must divide the horizon {horizon!r} evenly")
     dt = cfg.dt
+    # the naive rule's barriers are the boundaries: sd * 0.0 is +0.0 and 1.0 - 0.0 is 1.0
+    overshoot = BARRIER_CORRECTION if barrier_correction else 0.0
     # every path's first reward is log of it
     a_start = float(eval_a(0.0, np.array([cfg.x0]), np.empty(1))[0])
     if not a_start > 0.0:
@@ -276,13 +278,9 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None, *,
                     np.multiply(a, dt, out=a_dt)
                     np.sqrt(a_dt, out=sd)                       # step_sd = sqrt(a * dt)
                     x += np.multiply(sd, xi, out=w)             # x + step_sd * xi
-                    if barrier_correction:                      # shift < x < 1 - shift
-                        shift = np.multiply(sd, BARRIER_CORRECTION, out=w)
-                        np.greater(x, shift, out=inside)
-                        np.less(x, np.subtract(1.0, shift, out=w), out=flag)
-                    else:
-                        np.greater(x, 0.0, out=inside)
-                        np.less(x, 1.0, out=flag)
+                    shift = np.multiply(sd, overshoot, out=w)   # shift < x < 1 - shift
+                    np.greater(x, shift, out=inside)
+                    np.less(x, np.subtract(1.0, shift, out=w), out=flag)
                     inside &= flag
                     np.log(a, out=a)                            # 0.5 * (1 + log a) * dt
                     a += 1.0

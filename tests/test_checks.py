@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import matchentropy as me
+from matchentropy.checks import decay_envelope
 from matchentropy.errors import ValidationError
 
 
@@ -56,10 +57,10 @@ def test_decay_envelope_arithmetic():
     # rate constant (alpha-1)/(pi alpha^2) at alpha=2 is 1/(4 pi)
     rate = 1.0 / (4.0 * math.pi)
     assert rate == pytest.approx(0.07957747, abs=1e-8)
-    val = me.decay_envelope(0.5, 20.0)
+    val = decay_envelope(0.5, 20.0)
     assert val == pytest.approx(0.25 * math.exp(-20.0 * rate), abs=1e-15)
     assert val == pytest.approx(0.0509, abs=2e-4)
-    edges = me.decay_envelope(np.array([0.0, 1.0]), 5.0)
+    edges = decay_envelope(np.array([0.0, 1.0]), 5.0)
     assert np.all(edges == 0.0)
 
 
@@ -100,7 +101,7 @@ def _separate_decay_report(solver, T_values):
         g = surface.grid
         x = g.x_nodes()
         dist = np.abs(surface.values[0] - me.stationary_entropy(x))
-        bound = me.decay_envelope(x, float(T)) + 10.0 * (g.k + g.h * g.h)
+        bound = decay_envelope(x, float(T)) + 10.0 * (g.k + g.h * g.h)
         worst = float(np.max(dist - bound))
         results.append(me.CheckResult(name=f"decay_bound_T={T:g}", passed=worst <= 0.0,
                                       worst=worst, tolerance=0.0,
@@ -141,3 +142,9 @@ def test_decay_check_rejects_horizons_off_the_step_grid():
     for bad in ((), (1.0, 0.0), (1.0, -2.0), (1.0, math.nan), (math.inf,)):
         with pytest.raises(ValidationError, match="positive and finite"):
             me.decay_rate_check(solver, bad)
+
+
+def test_decay_check_rejects_a_horizon_shorter_than_one_step():
+    solver = me.hjb_horizon_solver(N=20, k=0.05, cap_d=1e4)
+    with pytest.raises(ValidationError, match="shorter than one step"):
+        me.decay_rate_check(solver, (1e-10, 1.0))

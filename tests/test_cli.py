@@ -110,6 +110,8 @@ def test_run_config_keeps_its_solver_objects_out_of_its_fields(capsys):
     pytest.param(["solve"], b"scheme=magic", id="scheme-file"),
     pytest.param(["solve"], b"model=x", id="model-file"),
     pytest.param(["solve"], b"format=xml", id="format-file"),
+    pytest.param(["solve"], b"grid_n=abc", id="unparsable-file"),
+    pytest.param(["solve"], b"grid_n 8", id="no-equals-file"),
     # bytes no flag can carry
     pytest.param(["solve"], b"# caf\xe9 latin-1\ngrid_n=8", id="non-utf8-file"),
     pytest.param(["solve"], b"output_path=out\x00/x", id="nul-output-file"),
@@ -202,6 +204,16 @@ def test_memory_error_exits_four_with_one_line(tmp_path, monkeypatch, capsys):
     assert message.startswith("out of memory: Unable to allocate")
 
 
+def test_numerical_failure_exits_two_with_one_line(tmp_path, monkeypatch, capsys):
+    def diverged(grid, cfg):
+        raise me.ConvergenceError("policy iteration did not converge in 50 iterations")
+
+    monkeypatch.setattr(cli, "solve_hjb_with_iterations", diverged)
+    assert cli.main(["solve", *SMALL, "--output", str(tmp_path)]) == 2
+    (message,) = _message_lines(capsys.readouterr().err)
+    assert message == "numerical failure: policy iteration did not converge in 50 iterations"
+
+
 # Every value each field flag draws in the property test below: non-finite,
 # zero, negative, subnormal, huge, past int64, empty, non-numeric, fractional.
 EXTREME_VALUES = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e308", "-1e308",
@@ -216,7 +228,10 @@ PROPERTY_BASE = ["--grid-n", "8", "--grid-m", "8", "--n-paths", "16", "--dt", "0
 @given(command=st.sampled_from(cli.COMMANDS),
        flags=st.dictionaries(st.sampled_from(FIELD_FLAGS), st.sampled_from(EXTREME_VALUES),
                              min_size=1, max_size=3))
-# runs of more than 2**53 steps, which no derandomised draw makes, reach the step cap
+# extreme simulate inputs, which no derandomised draw makes; these only show that
+# they exit with a documented code (the horizon one may exit 0 with every path
+# absorbed), and test_simulations_the_simulator_cannot_run_exit_one_at_once pins
+# the step cap's exit 1
 @example(command="simulate", flags={"--horizon": str(10**30)})
 @example(command="simulate", flags={"--dt": "5e-324"})
 def test_extreme_field_values_exit_with_a_documented_code(command, flags, tmp_path,

@@ -7,6 +7,7 @@ from scipy.integrate import trapezoid
 
 import matchentropy as me
 from matchentropy import density
+from matchentropy.density import benchmark_variance
 from matchentropy.errors import NumericalError, ValidationError
 from matchentropy.hjb import ControlField
 from matchentropy.tridiag import solve_tridiagonal
@@ -27,27 +28,27 @@ def brownian_exit_survival(t, terms=60):
 
 
 def test_benchmark_volatility_values():
-    assert me.benchmark_variance(0.0, 0.5, 1.0) == pytest.approx(1.0 / math.pi ** 2, abs=1e-15)
-    assert me.benchmark_variance(0.3, 0.0, 1.0) == pytest.approx(0.0, abs=1e-16)
-    assert me.benchmark_variance(0.3, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert math.sqrt(me.benchmark_variance(0.75, 0.5, 1.0)) == pytest.approx(
+    assert benchmark_variance(0.0, 0.5, 1.0) == pytest.approx(1.0 / math.pi ** 2, abs=1e-15)
+    assert benchmark_variance(0.3, 0.0, 1.0) == pytest.approx(0.0, abs=1e-16)
+    assert benchmark_variance(0.3, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert math.sqrt(benchmark_variance(0.75, 0.5, 1.0)) == pytest.approx(
         1.0 / (math.pi * 0.5), abs=1e-12)
     xs = np.linspace(0.0, 1.0, 7)
-    row = me.benchmark_variance(0.2, xs, 1.0)
-    assert np.array_equal(row, [me.benchmark_variance(0.2, x, 1.0) for x in xs])
+    row = benchmark_variance(0.2, xs, 1.0)
+    assert np.array_equal(row, [benchmark_variance(0.2, x, 1.0) for x in xs])
 
 
 def test_benchmark_volatility_domain():
     with pytest.raises(ValidationError):
-        me.benchmark_variance(1.0, 0.5, 1.0)  # t == T
+        benchmark_variance(1.0, 0.5, 1.0)  # t == T
     with pytest.raises(ValidationError):
-        me.benchmark_variance(2.0, 0.5, 1.0)
+        benchmark_variance(2.0, 0.5, 1.0)
     with pytest.raises(ValidationError):
-        me.benchmark_variance(0.5, -0.1, 1.0)
+        benchmark_variance(0.5, -0.1, 1.0)
     with pytest.raises(ValidationError):
-        me.benchmark_variance(0.5, np.array([0.5, 1.5]), 1.0)
+        benchmark_variance(0.5, np.array([0.5, 1.5]), 1.0)
     with pytest.raises(ValidationError):
-        me.benchmark_variance(float("nan"), 0.5, 1.0)
+        benchmark_variance(float("nan"), 0.5, 1.0)
 
 
 def test_benchmark_entropy_values():
@@ -65,6 +66,12 @@ def test_benchmark_entropy_explodes_at_walls():
         me.benchmark_entropy(0.5, 1.0, 1.0)
     with pytest.raises(ValidationError):
         me.benchmark_entropy(1.5, 0.5, 1.0)
+
+
+def test_benchmark_entropy_time_bounds_are_exact():
+    assert me.benchmark_entropy(0.0, 0.5, 1.0) == 0.5 - math.log(math.pi)
+    with pytest.raises(ValidationError, match="t must lie in"):
+        me.benchmark_entropy(-1e-300, 0.5, 1.0)
 
 
 def test_density_step_matches_dense_solve():
@@ -223,7 +230,7 @@ def reference_forward_density(model, grid, x0):
     right = np.zeros(M + 1)
     for m in range(M):
         if reflecting:
-            s = me.benchmark_variance(min(m + 1, M - 1) * k, grid.x_nodes(), model.T)
+            s = benchmark_variance(min(m + 1, M - 1) * k, grid.x_nodes(), model.T)
         else:
             s = model.control.a_star[m + 1]
         diag = 1.0 + 2.0 * b * s[1:N]
@@ -322,3 +329,25 @@ def test_density_input_validation():
         broken[-1] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
             dataclasses.replace(good, **{field: broken})
+
+
+def test_full_length_model_rejects_a_zero_horizon():
+    with pytest.raises(ValidationError, match="positive and finite"):
+        me.VolatilityModel.full_length(0.0)
+
+
+def test_density_surface_rejects_negative_entries_and_a_broken_ledger():
+    g = me.make_grid(4, 5, 1.0)
+    zeros = np.zeros(g.M + 1)
+    values = np.ones((g.M + 1, g.N + 1))  # unit mass on every row
+    me.DensitySurface(grid=g, values=values, absorbed_mass_left=zeros, absorbed_mass_right=zeros)
+    negative = values.copy()
+    negative[2, 2] = -1e-6
+    with pytest.raises(ValidationError, match="negative entries"):
+        me.DensitySurface(grid=g, values=negative, absorbed_mass_left=zeros,
+                          absorbed_mass_right=zeros)
+    heavy = values.copy()
+    heavy[4] *= 1.5
+    with pytest.raises(ValidationError, match=r"time level 4: interior\+absorbed = 1\.5$"):
+        me.DensitySurface(grid=g, values=heavy, absorbed_mass_left=zeros,
+                          absorbed_mass_right=zeros)

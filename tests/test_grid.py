@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 import matchentropy as me
 from matchentropy.errors import ValidationError
-from matchentropy.grid import dump_json, second_difference_interior
+from matchentropy.grid import MAX_ARRAY_ENTRIES, dump_json, second_difference_interior
 
 
 def test_make_grid_examples():
@@ -36,6 +36,13 @@ def test_make_grid_rejects_bad_inputs_naming_the_field():
     for N, M, T in ((8, 8, 5e-324), (8, 1, 5e-324), (8, 2, 4e-308), (8, 8, 1e308)):
         with pytest.raises(ValidationError, match="underflows, or k/h\\^2 overflows"):
             me.make_grid(N, M, T)
+
+
+def test_make_grid_size_bound_is_exact():
+    # (N+1)(M+1) may reach MAX_ARRAY_ENTRIES and no further; no array is made
+    me.make_grid(2, MAX_ARRAY_ENTRIES // 3 - 1, 1.0)
+    with pytest.raises(ValidationError, match="too large for one array"):
+        me.make_grid(2, MAX_ARRAY_ENTRIES // 3, 1.0)
 
 
 @given(N=st.integers(2, 5000), M=st.integers(1, 5000),
@@ -120,6 +127,12 @@ def test_value_surface_rejects_non_finite():
         me.ValueSurface(grid=g, values=vals)
 
 
+def test_value_surface_rejects_a_wrong_shape():
+    g = me.make_grid(10, 10, 1.0)
+    with pytest.raises(ValidationError, match=r"shape \(10, 11\), expected \(11, 11\)"):
+        me.ValueSurface(grid=g, values=np.zeros((10, 11)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_control_field_rejects_non_finite_entries(bad):
     # `a < 1/e` is False at NaN and inf, so only the finiteness gate catches them
@@ -128,6 +141,12 @@ def test_control_field_rejects_non_finite_entries(bad):
     a[4, 5] = bad
     with pytest.raises(ValidationError, match="non-finite"):
         me.ControlField(grid=g, a_star=a)
+
+
+def test_control_field_rejects_a_below_the_floor():
+    g = me.make_grid(10, 10, 1.0)
+    with pytest.raises(ValidationError, match="control floor"):
+        me.ControlField(grid=g, a_star=np.full((11, 11), 0.3))
 
 
 def test_value_surface_is_immutable():
@@ -160,6 +179,14 @@ def test_pfield_invariants():
         me.PField(grid=g, values=np.zeros((3, 5)))
     with pytest.raises(ValidationError):
         me.PField(grid=g, values=2.0 * good)
+
+
+def test_pfield_checks_the_boundary_of_a_one_step_grid():
+    g = me.make_grid(4, 1, 1.0)
+    values = np.ones((2, 5))
+    values[1, -1] = 0.9
+    with pytest.raises(ValidationError, match="boundary"):
+        me.PField(grid=g, values=values)
 
 
 def _tiny_surface():

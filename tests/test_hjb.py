@@ -12,7 +12,7 @@ from matchentropy.errors import CflError, ConvergenceError, ValidationError
 from matchentropy.grid import second_difference_interior
 from matchentropy.tridiag import solve_tridiagonal
 
-FLOOR = me.CONTROL_FLOOR
+FLOOR = hjb.CONTROL_FLOOR
 
 
 def brute_force_hamiltonian(q, cap_d, n_pts=1_000_000):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 
 import matchentropy as me
 from matchentropy import montecarlo
+from matchentropy.density import benchmark_variance
 from matchentropy.errors import ValidationError
 from matchentropy.montecarlo import BARRIER_CORRECTION, _BLOCK, _CHUNK, _control_evaluator
 
@@ -134,7 +136,7 @@ def test_full_length_evaluator_equals_benchmark_variance_bitwise():
         _, eval_a = _control_evaluator(me.VolatilityModel.full_length(T), None, x.size)
         for t in (0.0, 0.1 * T, 0.5 * T, np.nextafter(T, 0.0)):
             got = eval_a(t, x, np.empty(x.size))
-            assert got.tobytes() == me.benchmark_variance(t, x, T).tobytes()
+            assert got.tobytes() == benchmark_variance(t, x, T).tobytes()
 
 
 def reference_simulate_paths(control, cfg, T=None, barrier_correction=True,
@@ -158,7 +160,7 @@ def reference_simulate_paths(control, cfg, T=None, barrier_correction=True,
         horizon = control.T
 
         def eval_a(t, x):
-            return me.benchmark_variance(t, x, control.T)
+            return benchmark_variance(t, x, control.T)
     else:
         horizon = T
 
@@ -276,6 +278,24 @@ def test_full_length_quadratic_variation_identity():
     assert stats.fraction_absorbed_by[0.5] == 0.0
 
 
+def test_quadratic_variation_check_fails_on_a_built_bias():
+    # qv_samples set to X_stop^2 - x0^2 make the gap exactly 0, so no seed
+    # decides the verdicts; the SE is computed here, not taken from the check
+    ctrl, _ = small_control_field(50)
+    cfg = me.SimConfig(n_paths=500, dt=0.02, base_seed=5, x0=0.5)
+    stats = me.simulate_paths(ctrl, cfg)
+    x2 = stats.terminal_values ** 2 - cfg.x0 ** 2
+    se_x2 = float(np.std(x2, ddof=1)) / math.sqrt(x2.size)
+    se = math.hypot(se_x2, se_x2)
+    exact = me.quadratic_variation_check(dataclasses.replace(stats, qv_samples=x2), cfg)
+    assert exact.terminal_gap == 0.0 and exact.passed
+    assert exact.se_combined == pytest.approx(se, rel=1e-12)
+    biased = me.quadratic_variation_check(
+        dataclasses.replace(stats, qv_samples=x2 + 10.0 * se), cfg)
+    assert biased.terminal_gap == pytest.approx(10.0 * se, rel=1e-9)
+    assert not biased.passed
+
+
 def test_absorbed_fractions_are_monotone_in_probe_time():
     ctrl, _ = small_control_field(100)
     cfg = me.SimConfig(n_paths=3000, dt=0.01, base_seed=31, x0=0.5)
@@ -363,6 +383,14 @@ def test_early_termination_model_runs_as_its_field():
     via_field, via_model = me.simulate_paths(ctrl, cfg), me.simulate_paths(model, cfg)
     for name in PATH_ARRAYS:
         assert getattr(via_model, name).tobytes() == getattr(via_field, name).tobytes()
+
+
+def test_horizon_equal_to_the_control_horizon_runs_the_default():
+    ctrl, _ = small_control_field(20)
+    cfg = me.SimConfig(n_paths=200, dt=0.05, base_seed=4, x0=0.5)
+    explicit, default = me.simulate_paths(ctrl, cfg, T=ctrl.grid.T), me.simulate_paths(ctrl, cfg)
+    for name in PATH_ARRAYS:
+        assert getattr(explicit, name).tobytes() == getattr(default, name).tobytes()
 
 
 def test_asymmetric_start_martingale_and_value():

@@ -1,8 +1,13 @@
+import inspect
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from matchentropy import hjb
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -16,3 +21,20 @@ def test_study_scripts_run(script, args, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(path), *args])
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_line_trace_lists_only_lines_no_test_ran():
+    # tests/test_tridiag.py runs every line of tridiag.py and none of the HJB sweep
+    root = SCRIPTS.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(SCRIPTS)])}
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "line_trace",
+                          "-p", "no:cacheprovider", "tests/test_tridiag.py"],
+                         cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "subprocess are not traced" in run.stdout
+    listed = [line.split(":")[:2] for line in run.stdout.splitlines()
+              if line.startswith(os.path.join("src", "matchentropy", ""))]
+    assert not [line for name, line in listed if name.endswith("tridiag.py")]
+    body, first = inspect.getsourcelines(hjb._implicit_sweep)
+    sweep = range(first + 1, first + len(body))
+    assert [line for name, line in listed if name.endswith("hjb.py") and int(line) in sweep]
