@@ -14,8 +14,7 @@ from .checks import (CheckReport, CheckResult, check_solution_properties, cross_
                      decay_rate_check, hjb_horizon_solver, merge_reports)
 from .density import (DensitySurface, VolatilityModel, benchmark_entropy,
                       solve_forward_density, survival_probability, terminal_atoms)
-from .errors import (CflError, ConvergenceError, MatchEntropyError, NumericalError,
-                     ValidationError)
+from .errors import ConvergenceError, MatchEntropyError, NumericalError, ValidationError
 from .grid import (Grid, PField, ValueSurface, field_from_csv, field_to_csv,
                    make_grid, stationary_entropy)
 from .hjb import (ControlField, SchemeConfig, hamiltonian_capped, optimal_control_field,
@@ -25,8 +24,7 @@ from .montecarlo import PathStats, SimConfig, quadratic_variation_check, simulat
 
 __all__ = [
     "__version__",
-    "CflError", "ConvergenceError", "MatchEntropyError", "NumericalError",
-    "ValidationError",
+    "ConvergenceError", "MatchEntropyError", "NumericalError", "ValidationError",
     "Grid", "PField", "ValueSurface", "make_grid", "stationary_entropy",
     "field_to_csv", "field_from_csv",
     "SchemeConfig", "ControlField", "hamiltonian_capped", "solve_hjb",

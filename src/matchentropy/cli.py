@@ -10,6 +10,7 @@ fully resolved configuration, so identical configs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import dataclass
@@ -21,8 +22,8 @@ from .checks import (CheckReport, CheckResult, check_solution_properties, cross_
                      decay_rate_check, hjb_horizon_solver, merge_reports)
 from .density import (EARLY_TERMINATION, FULL_LENGTH, VolatilityModel,
                       solve_forward_density, survival_probability, terminal_atoms)
-from .errors import MatchEntropyError, NumericalError, ValidationError
-from .grid import dump_json, field_to_csv, make_grid, second_difference_interior
+from .errors import NumericalError, ValidationError
+from .grid import Grid, dump_json, field_to_csv, make_grid, second_difference_interior
 from .hjb import (SchemeConfig, optimal_control_field, solve_hjb,
                   solve_hjb_with_iterations)
 from .logdiff import LadderConfig, entropy_from_p, solve_log_diffusion
@@ -222,18 +223,22 @@ def _volatility_model(config: RunConfig) -> VolatilityModel:
         optimal_control_field(surface, config.scheme_config))
 
 
-def _density_summary(grid, density) -> dict:
-    times = grid.t_nodes()
-    probes = {}
+def _probe_levels(grid: Grid) -> list[tuple[float, int]]:
+    """(fraction, time level) of each of PROBE_FRACTIONS whose time fraction*T
+    is a time level of `grid`; a probe between two levels is left out."""
+    levels = []
     for frac in PROBE_FRACTIONS:
-        t = frac * grid.T
-        try:
-            probes[f"{frac:g}"] = float(survival_probability(density, t))
-        except ValidationError:
-            continue
+        with contextlib.suppress(ValidationError):
+            levels.append((frac, grid.time_index(frac * grid.T)))
+    return levels
+
+
+def _density_summary(grid, density) -> dict:
+    probes = {f"{frac:g}": float(survival_probability(density, frac * grid.T))
+              for frac, _ in _probe_levels(grid)}
     atoms = terminal_atoms(density)
     return {
-        "times": [float(t) for t in times],
+        "times": [float(t) for t in grid.t_nodes()],
         "interior_mass": density.interior_mass.tolist(),
         "absorbed_left": [float(v) for v in density.absorbed_mass_left],
         "absorbed_right": [float(v) for v in density.absorbed_mass_right],
@@ -304,8 +309,9 @@ def _cmd_reproduce_figures(config: RunConfig) -> int:
     control = optimal_control_field(surface, cfg)
     meta = _meta(config)
 
-    probe_ts = [frac * grid.T for frac in PROBE_FRACTIONS]
-    probe_ms = [grid.time_index(t) for t in probe_ts]
+    probes = _probe_levels(grid)
+    probe_ts = [frac * grid.T for frac, _ in probes]
+    probe_ms = [m for _, m in probes]
 
     percentages = {}
     for model in (VolatilityModel.early_termination(control), VolatilityModel.full_length(grid.T)):
@@ -332,7 +338,8 @@ def _cmd_reproduce_figures(config: RunConfig) -> int:
     ):
         field_to_csv(grid, rows, _outpath(config, fname), label, meta, times=probe_ts)
 
-    print(f"figure data written to {config.output_path}")
+    named = ", ".join(f"{t:g}" for t in probe_ts)
+    print(f"figure data written to {config.output_path} at t = {named}")
     return 0
 
 
@@ -369,9 +376,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"out of memory: {exc}", file=sys.stderr)
         return 4
-    except MatchEntropyError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -90,21 +90,9 @@ class DensitySurface:
         object.__setattr__(self, "interior_mass", interior)
 
 
-def benchmark_variance(t: float, x, T: float) -> np.ndarray:
-    """Squared full-length benchmark volatility sin(pi x)^2 / (pi^2 (T - t)).
-
-    Elementwise over x in [0, 1]; needs 0 <= t < T.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x <= 1.0)):
-        raise ValidationError(f"x must lie in [0, 1], got {x!r}")
-    if not 0.0 <= t < T:
-        raise ValidationError(f"t must lie in [0, T), got t={t!r}, T={T!r}")
-    return _full_length_variance(t, x, T, np.empty_like(x))[()]
-
-
 def _full_length_variance(t: float, x: np.ndarray, T: float, out: np.ndarray) -> np.ndarray:
-    """benchmark_variance written into `out`, without its checks.
+    """Squared full-length benchmark volatility sin(pi x)^2 / (pi^2 (T - t)),
+    written into `out`; for x in [0, 1] and 0 <= t < T, which are not checked.
 
     The operations are those of np.sin(math.pi * x) ** 2 / (math.pi ** 2 * (T - t)),
     in that order, so the bits are the same.
@@ -157,7 +145,7 @@ def solve_forward_density(model: VolatilityModel, grid: Grid, x0: float) -> Dens
     sub, sup = off[:-1], off[1:]
 
     if reflecting:
-        # benchmark_variance's numerator; the row at t = T is capped at its
+        # _full_length_variance's numerator; the row at t = T is capped at its
         # value one step earlier (the closed form is singular there)
         sin_squared = np.sin(math.pi * grid.x_nodes()) ** 2
     for m in range(M):

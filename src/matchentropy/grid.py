@@ -79,8 +79,7 @@ def stationary_entropy(x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValidationError(f"x must lie in [0, 1], got {x!r}")
-    out = arr * (1.0 - arr) / 2.0
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return arr * (1.0 - arr) / 2.0
 
 
 def second_difference_interior(v: np.ndarray, h: float,
@@ -151,15 +150,15 @@ class PField:
         object.__setattr__(self, "values", arr)
 
 
-def field_to_csv(grid: Grid, values: np.ndarray, path, value_label: str, meta: dict | None,
+def field_to_csv(grid: Grid, values: np.ndarray, path, value_label: str, meta: dict,
                  times=None) -> None:
-    """Write field rows as CSV rows ordered by t then x.
+    """Write field rows to a new CSV file at `path`, ordered by t then x.
 
     `times` holds the printed t of each row of `values` and defaults to
     grid.t_nodes(), for a full (M+1)x(N+1) field.  Values are printed with 17
-    significant digits so a round trip is exact.  An optional metadata
-    mapping is emitted as leading '# key = value' lines.  The rows are
-    streamed one time row at a time, so memory does not grow with M.
+    significant digits so a round trip is exact.  The metadata mapping is
+    emitted as leading '# key = value' lines.  The rows are written one time
+    row at a time, so memory does not grow with M.
     """
     ts = grid.t_nodes() if times is None else times
     if len(ts) != len(values):
@@ -169,41 +168,29 @@ def field_to_csv(grid: Grid, values: np.ndarray, path, value_label: str, meta: d
                               f"expected ({grid.N + 1},) for N = {grid.N}")
     # ",x,%.17g\n" per node: joined with the row's t, one row is one % operation
     x_cells = [f",{x:.17g},%.17g\n" for x in grid.x_nodes()]
-    head = [f"# {key} = {val}\n" for key, val in (meta or {}).items()]
+    head = [f"# {key} = {val}\n" for key, val in meta.items()]
     head.append(f"t,x,{value_label}\n")
-
-    def chunks():
-        yield "".join(head)
+    with open(path, "w") as fh:
+        fh.write("".join(head))
         for t, row in zip(ts, values):
             t_text = f"{t:.17g}"
-            yield (t_text + t_text.join(x_cells)) % tuple(row.tolist())
-
-    _write_chunks(path, chunks())
+            fh.write((t_text + t_text.join(x_cells)) % tuple(row.tolist()))
 
 
 def field_from_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a field CSV back as (t values, x values, value matrix).
-
-    '#' and blank lines are skipped; the first other line is the t,x,<label>
-    header.  A file object passed in is left open.
-    """
-    if hasattr(path, "read"):
-        return _field_from_lines(path)
+    """Read a field CSV file back as (t values, x values, value matrix); '#' and
+    blank lines are skipped, and the first other line is the t,x,<label> header."""
     with open(path) as fh:
-        return _field_from_lines(fh)
-
-
-def _field_from_lines(fh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    for line in fh:
-        if line.strip() and not line.startswith("#"):
-            break  # the header; numpy parses the rest of the same stream
-    try:
-        with warnings.catch_warnings():
-            # an empty body warns; it is reported below as a ValidationError
-            warnings.simplefilter("ignore", UserWarning)
-            body = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
-    except ValueError as exc:
-        raise ValidationError(f"field CSV body is not rows of numbers: {exc}") from exc
+        for line in fh:
+            if line.strip() and not line.startswith("#"):
+                break  # the header; numpy parses the rest of the same stream
+        try:
+            with warnings.catch_warnings():
+                # an empty body warns; it is reported below as a ValidationError
+                warnings.simplefilter("ignore", UserWarning)
+                body = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(f"field CSV body is not rows of numbers: {exc}") from exc
     if body.shape[0] == 0 or body.shape[1] != 3:
         raise ValidationError(f"field CSV needs t,x,value rows, got a body of shape {body.shape}")
     ts = np.unique(body[:, 0])
@@ -229,7 +216,7 @@ def _json_rows(values: np.ndarray):
 
 
 def dump_json(payload: dict, path, values=None) -> None:
-    """Write payload as json.dumps(payload, indent=2, sort_keys=True) would.
+    """Write payload to the file `path` as json.dumps(payload, indent=2, sort_keys=True) would.
 
     `values`, if given, must be a non-empty 2-D array of finite floats, such
     as a field's values; it becomes the top-level "values" key, and its rows
@@ -250,13 +237,5 @@ def dump_json(payload: dict, path, values=None) -> None:
         text = json.dumps({**payload, "values": None}, indent=2, sort_keys=True)
         head, _, tail = text.partition(key + "null")
         chunks = itertools.chain((head, key), _json_rows(values), (tail,))
-    _write_chunks(path, chunks)
-
-
-def _write_chunks(path, chunks) -> None:
-    """Write text chunks to a file object, or to a new file at `path`."""
-    if hasattr(path, "write"):
-        path.writelines(chunks)
-    else:
-        with open(path, "w") as fh:
-            fh.writelines(chunks)
+    with open(path, "w") as fh:
+        fh.writelines(chunks)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CflError, ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError
 from .grid import (Grid, ValueSurface, _frozen_array, second_difference_interior,
                    stationary_entropy)
 from .tridiag import solve_tridiagonal
@@ -211,7 +211,8 @@ def solve_hjb_with_iterations(grid: Grid, cfg: SchemeConfig) -> tuple[ValueSurfa
         raise ValidationError(f"k*cap_d/h^2 overflows for k = {grid.k:.6g}, "
                               f"cap_d = {cfg.cap_d:.6g}, h = {grid.h:.6g}")
     if cfg.scheme == "explicit" and cfl > 1.0 + 1e-12:
-        raise CflError(
+        # an unstable explicit grid is an input error, raised before the first step
+        raise ValidationError(
             f"explicit scheme unstable: k*cap_d/h^2 = {grid.k:.6g}*{cfg.cap_d:.6g}"
             f"/{grid.h:.6g}^2 = {cfl:.6g} exceeds 1")
     values = np.zeros((grid.M + 1, grid.N + 1))

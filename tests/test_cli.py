@@ -444,6 +444,25 @@ def test_reproduce_figures_emits_plot_data(tmp_path, capsys):
     assert np.all(sigma[:, 0] == 1.0) and np.all(sigma[:, -1] == 1.0)
 
 
+def test_probes_off_the_time_levels_are_left_out_of_the_figures(tmp_path, capsys):
+    # at M = 50 the probe t = 0.99 lies between two time levels: density and
+    # reproduce-figures both write the other probes and exit 0
+    out = tmp_path / "figs"
+    assert cli.main(["reproduce-figures", "--grid-n", "20", "--grid-m", "50",
+                     "--output", str(out)]) == 0
+    assert "at t = 0.5, 0.9" in capsys.readouterr().out
+    for name in ("fig1_density_early_termination.csv", "fig1_density_full_length.csv",
+                 "fig3_second_derivative.csv", "fig3_volatility.csv"):
+        ts, _, _ = me.field_from_csv(out / name)
+        assert list(ts) == [0.5, 0.9], name
+    pct = json.loads((out / "fig1_percentages.json").read_text())["interior_mass"]
+    assert {kind: set(masses) for kind, masses in pct.items()} == {
+        "early_termination": {"0.5", "0.9"}, "full_length": {"0.5", "0.9"}}
+    assert cli.main(["density", "--grid-n", "20", "--grid-m", "50", "--output", str(out)]) == 0
+    summary = json.loads((out / "density_summary.json").read_text())
+    assert set(summary["interior_mass_at_probe_fractions"]) == {"0.5", "0.9"}
+
+
 # sha256 of every file each command writes at a small config.  M = 300 puts the
 # 0.99 probe row at a t that prints differently from t_nodes()[297], so the
 # figure CSVs pin the probe times they are written with.

@@ -7,7 +7,6 @@ from scipy.integrate import trapezoid
 
 import matchentropy as me
 from matchentropy import density
-from matchentropy.density import benchmark_variance
 from matchentropy.errors import NumericalError, ValidationError
 from matchentropy.hjb import ControlField
 from matchentropy.tridiag import solve_tridiagonal
@@ -27,28 +26,20 @@ def brownian_exit_survival(t, terms=60):
     return s
 
 
+def full_length_variance(t, x, T):
+    x = np.asarray(x, dtype=float)
+    return density._full_length_variance(t, x, T, np.empty_like(x))[()]
+
+
 def test_benchmark_volatility_values():
-    assert benchmark_variance(0.0, 0.5, 1.0) == pytest.approx(1.0 / math.pi ** 2, abs=1e-15)
-    assert benchmark_variance(0.3, 0.0, 1.0) == pytest.approx(0.0, abs=1e-16)
-    assert benchmark_variance(0.3, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert math.sqrt(benchmark_variance(0.75, 0.5, 1.0)) == pytest.approx(
+    assert full_length_variance(0.0, 0.5, 1.0) == pytest.approx(1.0 / math.pi ** 2, abs=1e-15)
+    assert full_length_variance(0.3, 0.0, 1.0) == pytest.approx(0.0, abs=1e-16)
+    assert full_length_variance(0.3, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert math.sqrt(full_length_variance(0.75, 0.5, 1.0)) == pytest.approx(
         1.0 / (math.pi * 0.5), abs=1e-12)
     xs = np.linspace(0.0, 1.0, 7)
-    row = benchmark_variance(0.2, xs, 1.0)
-    assert np.array_equal(row, [benchmark_variance(0.2, x, 1.0) for x in xs])
-
-
-def test_benchmark_volatility_domain():
-    with pytest.raises(ValidationError):
-        benchmark_variance(1.0, 0.5, 1.0)  # t == T
-    with pytest.raises(ValidationError):
-        benchmark_variance(2.0, 0.5, 1.0)
-    with pytest.raises(ValidationError):
-        benchmark_variance(0.5, -0.1, 1.0)
-    with pytest.raises(ValidationError):
-        benchmark_variance(0.5, np.array([0.5, 1.5]), 1.0)
-    with pytest.raises(ValidationError):
-        benchmark_variance(float("nan"), 0.5, 1.0)
+    row = full_length_variance(0.2, xs, 1.0)
+    assert np.array_equal(row, [full_length_variance(0.2, x, 1.0) for x in xs])
 
 
 def test_benchmark_entropy_values():
@@ -230,7 +221,8 @@ def reference_forward_density(model, grid, x0):
     right = np.zeros(M + 1)
     for m in range(M):
         if reflecting:
-            s = benchmark_variance(min(m + 1, M - 1) * k, grid.x_nodes(), model.T)
+            t = min(m + 1, M - 1) * k
+            s = np.sin(math.pi * grid.x_nodes()) ** 2 / (math.pi ** 2 * (model.T - t))
         else:
             s = model.control.a_star[m + 1]
         diag = 1.0 + 2.0 * b * s[1:N]

@@ -1,6 +1,6 @@
-import io
 import json
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -198,23 +198,23 @@ def _tiny_surface():
     return me.ValueSurface(grid=g, values=vals)
 
 
-def test_csv_round_trip_is_exact():
+def test_csv_round_trip_is_exact(tmp_path):
     s = _tiny_surface()
-    buf = io.StringIO()
-    me.field_to_csv(s.grid, s.values, buf, "value", {"run": "demo"})
-    text = buf.getvalue()
+    path = tmp_path / "field.csv"
+    me.field_to_csv(s.grid, s.values, path, "value", {"run": "demo"})
+    text = path.read_text()
     assert text.startswith("# run = demo\nt,x,value\n")
-    ts, xs, vals = me.field_from_csv(io.StringIO(text))
+    ts, xs, vals = me.field_from_csv(path)
     assert np.array_equal(ts, s.grid.t_nodes())
     assert np.array_equal(xs, s.grid.x_nodes())
     assert np.array_equal(vals, s.values)
 
 
-def test_csv_rows_ordered_t_then_x():
+def test_csv_rows_ordered_t_then_x(tmp_path):
     s = _tiny_surface()
-    buf = io.StringIO()
-    me.field_to_csv(s.grid, s.values, buf, "value", None)
-    rows = buf.getvalue().splitlines()[1:]
+    path = tmp_path / "field.csv"
+    me.field_to_csv(s.grid, s.values, path, "value", {})
+    rows = path.read_text().splitlines()[1:]
     t_col = [float(r.split(",")[0]) for r in rows]
     x_col = [float(r.split(",")[1]) for r in rows]
     assert t_col == sorted(t_col)
@@ -223,16 +223,16 @@ def test_csv_rows_ordered_t_then_x():
 
 def test_csv_selected_rows_print_the_given_times(tmp_path):
     s = _tiny_surface()
-    buf = io.StringIO()
-    me.field_to_csv(s.grid, s.values[[0, 2]], buf, "value", None, times=[0.0, 0.99])
-    ts, xs, vals = me.field_from_csv(io.StringIO(buf.getvalue()))
+    written = tmp_path / "probes.csv"
+    me.field_to_csv(s.grid, s.values[[0, 2]], written, "value", {}, times=[0.0, 0.99])
+    ts, xs, vals = me.field_from_csv(written)
     assert list(ts) == [0.0, 0.99]
     assert np.array_equal(vals, s.values[[0, 2]])
     path = tmp_path / "rejected.csv"
     with pytest.raises(ValidationError, match="row times"):
-        me.field_to_csv(s.grid, s.values, str(path), "value", None, times=[0.0, 0.5])
+        me.field_to_csv(s.grid, s.values, str(path), "value", {}, times=[0.0, 0.5])
     with pytest.raises(ValidationError, match="shape"):
-        me.field_to_csv(s.grid, s.values[:, :-1], str(path), "value", None)
+        me.field_to_csv(s.grid, s.values[:, :-1], str(path), "value", {})
     assert not path.exists()
 
 
@@ -269,33 +269,27 @@ def test_csv_writer_matches_pointwise_reference(probe, tmp_path):
     values = _special_field(grid, len(times))
     meta = {"run": "demo", "T": 1.0}
     expected = _pointwise_csv(grid, values, "q", meta, times)
-    buf = io.StringIO()
-    me.field_to_csv(grid, values, buf, "q", meta, times=probe_times)
-    assert buf.getvalue() == expected
     path = tmp_path / "field.csv"
     me.field_to_csv(grid, values, str(path), "q", meta, times=probe_times)
     assert path.read_bytes() == expected.encode()
 
 
-def test_csv_reader_returns_every_value_bit_for_bit():
+def test_csv_reader_returns_every_value_bit_for_bit(tmp_path):
     grid = me.make_grid(9, 3, 2.0)
     values = _special_field(grid, grid.M + 1)
-    buf = io.StringIO()
-    me.field_to_csv(grid, values, buf, "q", {"k": "v"})
-    buf.seek(0)
-    ts, xs, back = me.field_from_csv(buf)
-    assert not buf.closed
+    path = tmp_path / "field.csv"
+    me.field_to_csv(grid, values, path, "q", {"k": "v"})
+    ts, xs, back = me.field_from_csv(path)
     assert np.array_equal(ts, grid.t_nodes()) and np.array_equal(xs, grid.x_nodes())
     assert back.tobytes() == values.tobytes()
 
 
-def test_csv_reader_skips_interleaved_comments_and_blank_lines():
-    text = ("# run = demo\n\n# second = line\nt,x,q\n"
-            "0,0,1.5\n# inside the body\n0,1,-0\n\n"
-            "1,0,nan\n\n# trailing\n1,1,-inf\n")
-    buf = io.StringIO(text)
-    ts, xs, vals = me.field_from_csv(buf)
-    assert not buf.closed
+def test_csv_reader_skips_interleaved_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "field.csv"
+    path.write_text("# run = demo\n\n# second = line\nt,x,q\n"
+                    "0,0,1.5\n# inside the body\n0,1,-0\n\n"
+                    "1,0,nan\n\n# trailing\n1,1,-inf\n")
+    ts, xs, vals = me.field_from_csv(path)
     assert list(ts) == [0.0, 1.0] and list(xs) == [0.0, 1.0]
     assert vals[0, 0] == 1.5 and vals[0, 1] == 0.0 and math.copysign(1.0, vals[0, 1]) == -1.0
     assert math.isnan(vals[1, 0]) and vals[1, 1] == -math.inf
@@ -310,16 +304,13 @@ def test_csv_reader_skips_interleaved_comments_and_blank_lines():
     ("t,x,q\n0,0,1\n0,1\n", "not rows of numbers"),
     ("t,x\n0,0\n0,1\n", "needs t,x,value rows"),
 ], ids=["header_only", "comments_only", "missing_row", "unordered", "short_row", "two_columns"])
-def test_csv_reader_rejects_malformed_bodies(text, match):
+def test_csv_reader_rejects_malformed_bodies(text, match, tmp_path):
+    path = tmp_path / "field.csv"
+    path.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning may leak out
         with pytest.raises(ValidationError, match=match):
-            me.field_from_csv(io.StringIO(text))
-
-
-class _Discard(io.TextIOBase):
-    def write(self, text):
-        return len(text)
+            me.field_from_csv(path)
 
 
 def test_csv_writer_memory_does_not_grow_with_steps():
@@ -329,7 +320,7 @@ def test_csv_writer_memory_does_not_grow_with_steps():
         times = grid.t_nodes()  # the default t column, 8 bytes a row, built untraced
         tracemalloc.start()
         try:
-            me.field_to_csv(grid, values, _Discard(), "q", {"k": "v"}, times=times)
+            me.field_to_csv(grid, values, os.devnull, "q", {"k": "v"}, times=times)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -338,11 +329,11 @@ def test_csv_writer_memory_does_not_grow_with_steps():
     assert peak_bytes(1024) <= 1.25 * base
 
 
-def test_json_envelope_round_trip():
+def test_json_envelope_round_trip(tmp_path):
     s = _tiny_surface()
-    sink = io.StringIO()
-    dump_json({"grid": {"N": 4, "M": 2, "T": 1.0}}, sink, values=s.values)
-    env = json.loads(sink.getvalue())
+    path = tmp_path / "f.json"
+    dump_json({"grid": {"N": 4, "M": 2, "T": 1.0}}, path, values=s.values)
+    env = json.loads(path.read_text())
     assert set(env) == {"grid", "values"}
     assert env["grid"] == {"N": 4, "M": 2, "T": 1.0}
     back = me.ValueSurface(grid=me.make_grid(**env["grid"]), values=np.array(env["values"]))
@@ -374,18 +365,13 @@ FINITE_JSON_VALUES = EXTREME_JSON_VALUES[3:]
 def test_dump_json_streams_values_as_json_dumps_would(tmp_path, values, streams):
     payload = {"version": "0.1.0", "config": {"output": "out/a\nb", "values": None, "x": 1e-7},
                "grid": {"N": 3, "M": 2, "T": 1.0}, "regularisation_n": 16, "zzz": [1, 2]}
-    sink = io.StringIO()
     if not streams:
         with pytest.raises(ValidationError, match="non-empty 2-D array of finite floats"):
-            dump_json(payload, sink, values=values)
-        with pytest.raises(ValidationError):
             dump_json(payload, tmp_path / "f.json", values=values)
-        assert sink.getvalue() == "" and not (tmp_path / "f.json").exists()
+        assert not (tmp_path / "f.json").exists()
         return
     expected = json.dumps({**payload, "values": np.asarray(values, dtype=float).tolist()},
                           indent=2, sort_keys=True)
-    dump_json(payload, sink, values=values)
-    assert sink.getvalue() == expected
     dump_json(payload, tmp_path / "f.json", values=values)
     assert (tmp_path / "f.json").read_text() == expected
     assert "values" not in payload

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import matchentropy as me
 from matchentropy import hjb
-from matchentropy.errors import CflError, ConvergenceError, ValidationError
+from matchentropy.errors import ConvergenceError, ValidationError
 from matchentropy.grid import second_difference_interior
 from matchentropy.tridiag import solve_tridiagonal
 
@@ -107,7 +107,7 @@ def test_explicit_step_zero_row_cap_e():
 def test_explicit_step_cfl_violation_names_the_numbers():
     g = me.make_grid(100, 100, 1.0)
     cfg = me.SchemeConfig(cap_d=1e6, scheme="explicit")
-    with pytest.raises(CflError) as err:
+    with pytest.raises(ValidationError, match="exceeds 1") as err:
         me.solve_hjb_with_iterations(g, cfg)
     msg = str(err.value)
     assert "0.01" in msg and "1e+06" in msg and "exceeds 1" in msg
@@ -230,7 +230,7 @@ def test_solve_hjb_explicit_cfl_precheck(monkeypatch):
 
     monkeypatch.setattr(hjb, "_explicit_sweep", no_sweep)
     g = me.make_grid(1000, 1000, 1.0)
-    with pytest.raises(CflError):
+    with pytest.raises(ValidationError, match="exceeds 1"):
         me.solve_hjb(g, me.SchemeConfig(cap_d=1e6, scheme="explicit"))
 
 

@@ -123,6 +123,14 @@ def test_newton_non_convergence_raises(monkeypatch):
         me.solve_log_diffusion(g, me.LadderConfig(regularisation_n=16))
 
 
+def test_newton_damping_underflow_raises(monkeypatch):
+    # a step of -inf leaves the iterate non-positive however far it is damped
+    monkeypatch.setattr(logdiff, "solve_tridiagonal",
+                        lambda sub, diag, sup, rhs: np.full_like(rhs, -np.inf))
+    with pytest.raises(ConvergenceError, match="Newton damping underflow"):
+        me.solve_log_diffusion(me.make_grid(8, 4, 1.0), me.LadderConfig(2))
+
+
 def test_ladder_config_validation():
     with pytest.raises(ValidationError):
         me.LadderConfig(regularisation_n=0)

@@ -8,7 +8,6 @@ import pytest
 
 import matchentropy as me
 from matchentropy import montecarlo
-from matchentropy.density import benchmark_variance
 from matchentropy.errors import ValidationError
 from matchentropy.montecarlo import BARRIER_CORRECTION, _BLOCK, _CHUNK, _control_evaluator
 
@@ -136,7 +135,7 @@ def test_full_length_evaluator_equals_benchmark_variance_bitwise():
         _, eval_a = _control_evaluator(me.VolatilityModel.full_length(T), None, x.size)
         for t in (0.0, 0.1 * T, 0.5 * T, np.nextafter(T, 0.0)):
             got = eval_a(t, x, np.empty(x.size))
-            assert got.tobytes() == benchmark_variance(t, x, T).tobytes()
+            assert got.tobytes() == (np.sin(math.pi * x) ** 2 / (math.pi ** 2 * (T - t))).tobytes()
 
 
 def reference_simulate_paths(control, cfg, T=None, barrier_correction=True,
@@ -160,7 +159,7 @@ def reference_simulate_paths(control, cfg, T=None, barrier_correction=True,
         horizon = control.T
 
         def eval_a(t, x):
-            return benchmark_variance(t, x, control.T)
+            return np.sin(math.pi * x) ** 2 / (math.pi ** 2 * (control.T - t))
     else:
         horizon = T
 
@@ -370,6 +369,23 @@ def test_simulation_step_constraints():
             me.simulate_paths(1.0, cfg, T=bad_T)
         with pytest.raises(ValidationError):
             me.simulate_paths(ctrl, cfg, T=bad_T)
+
+
+def test_step_cap_is_exactly_two_to_the_53():
+    # a = 1e300 carries the one path out at its first step, so no run takes long
+    cfg = me.SimConfig(1, 2.0 ** -60, 0, 0.5)
+    T = 2 ** 53 * cfg.dt
+    stats = me.simulate_paths(1e300, cfg, T=T)
+    assert stats.exit_time_samples[0] == cfg.dt
+    with pytest.raises(ValidationError, match="more than 2\\*\\*53"):
+        me.simulate_paths(1e300, cfg, T=math.nextafter(T, math.inf))
+
+
+def test_zero_start_volatility_is_rejected():
+    # sin(pi x0)^2 underflows to 0 at x0 = 1e-200, so the first reward would be log 0
+    cfg = me.SimConfig(16, 0.125, 0, 1e-200)
+    with pytest.raises(ValidationError, match="not positive"):
+        me.simulate_paths(me.VolatilityModel.full_length(1.0), cfg)
 
 
 def test_early_termination_model_runs_as_its_field():
