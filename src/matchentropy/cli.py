@@ -29,8 +29,6 @@ from .hjb import (SchemeConfig, optimal_control_field, solve_hjb,
 from .logdiff import LadderConfig, entropy_from_p, solve_log_diffusion
 from .montecarlo import PROBE_FRACTIONS, SimConfig, quadratic_variation_check, simulate_paths
 
-OUTDIR_ENV = "MATCHENTROPY_OUTDIR"
-
 
 @dataclass
 class RunConfig:
@@ -54,7 +52,7 @@ class RunConfig:
     seed: int = 20240
     dt: float = 1e-3
     x0: float = 0.5
-    output_path: str = ""
+    output_path: str = "."
     format: str = "csv"
 
     def __post_init__(self):
@@ -69,11 +67,10 @@ class RunConfig:
         self.scheme_config = SchemeConfig(self.cap_d, self.scheme,
                                           terminal_regularisation_n=self.regularisation_n)
         self.sim_config = SimConfig(self.n_paths, self.dt, self.seed, self.x0)
-        if not self.output_path:
-            self.output_path = os.environ.get(OUTDIR_ENV, ".")
         # every output file's header and the config echo hold the path as one line of UTF-8
-        if not self.output_path.isprintable():
-            raise ValidationError(f"output_path must be printable text, got {self.output_path!r}")
+        if not (self.output_path and self.output_path.isprintable()):
+            raise ValidationError(
+                f"output_path must be non-empty printable text, got {self.output_path!r}")
 
 
 # The parser of each RunConfig field, for its command-line flag and its config-file line.
@@ -305,11 +302,15 @@ def _cmd_check(config: RunConfig) -> int:
 
 def _cmd_reproduce_figures(config: RunConfig) -> int:
     grid, cfg = config.grid, config.scheme_config
+    probes = _probe_levels(grid)
+    if not probes:
+        named = ", ".join(f"{frac:g}" for frac in PROBE_FRACTIONS)
+        raise ValidationError(f"no probe time ({named} of T) is a time level of the grid, "
+                              f"k = {grid.k:g}")
     surface = solve_hjb(grid, cfg)
     control = optimal_control_field(surface, cfg)
     meta = _meta(config)
 
-    probes = _probe_levels(grid)
     probe_ts = [frac * grid.T for frac, _ in probes]
     probe_ms = [m for _, m in probes]
 

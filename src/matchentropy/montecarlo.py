@@ -176,17 +176,13 @@ def _field_evaluator(control: ControlField, size: int):
     return eval_field
 
 
-def simulate_paths(control, cfg: SimConfig, T: float | None = None, *,
-                   barrier_correction: bool = True,
-                   include_exit_step: bool = True) -> PathStats:
+def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats:
     """Simulate cfg.n_paths trajectories and aggregate their statistics.
 
     `control` may be a ControlField, a VolatilityModel, or a positive
     constant diffusion coefficient (which needs an explicit horizon T).
     For controls with a natural horizon, passing a smaller T stops the
-    simulation early (the law of the stopped process at T).  The keyword
-    flags expose the naive absorption rule (no barrier shift, reward
-    truncated before the exit step) for bias studies.
+    simulation early (the law of the stopped process at T).
     """
     if isinstance(control, VolatilityModel) and control.kind != FULL_LENGTH:
         control = control.control  # an early-termination model is its solved field
@@ -207,8 +203,6 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None, *,
     if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-9:
         raise ValidationError(f"dt={cfg.dt!r} must divide the horizon {horizon!r} evenly")
     dt = cfg.dt
-    # the naive rule's barriers are the boundaries: sd * 0.0 is +0.0 and 1.0 - 0.0 is 1.0
-    overshoot = BARRIER_CORRECTION if barrier_correction else 0.0
     # every path's first reward is log of it
     a_start = float(eval_a(0.0, np.array([cfg.x0]), np.empty(1))[0])
     if not a_start > 0.0:
@@ -278,7 +272,7 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None, *,
                     np.multiply(a, dt, out=a_dt)
                     np.sqrt(a_dt, out=sd)                       # step_sd = sqrt(a * dt)
                     x += np.multiply(sd, xi, out=w)             # x + step_sd * xi
-                    shift = np.multiply(sd, overshoot, out=w)   # shift < x < 1 - shift
+                    shift = np.multiply(sd, BARRIER_CORRECTION, out=w)  # shift < x < 1 - shift
                     np.greater(x, shift, out=inside)
                     np.less(x, np.subtract(1.0, shift, out=w), out=flag)
                     inside &= flag
@@ -297,9 +291,8 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None, *,
                     side[paths] = np.where(left_exit, -1, 1)
                     terminal[paths] = np.where(left_exit, 0.0, 1.0)
                     exit_time[paths] = (j + 1) * dt
-                    # the naive rule drops the exit step's reward
-                    reward[paths] = r[gone] + a[gone] if include_exit_step else r[gone]
-                    qv[paths] = q[gone] + a_dt[gone] if include_exit_step else q[gone]
+                    reward[paths] = r[gone] + a[gone]
+                    qv[paths] = q[gone] + a_dt[gone]
                     r += a
                     q += a_dt
                     ids, x, r, q = ids[inside], x[inside], r[inside], q[inside]

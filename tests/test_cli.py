@@ -118,11 +118,11 @@ def test_run_config_keeps_its_solver_objects_out_of_its_fields(capsys):
     # a path no output header can hold as one line of UTF-8
     pytest.param(["solve", "--output", "out\nx"], None, id="line-break-output"),
     pytest.param(["solve", "--output", "out\udcff"], None, id="undecodable-output"),
+    pytest.param(["solve", "--output", ""], None, id="empty-output"),
 ])
 def test_cli_errors_are_one_line(argv, config_bytes, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
-    monkeypatch.setenv(cli.OUTDIR_ENV, str(out))
     if config_bytes is not None:
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_bytes(config_bytes + b"\n")
@@ -237,7 +237,6 @@ PROPERTY_BASE = ["--grid-n", "8", "--grid-m", "8", "--n-paths", "16", "--dt", "0
 def test_extreme_field_values_exit_with_a_documented_code(command, flags, tmp_path,
                                                           monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv(cli.OUTDIR_ENV, "out")
     argv = [command, *PROPERTY_BASE]
     for flag, value in flags.items():
         argv += [flag, value]  # a drawn flag overrides its base value
@@ -415,10 +414,8 @@ def test_io_failure_exit_code(tmp_path, capsys):
     assert cli.main(["solve", *SMALL, "--output", str(blocker)]) == 4
 
 
-def test_output_dir_from_environment(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "env_out"))
-    config = cli.parse_config(["solve"])
-    assert config.output_path == str(tmp_path / "env_out")
+def test_output_dir_defaults_to_the_working_directory(capsys):
+    assert cli.parse_config(["solve"]).output_path == "."
 
 
 def test_reproduce_figures_emits_plot_data(tmp_path, capsys):
@@ -461,6 +458,16 @@ def test_probes_off_the_time_levels_are_left_out_of_the_figures(tmp_path, capsys
     assert cli.main(["density", "--grid-n", "20", "--grid-m", "50", "--output", str(out)]) == 0
     summary = json.loads((out / "density_summary.json").read_text())
     assert set(summary["interior_mass_at_probe_fractions"]) == {"0.5", "0.9"}
+
+
+def test_figures_with_no_probe_on_a_time_level_exit_one_before_solving(tmp_path, capsys):
+    # at M = 3 (k = 1/3) the probes 0.5, 0.9 and 0.99 all lie between time levels
+    out = tmp_path / "figs"
+    assert cli.main(["reproduce-figures", "--grid-n", "8", "--grid-m", "3",
+                     "--output", str(out)]) == 1
+    (message,) = _message_lines(capsys.readouterr().err)
+    assert message.startswith("error: no probe time")
+    assert not out.exists()
 
 
 # sha256 of every file each command writes at a small config.  M = 300 puts the

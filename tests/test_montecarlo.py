@@ -64,7 +64,6 @@ GOLDEN_RUNS = {
     "field_stopped_early": "9e86adff7256ce2df508bb960f2881466f85cbd08ea5de8c02f154d943e50cf1",
     "full_length": "ff142c7bc9e5dd519949e9049a6f974fd613dc88ada6dcd3050466feef21bf33",
     "constant": "cc50c3187a3e0fe1de18d32cc5666e9179e662fef3d6235dd4f982b57e577b7c",
-    "naive_flags": "b6bcead89deebb86b5feefd7ab8aba13335a32d9323f15714b08c9ceadd4447a",
 }
 
 
@@ -81,9 +80,6 @@ def test_paths_match_golden_digests():
             me.SimConfig(n_paths=200, dt=2.5e-3, base_seed=5, x0=0.5)),
         "constant": lambda: me.simulate_paths(
             1.0, me.SimConfig(n_paths=500, dt=0.01, base_seed=3, x0=0.3), T=1.0),
-        "naive_flags": lambda: me.simulate_paths(
-            ctrl, me.SimConfig(n_paths=300, dt=0.01, base_seed=12, x0=0.6),
-            barrier_correction=False, include_exit_step=False),
     }
     for name, simulate in runs.items():
         stats = simulate()
@@ -138,8 +134,7 @@ def test_full_length_evaluator_equals_benchmark_variance_bitwise():
             assert got.tobytes() == (np.sin(math.pi * x) ** 2 / (math.pi ** 2 * (T - t))).tobytes()
 
 
-def reference_simulate_paths(control, cfg, T=None, barrier_correction=True,
-                             include_exit_step=True):
+def reference_simulate_paths(control, cfg, T=None):
     """The simulator's loop before its noise slabs and work buffers, kept as the
     bitwise reference: per-path Philox streams drawn 128 steps at a time and
     transposed whole, every step written as plain numpy expressions."""
@@ -185,7 +180,7 @@ def reference_simulate_paths(control, cfg, T=None, barrier_correction=True,
             step_sd = np.sqrt(a_dt)
             xi = noise[j - start] if cols is None else noise[j - start, cols]
             x_new = x + step_sd * xi
-            shift = BARRIER_CORRECTION * step_sd if barrier_correction else 0.0
+            shift = BARRIER_CORRECTION * step_sd
             inside = (x_new > shift) & (x_new < 1.0 - shift)
             r_new = r + 0.5 * (1.0 + np.log(a)) * dt
             q_new = q + a_dt
@@ -198,8 +193,8 @@ def reference_simulate_paths(control, cfg, T=None, barrier_correction=True,
             side[gone] = np.where(left_exit, -1, 1)
             terminal[gone] = np.where(left_exit, 0.0, 1.0)
             exit_time[gone] = (j + 1) * dt
-            reward[gone] = (r_new if include_exit_step else r)[out]
-            qv[gone] = (q_new if include_exit_step else q)[out]
+            reward[gone] = r_new[out]
+            qv[gone] = q_new[out]
             ids, x, r, q = ids[inside], x_new[inside], r_new[inside], q_new[inside]
             cols = np.flatnonzero(inside) if cols is None else cols[inside]
             if ids.size == 0:
@@ -220,12 +215,9 @@ def test_paths_match_reference_loop_bitwise(layout, monkeypatch):
     cases = [
         (ctrl, me.SimConfig(n_paths=300, dt=0.005, base_seed=11, x0=0.5), {}),  # dt < k
         (ctrl, me.SimConfig(n_paths=300, dt=0.02, base_seed=9, x0=0.4), {"T": 0.5}),
-        (ctrl, me.SimConfig(n_paths=300, dt=0.01, base_seed=12, x0=0.6),
-         {"barrier_correction": False, "include_exit_step": False}),
-        (ctrl, me.SimConfig(n_paths=300, dt=0.01, base_seed=2**64 - 1, x0=0.6),
-         {"barrier_correction": True, "include_exit_step": False}),
-        (ctrl, me.SimConfig(n_paths=300, dt=0.01, base_seed=0, x0=0.3),
-         {"barrier_correction": False, "include_exit_step": True}),
+        (ctrl, me.SimConfig(n_paths=300, dt=0.01, base_seed=12, x0=0.6), {}),
+        (ctrl, me.SimConfig(n_paths=300, dt=0.01, base_seed=2**64 - 1, x0=0.6), {}),
+        (ctrl, me.SimConfig(n_paths=300, dt=0.01, base_seed=0, x0=0.3), {}),
         (1.0, me.SimConfig(n_paths=500, dt=0.01, base_seed=3, x0=0.3), {"T": 1.0}),
         (full, me.SimConfig(n_paths=200, dt=2.5e-3, base_seed=5, x0=0.5), {}),
         (full, me.SimConfig(n_paths=150, dt=2.5e-3, base_seed=6, x0=0.2), {"T": 0.75}),

@@ -14,13 +14,17 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 @pytest.mark.parametrize("script,args", [
     ("convergence_study.py", ["--resolutions", "8", "16", "--ladder", "1", "2"]),
-    ("mc_bias_study.py", ["--n-paths", "200"]),
+    ("mc_bias_study.py", ["--n-paths", "200", "--dt", "1e-3", "5e-4"]),
 ])
 def test_study_scripts_run(script, args, monkeypatch, capsys):
     path = SCRIPTS / script
     monkeypatch.setattr(sys, "argv", [str(path), *args])
     runpy.run_path(str(path), run_name="__main__")
-    assert capsys.readouterr().out.strip()
+    out = capsys.readouterr().out
+    assert out.strip()
+    if script == "mc_bias_study.py":  # one result line per step
+        assert [line.split()[0] for line in out.splitlines() if "| reward" in line] == [
+            "dt=0.001", "dt=0.0005"]
 
 
 def test_line_trace_lists_only_lines_no_test_ran():
