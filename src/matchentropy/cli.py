@@ -222,17 +222,22 @@ def _volatility_model(config: RunConfig) -> VolatilityModel:
 
 def _probe_levels(grid: Grid) -> list[tuple[float, int]]:
     """(fraction, time level) of each of PROBE_FRACTIONS whose time fraction*T
-    is a time level of `grid`; a probe between two levels is left out."""
+    is a time level of `grid`; a probe between two levels is left out, and a
+    grid with none of them is an input error."""
     levels = []
     for frac in PROBE_FRACTIONS:
         with contextlib.suppress(ValidationError):
             levels.append((frac, grid.time_index(frac * grid.T)))
+    if not levels:
+        named = ", ".join(f"{frac:g}" for frac in PROBE_FRACTIONS)
+        raise ValidationError(f"no probe time ({named} of T) is a time level of the grid, "
+                              f"k = {grid.k:g}")
     return levels
 
 
-def _density_summary(grid, density) -> dict:
+def _density_summary(grid, density, probe_levels) -> dict:
     probes = {f"{frac:g}": float(survival_probability(density, frac * grid.T))
-              for frac, _ in _probe_levels(grid)}
+              for frac, _ in probe_levels}
     atoms = terminal_atoms(density)
     return {
         "times": [float(t) for t in grid.t_nodes()],
@@ -246,9 +251,10 @@ def _density_summary(grid, density) -> dict:
 
 def _cmd_density(config: RunConfig) -> int:
     grid = config.grid
+    probe_levels = _probe_levels(grid)
     density = solve_forward_density(_volatility_model(config), grid, config.x0)
     field_to_csv(grid, density.values, _outpath(config, "density.csv"), "q", _meta(config))
-    summary = _density_summary(grid, density)
+    summary = _density_summary(grid, density, probe_levels)
     dump_json(_json_payload(config, summary), _outpath(config, "density_summary.json"))
     probes = summary["interior_mass_at_probe_fractions"]
     pretty = ", ".join(f"t={f}T: {v:.4f}" for f, v in probes.items())
@@ -303,10 +309,6 @@ def _cmd_check(config: RunConfig) -> int:
 def _cmd_reproduce_figures(config: RunConfig) -> int:
     grid, cfg = config.grid, config.scheme_config
     probes = _probe_levels(grid)
-    if not probes:
-        named = ", ".join(f"{frac:g}" for frac in PROBE_FRACTIONS)
-        raise ValidationError(f"no probe time ({named} of T) is a time level of the grid, "
-                              f"k = {grid.k:g}")
     surface = solve_hjb(grid, cfg)
     control = optimal_control_field(surface, cfg)
     meta = _meta(config)

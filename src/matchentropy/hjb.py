@@ -13,6 +13,7 @@ tridiagonal elimination per policy update.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -73,15 +74,25 @@ def capped_control(q, cap_d: float, out: np.ndarray | None = None) -> np.ndarray
     For q < 0 it is the clamp of -1/q to the control interval; for q >= 0
     (including zero, where -1/q is read as a limit) the objective decreases
     in a, so the cap is the minimiser.  Written into `out` when given.
+
+    Evaluated as clamp(-1/fmin(q, thr)), with thr < 0 the threshold above
+    which every q (and NaN, which fmin drops) has the cap as its result:
+    thr starts at -1/cap_d and moves toward 0 until -1/thr >= cap_d.  Since
+    -1/q rounds monotonically, this equals the clamp of -1/q where q < 0 and
+    the cap elsewhere, bit for bit.
     """
     q = np.asarray(q, dtype=float)
     if out is None:
         out = np.empty_like(q)
-    with np.errstate(divide="ignore", over="ignore"):
-        np.divide(-1.0, q, out=out)
+    thr = -1.0 / cap_d
+    while -1.0 / thr < cap_d:
+        thr = math.nextafter(thr, 0.0)
+    np.fmin(q, thr, out=out)
+    # a cap above every finite -1/q is met only where -1/q overflows to inf
+    with np.errstate(over="ignore") if -1.0 / thr == math.inf else contextlib.nullcontext():
+        np.divide(-1.0, out, out=out)
     np.maximum(out, CONTROL_FLOOR, out=out)
     np.minimum(out, cap_d, out=out)
-    out[~(q < 0.0)] = cap_d
     return out
 
 
@@ -108,11 +119,16 @@ def _hamiltonian_values(q, a, log_a, out: np.ndarray) -> np.ndarray:
 def _explicit_sweep(values: np.ndarray, grid: Grid, cap_d: float) -> np.ndarray:
     """Fill the rows of `values` backwards from its last row by the explicit
     scheme (stable for k*cap_d/h^2 <= 1); returns the iteration count of each
-    filled row, zero for this scheme.  Lateral entries stay 0."""
+    filled row, zero for this scheme.  Lateral entries stay 0.  Each step is
+    v[1:-1] - (k/2) H(A v) evaluated in work rows allocated once."""
     h, half_k = grid.h, 0.5 * grid.k
+    q, a, log_a, step = np.empty((4, values.shape[1] - 2))
     for m in range(len(values) - 1, 0, -1):
-        hvals, _ = hamiltonian_capped(second_difference_interior(values[m], h), cap_d)
-        values[m - 1, 1:-1] = values[m, 1:-1] - half_k * hvals
+        capped_control(second_difference_interior(values[m], h, out=q), cap_d, out=a)
+        np.log(a, out=log_a)
+        _hamiltonian_values(q, a, log_a, out=step)
+        step *= half_k
+        np.subtract(values[m, 1:-1], step, out=values[m - 1, 1:-1])
     return np.zeros(len(values) - 1, dtype=int)
 
 
@@ -130,55 +146,63 @@ def _implicit_sweep(values: np.ndarray, grid: Grid, cap_d: float) -> np.ndarray:
     k*cap_d/h^2.
 
     The control of a converged iterate is the next level's first control, so
-    it is computed once per iteration plus once for the last row.  Iterates
-    are written straight into their row, whose lateral entries stay 0, and
-    every other array is a work buffer filled in place in the order of
-    operations of the plain expressions, which keeps their bits.
+    it is computed once per iteration plus once for the last row, together
+    with the step coefficients lin = (log a + 1) k/2, diag = 1 + 2c a and
+    off = -c a (c = k/(2h^2)) that the right-hand side v + lin, the solve
+    and the residual read.  Iterates are written straight into their row,
+    whose lateral entries stay 0, and every other array is a work buffer
+    filled in place in the order of operations of the plain expressions,
+    which keeps their bits.
     """
     k, h = grid.k, grid.h
     c = k / (2.0 * h * h)
     two_c, half_k = 2.0 * c, 0.5 * k
     n = values.shape[1] - 2
-    q, a, log_a, diag, off, rhs, change, resid, scale, work = np.empty((10, n))
-    residual_work = (resid, scale, work, np.empty(n + 2))
+    q, a, log_a, lin, diag, off, rhs, change = np.empty((8, n))
+    sub, sup = off[1:], off[:-1]
+    residual_work = (*np.empty((3, n)), np.empty(n + 2))
     iters = np.zeros(len(values) - 1, dtype=int)
-    capped_control(second_difference_interior(values[-1], h, out=q), cap_d, out=a)
-    np.log(a, out=log_a)
+
+    def update_policy(u):
+        capped_control(second_difference_interior(u, h, out=q), cap_d, out=a)
+        np.log(a, out=log_a)
+        np.multiply(np.add(log_a, 1.0, out=lin), half_k, out=lin)
+        np.add(np.multiply(a, two_c, out=diag), 1.0, out=diag)
+        np.multiply(a, -c, out=off)
+
+    update_policy(values[-1])
     for m in range(len(values) - 1, 0, -1):
         v_int, u, u_int = values[m, 1:-1], values[m - 1], values[m - 1, 1:-1]
         previous = v_int
         for it in range(1, MAX_POLICY_ITERS + 1):
-            np.multiply(a, two_c, out=diag)
-            diag += 1.0
-            np.multiply(a, -c, out=off)
-            np.add(log_a, 1.0, out=rhs)
-            rhs *= half_k
-            rhs += v_int
-            x = solve_tridiagonal(off[1:], diag, off[:-1], rhs)
+            np.add(lin, v_int, out=rhs)
+            x = solve_tridiagonal(sub, diag, sup, rhs)
             np.subtract(x, previous, out=change)
             delta = float(np.abs(change, out=change).max())
             u_int[...] = x
             previous = u_int
-            capped_control(second_difference_interior(u, h, out=q), cap_d, out=a)
-            np.log(a, out=log_a)
+            update_policy(u)
             if delta <= POLICY_TOL and _scaled_residual(
-                    u, v_int, q, a, log_a, c, half_k, residual_work) <= POLICY_TOL:
+                    u, v_int, q, a, log_a, lin, off, half_k, residual_work) <= POLICY_TOL:
                 iters[m - 1] = it
                 break
         else:
-            resid = _scaled_residual(u, v_int, q, a, log_a, c, half_k, residual_work)
+            resid = _scaled_residual(u, v_int, q, a, log_a, lin, off, half_k, residual_work)
             raise ConvergenceError(
                 f"policy iteration did not converge in {MAX_POLICY_ITERS} iterations "
                 f"(last change {delta:.3e}, scaled residual {resid:.3e})")
     return iters
 
 
-def _scaled_residual(u, v_int, q, a, log_a, c, half_k, work_arrays) -> float:
+def _scaled_residual(u, v_int, q, a, log_a, lin, off, half_k, work_arrays) -> float:
     """max |u + (k/2) H(q, a) - v| / scale at the interior nodes, in place in
     `work_arrays` (three interior rows and one full row); the same bits as
     the plain expressions, with hvals = -a*q - log_a - 1.0:
     |u[1:-1] + half_k*hvals - v_int| / (1.0 + c*a*(|u[2:]| + 2.0*|u[1:-1]|
-    + |u[:-2]|) + half_k*|log_a + 1.0| + |v_int|)."""
+    + |u[:-2]|) + half_k*|log_a + 1.0| + |v_int|).  The scale reads the step
+    coefficients lin = (log_a + 1.0)*half_k and off = -c*a, which give its
+    terms exactly: |lin| is half_k*|log_a + 1.0| and 1.0 - S*off is
+    1.0 + S*(c*a)."""
     resid, scale, work, abs_u = work_arrays
     _hamiltonian_values(q, a, log_a, out=resid)
     resid *= half_k
@@ -189,12 +213,9 @@ def _scaled_residual(u, v_int, q, a, log_a, c, half_k, work_arrays) -> float:
     np.multiply(abs_u[1:-1], 2.0, out=scale)
     scale += abs_u[2:]
     scale += abs_u[:-2]
-    scale *= np.multiply(a, c, out=work)
-    scale += 1.0
-    np.add(log_a, 1.0, out=work)
-    np.abs(work, out=work)
-    work *= half_k
-    scale += work
+    scale *= off
+    np.subtract(1.0, scale, out=scale)
+    scale += np.abs(lin, out=work)
     scale += np.abs(v_int, out=work)
     resid /= scale
     return float(resid.max())

@@ -39,36 +39,48 @@ class LadderConfig:
             raise ValidationError("regularisation_n must be a positive integer")
 
 
-def _newton_step(prev_int: np.ndarray, grid: Grid) -> np.ndarray:
+def _newton_step(prev_int: np.ndarray, grid: Grid, work: np.ndarray) -> np.ndarray:
     """Solve 2(p' - p)/k = A log(p') for the interior of one time level,
-    starting from the previous level's interior `prev_int`."""
+    starting from the previous level's interior `prev_int`.
+
+    `work` is a zeroed (7, N + 1) array that the march allocates once: row 0
+    holds log p between its boundary zeros (p = 1 there), the interiors of
+    the other rows are scratch.  The returned iterate is one of those rows.
+    The right-hand side -F and the Jacobian are built in place; one array
+    -1/(h^2 w) holds both off-diagonals, and each value keeps the bits of
+    the plain expressions F = 2(w - p)/k - A log w, diag = 2/k + 2/(h^2 w)
+    and trial = w + lam*delta (w + delta when undamped)."""
     k, h = grid.k, grid.h
-    h2 = h * h
-    w = prev_int.copy()
-    logp = np.zeros(grid.N + 1)  # boundary p = 1 contributes log 1 = 0
+    h2, two_over_k = h * h, 2.0 / k
+    logp = work[0]
+    w, trial, neg_f, tmp, off, diag = (row[1:-1] for row in work[1:])
+    np.copyto(w, prev_int)
     for it in range(MAX_NEWTON_ITERS + 1):
         np.log(w, out=logp[1:-1])
-        F = 2.0 * (w - prev_int) / k - second_difference_interior(logp, h)
-        resid = float(np.max(np.abs(F)))
+        np.subtract(w, prev_int, out=neg_f)
+        neg_f *= 2.0
+        neg_f /= k
+        np.subtract(second_difference_interior(logp, h, out=tmp), neg_f, out=neg_f)
+        resid = float(np.abs(neg_f, out=tmp).max())
         if resid <= NEWTON_TOL:
             return w
         if it == MAX_NEWTON_ITERS:
             raise ConvergenceError(
                 f"Newton iteration did not reach residual {NEWTON_TOL:.1e} within "
                 f"{MAX_NEWTON_ITERS} iterations (residual {resid:.3e})")
-        h2w = h2 * w
-        diag = 2.0 / k + 2.0 / h2w
-        sub = -1.0 / h2w[:-1]
-        sup = -1.0 / h2w[1:]
-        delta = solve_tridiagonal(sub, diag, sup, -F)
+        h2w = np.multiply(w, h2, out=tmp)
+        np.divide(2.0, h2w, out=diag)
+        diag += two_over_k
+        np.divide(-1.0, h2w, out=off)
+        delta = solve_tridiagonal(off[:-1], diag, off[1:], neg_f)
+        np.add(w, delta, out=trial)
         lam = 1.0
-        trial = w + lam * delta
-        while np.any(trial <= _POSITIVITY_FLOOR):
+        while (trial <= _POSITIVITY_FLOOR).any():
             lam *= 0.5
             if lam < 1e-16:
                 raise ConvergenceError("Newton damping underflow: iterate cannot stay positive")
-            trial = w + lam * delta
-        w = trial
+            np.add(w, np.multiply(delta, lam, out=trial), out=trial)
+        w, trial = trial, w
 
 
 def solve_log_diffusion(grid: Grid, cfg: LadderConfig) -> PField:
@@ -77,8 +89,9 @@ def solve_log_diffusion(grid: Grid, cfg: LadderConfig) -> PField:
     values = np.zeros((grid.M + 1, grid.N + 1))
     values[0, :] = 1.0 / n
     values[1:, [0, -1]] = 1.0
+    work = np.zeros((7, grid.N + 1))
     for m in range(grid.M):
-        values[m + 1, 1:-1] = _newton_step(values[m, 1:-1], grid)
+        values[m + 1, 1:-1] = _newton_step(values[m, 1:-1], grid, work)
     # round-off can push the implicit solution a hair above the invariant p <= 1;
     # clip only that far, so a real excess reaches the caller as an error
     peak = float(np.max(values))

@@ -221,10 +221,9 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats
     zero_seed = _ZeroSeed()
     bits = [np.random.Philox(zero_seed) for _ in range(slots)]
     draws = [np.random.Generator(bit).standard_normal for bit in bits]
-    key = np.array([cfg.base_seed, 0], dtype=np.uint64)
-    fresh = np.zeros(4, dtype=np.uint64)
-    state = {"bit_generator": "Philox", "state": {"counter": fresh, "key": key},
-             "buffer": fresh, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = [cfg.base_seed, 0]  # plain ints: the setter reads them word by word
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     # a block of noise is drawn path by path, then copied a slab of steps at a
     # time, in tiles of paths, into steps x paths for the paths still alive
     block = min(_BLOCK, n_steps)

@@ -470,6 +470,25 @@ def test_figures_with_no_probe_on_a_time_level_exit_one_before_solving(tmp_path,
     assert not out.exists()
 
 
+def test_density_with_no_probe_on_a_time_level_exits_one_like_the_figures(
+        tmp_path, capsys, monkeypatch):
+    # both commands read one probe rule: the same one-line error, before any solve
+    def no_solve(*args):
+        raise AssertionError("solved before the probe check")
+
+    for name in ("solve_hjb", "solve_forward_density"):
+        monkeypatch.setattr(cli, name, no_solve)
+    messages = []
+    for command in ("density", "reproduce-figures"):
+        out = tmp_path / command
+        assert cli.main([command, "--grid-n", "8", "--grid-m", "3", "--output", str(out)]) == 1
+        (message,) = _message_lines(capsys.readouterr().err)
+        messages.append(message)
+        assert not out.exists()
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("error: no probe time (0.5, 0.9, 0.99 of T)")
+
+
 # sha256 of every file each command writes at a small config.  M = 300 puts the
 # 0.99 probe row at a t that prints differently from t_nodes()[297], so the
 # figure CSVs pin the probe times they are written with.

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -409,13 +410,26 @@ def test_non_convergence_message_reports_finite_change_and_residual(monkeypatch)
     assert math.isfinite(resid) and resid > 0.0
 
 
+# caps whose reciprocal does not invert back to them, so the threshold moves
+NUDGED_CAPS = (93.0, 123.456, 1e300, 1.7e308)
+
+
 def test_capped_control_matches_clip_bitwise():
-    q = np.array([-np.inf, -1e300, -math.e, -1.0, -0.5, -5e-324, -0.0, 0.0, 5e-324, 1.0,
-                  np.inf, np.nan])
-    for cap in (FLOOR, 1.0, 10.0, 1e6):
+    for cap in NUDGED_CAPS:
+        assert -1.0 / (-1.0 / cap) < cap
+    base = [-np.inf, -1e300, -math.e, -1.0, -0.5, -1e-300, -2.0 ** -1024, -5e-324, -0.0,
+            0.0, 5e-324, 1.0, np.inf, np.nan]
+    for cap in (FLOOR, 1.0, 10.0, 1e6, *NUDGED_CAPS, sys.float_info.max):
+        # the threshold -1/cap and its neighbours on both sides
+        edge = [-1.0 / cap]
+        for _ in range(3):
+            edge = [math.nextafter(edge[0], -np.inf), *edge, math.nextafter(edge[-1], 0.0)]
+        q = np.array(base + edge)
         with np.errstate(divide="ignore", over="ignore"):
             clipped = np.where(q < 0.0, np.clip(-1.0 / q, FLOOR, cap), cap)
-        assert hjb.capped_control(q, cap).tobytes() == clipped.tobytes()
+        with np.errstate(all="raise"):
+            got = hjb.capped_control(q, cap)
+        assert got.tobytes() == clipped.tobytes()
 
 
 def test_scaled_residual_keeps_the_plain_expressions_bits():
@@ -432,7 +446,8 @@ def test_scaled_residual_keeps_the_plain_expressions_bits():
         q = second_difference_interior(u, h)
         a = hjb.capped_control(q, cap)
         log_a = np.log(a)
-        got = hjb._scaled_residual(u, v_int, q, a, log_a, c, half_k, work)
+        lin, off = (log_a + 1.0) * half_k, a * -c  # the sweep's step coefficients
+        got = hjb._scaled_residual(u, v_int, q, a, log_a, lin, off, half_k, work)
         hvals = -a * q - log_a - 1.0
         plain = (np.abs(u[1:-1] + half_k * hvals - v_int)
                  / (1.0 + c * a * (np.abs(u[2:]) + 2.0 * np.abs(u[1:-1]) + np.abs(u[:-2]))

@@ -169,8 +169,15 @@ def test_log_diffusion_matches_reference_newton_loop(monkeypatch, N, M, n):
     g = me.make_grid(N, M, 1.0)
     cfg = me.LadderConfig(regularisation_n=n)
     p = me.solve_log_diffusion(g, cfg).values
-    monkeypatch.setattr(logdiff, "_newton_step", reference_newton_step)
+    levels = []
+
+    def reference_level(prev_int, grid, work):
+        levels.append(grid)
+        return reference_newton_step(prev_int, grid)
+
+    monkeypatch.setattr(logdiff, "_newton_step", reference_level)
     assert p.tobytes() == me.solve_log_diffusion(g, cfg).values.tobytes()
+    assert len(levels) == M  # the march stepped every level through the reference
 
 
 @pytest.mark.parametrize("N, M, level", [(50, 1, 50.0), (50, 10, 50.0)])
@@ -178,8 +185,9 @@ def test_damped_newton_step_matches_reference_loop(N, M, level):
     # a level far above the boundary value 1 with a long step: full Newton
     # steps would leave the positive cone, so the damping halves lam three times
     g = me.make_grid(N, M, 1.0)
-    args = (np.full(N - 1, level), g)
-    assert logdiff._newton_step(*args).tobytes() == reference_newton_step(*args).tobytes()
+    prev = np.full(N - 1, level)
+    got = logdiff._newton_step(prev, g, np.zeros((7, N + 1)))
+    assert got.tobytes() == reference_newton_step(prev, g).tobytes()
 
 
 def test_entropy_rebuild_matches_reference_expression():
