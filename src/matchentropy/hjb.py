@@ -13,7 +13,6 @@ tridiagonal elimination per policy update.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -88,9 +87,11 @@ def capped_control(q, cap_d: float, out: np.ndarray | None = None) -> np.ndarray
     while -1.0 / thr < cap_d:
         thr = math.nextafter(thr, 0.0)
     np.fmin(q, thr, out=out)
-    # a cap above every finite -1/q is met only where -1/q overflows to inf
-    with np.errstate(over="ignore") if -1.0 / thr == math.inf else contextlib.nullcontext():
+    if -1.0 / thr < math.inf:
         np.divide(-1.0, out, out=out)
+    else:  # a cap above every finite -1/q is met only where -1/q overflows to inf
+        with np.errstate(over="ignore"):
+            np.divide(-1.0, out, out=out)
     np.maximum(out, CONTROL_FLOOR, out=out)
     np.minimum(out, cap_d, out=out)
     return out
