@@ -83,7 +83,7 @@ def capped_control(q, cap_d: float, out: np.ndarray | None = None) -> np.ndarray
     q = np.asarray(q, dtype=float)
     if out is None:
         out = np.empty_like(q)
-    thr = -1.0 / cap_d
+    thr = min(-1.0 / cap_d, -math.ulp(0.0))  # not -0.0 for an infinite cap
     while -1.0 / thr < cap_d:
         thr = math.nextafter(thr, 0.0)
     np.fmin(q, thr, out=out)

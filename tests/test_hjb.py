@@ -419,7 +419,7 @@ def test_capped_control_matches_clip_bitwise():
         assert -1.0 / (-1.0 / cap) < cap
     base = [-np.inf, -1e300, -math.e, -1.0, -0.5, -1e-300, -2.0 ** -1024, -5e-324, -0.0,
             0.0, 5e-324, 1.0, np.inf, np.nan]
-    for cap in (FLOOR, 1.0, 10.0, 1e6, *NUDGED_CAPS, sys.float_info.max):
+    for cap in (FLOOR, 1.0, 10.0, 1e6, *NUDGED_CAPS, sys.float_info.max, np.inf):
         # the threshold -1/cap and its neighbours on both sides
         edge = [-1.0 / cap]
         for _ in range(3):
