@@ -43,14 +43,12 @@ def _newton_step(prev_int: np.ndarray, grid: Grid, work: np.ndarray) -> np.ndarr
     """Solve 2(p' - p)/k = A log(p') for the interior of one time level,
     starting from the previous level's interior `prev_int`.
 
-    `work` is a zeroed (7, N + 1) array that the march allocates once: row 0
-    holds log p between its boundary zeros (p = 1 there), the interiors of
-    the other rows are scratch.  The returned iterate is one of those rows.
-    The right-hand side -F = A log w - 2(w - p)/k and the Jacobian are
-    built in place; one array -1/(h^2 w) holds both off-diagonals, and each
-    value keeps the bits of the plain expressions (up to the sign of a zero
-    in -F), diag = 2/k + 2/(h^2 w) and trial = w + lam*delta, which is
-    w + delta when undamped."""
+    `work` is a zeroed (7, N + 1) array the march allocates once: row 0
+    holds log p between its boundary zeros, the other rows' interiors are
+    scratch, and the returned iterate is one of them.  -F = A log w -
+    2(w - p)/k, the Jacobian (one -1/(h^2 w) row for both off-diagonals)
+    and the trial w + lam*delta keep the bits of the plain expressions (-F
+    up to the sign of a zero, which leaves the iterate's bits alone)."""
     k, h = grid.k, grid.h
     h2, two_over_k = h * h, 2.0 / k
     logp = work[0]
