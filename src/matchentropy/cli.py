@@ -21,7 +21,7 @@ from . import __version__
 from .checks import (CheckReport, CheckResult, check_solution_properties, cross_solver_gap,
                      decay_rate_check, hjb_horizon_solver, merge_reports)
 from .density import (EARLY_TERMINATION, FULL_LENGTH, VolatilityModel,
-                      solve_forward_density, survival_probability, terminal_atoms)
+                      solve_forward_density, terminal_atoms)
 from .errors import NumericalError, ValidationError
 from .grid import Grid, dump_json, field_to_csv, make_grid, second_difference_interior
 from .hjb import (SchemeConfig, optimal_control_field, solve_hjb,
@@ -236,8 +236,7 @@ def _probe_levels(grid: Grid) -> list[tuple[float, int]]:
 
 
 def _density_summary(grid, density, probe_levels) -> dict:
-    probes = {f"{frac:g}": float(survival_probability(density, frac * grid.T))
-              for frac, _ in probe_levels}
+    probes = {f"{frac:g}": float(density.interior_mass[m]) for frac, m in probe_levels}
     atoms = terminal_atoms(density)
     return {
         "times": [float(t) for t in grid.t_nodes()],
@@ -252,6 +251,7 @@ def _density_summary(grid, density, probe_levels) -> dict:
 def _cmd_density(config: RunConfig) -> int:
     grid = config.grid
     probe_levels = _probe_levels(grid)
+    grid.space_index(config.x0)  # the density's start node, checked before any solve
     density = solve_forward_density(_volatility_model(config), grid, config.x0)
     field_to_csv(grid, density.values, _outpath(config, "density.csv"), "q", _meta(config))
     summary = _density_summary(grid, density, probe_levels)
@@ -309,6 +309,7 @@ def _cmd_check(config: RunConfig) -> int:
 def _cmd_reproduce_figures(config: RunConfig) -> int:
     grid, cfg = config.grid, config.scheme_config
     probes = _probe_levels(grid)
+    grid.space_index(config.x0)  # the densities' start node, checked before any solve
     surface = solve_hjb(grid, cfg)
     control = optimal_control_field(surface, cfg)
     meta = _meta(config)
@@ -322,7 +323,7 @@ def _cmd_reproduce_figures(config: RunConfig) -> int:
         field_to_csv(grid, density.values[probe_ms],
                      _outpath(config, f"fig1_density_{model.kind}.csv"), "q", meta, times=probe_ts)
         percentages[model.kind] = {
-            f"{t:g}": float(survival_probability(density, t)) for t in probe_ts
+            f"{t:g}": float(density.interior_mass[m]) for t, m in zip(probe_ts, probe_ms)
         }
     dump_json(_json_payload(config, {"interior_mass": percentages}),
               _outpath(config, "fig1_percentages.json"))

@@ -125,9 +125,9 @@ def solve_forward_density(model: VolatilityModel, grid: Grid, x0: float) -> Dens
     if model.kind == FULL_LENGTH and model.T != grid.T:
         raise ValidationError(f"full_length model horizon T={model.T!r} and density grid "
                               f"horizon {grid.T!r} do not match")
-    j0 = int(round(x0 * grid.N))
+    j0 = grid.space_index(x0)  # the Dirac's node: an x0 between nodes is rejected, not moved
     if j0 <= 0 or j0 >= grid.N:
-        raise ValidationError(f"x0={x0!r} rounds onto a boundary node at this resolution")
+        raise ValidationError(f"x0={x0!r} lies on a boundary node at this resolution")
 
     N, M, h, k = grid.N, grid.M, grid.h, grid.k
     b = k / (2.0 * h * h)

@@ -51,6 +51,20 @@ class Grid:
             raise ValidationError(f"time {t} is not a grid time level (k={self.k})")
         return m
 
+    def space_index(self, x: float) -> int:
+        """Index n with n*h == x to within 1e-9 h; rejects a point outside
+        [0, 1], and one between nodes naming the nodes either side of it (no
+        nearest-node fallback)."""
+        pos = x * self.N
+        if not 0.0 <= pos <= self.N:  # NaN included
+            raise ValidationError(f"x = {x!r} lies outside the grid [0, 1]")
+        n = round(pos)
+        if abs(pos - n) > 1e-9:
+            below = math.floor(pos)
+            raise ValidationError(f"x = {x!r} is not a grid node (h = 1/{self.N}); the nearest "
+                                  f"nodes are {below / self.N:g} and {(below + 1) / self.N:g}")
+        return n
+
 
 def make_grid(N: int, M: int, T: float) -> Grid:
     """Build a grid, rejecting N < 2, M < 1, T <= 0, a field too large for one

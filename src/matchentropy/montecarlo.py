@@ -12,15 +12,16 @@ step, and nothing accrues after stopping.
 
 Every path owns a counter-based generator keyed by (base_seed, path index),
 so results are bit-identical regardless of batch layout, and the reduction
-order is fixed by path index.  Noise is drawn lazily in two levels: each
-generator call draws one block of steps for one path still alive, and the
-block is transposed a slab of steps at a time into a step-major array of the
-paths alive at the slab's start.  Consecutive draws continue each path's
-stream, so the results equal those of drawing the whole horizon up front.
-Memory is O(chunk x (block + slab)), independent of dt.  A step runs in
-preallocated work rows, in the order of operations of the plain expressions
-it stands for, so its bits are theirs.  A solved control is read by index
-arithmetic on its uniform x grid, bit-identical to np.interp.
+order is fixed by path index.  Noise is drawn lazily, in one level: each
+generator call draws one block of steps for one path still alive, into one
+row of a paths x steps block, and a step reads its column of that block,
+gathered to the rows still alive once a path has left.  Consecutive draws
+continue each path's stream, so the results equal those of drawing the
+whole horizon up front.  Memory is O(chunk x block), independent of dt.
+A step runs in preallocated work rows, in the order of operations of the
+plain expressions it stands for, so its bits are theirs.  A solved control
+is read by index arithmetic on its uniform x grid, bit-identical to
+np.interp.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ from .hjb import ControlField
 _CHUNK = 8192
 # steps of noise drawn per path and generator call: the drawn block is _CHUNK x _BLOCK
 _BLOCK = 256
-# steps of a block transposed at a time into the step-major slab, _SLAB x _CHUNK
-_SLAB = 32
-# paths per tile of that transpose, which keeps each tile in cache
-_TILE = 512
 
 # mean overshoot of a discretely monitored Brownian crossing, -zeta(1/2)/sqrt(2 pi)
 BARRIER_CORRECTION = 0.5825971579390107
@@ -224,13 +221,11 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats
     key = [cfg.base_seed, 0]  # plain ints: the setter reads them word by word
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    # a block of noise is drawn path by path, then copied a slab of steps at a
-    # time, in tiles of paths, into steps x paths for the paths still alive
+    # a block of noise is drawn path by path, one row per path alive at its start
     block = min(_BLOCK, n_steps)
     drawn_buf = np.empty((slots, block))
-    slab_buf = np.empty((min(_SLAB, block), slots))
     # work rows of one step, cut to the paths alive
-    a_buf, a_dt_buf, sd_buf, w_buf, xi_buf = np.empty((5, slots))
+    a_buf, a_dt_buf, sd_buf, w_buf = np.empty((4, slots))
     inside_buf, flag_buf = np.empty((2, slots), dtype=bool)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
@@ -243,66 +238,52 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats
         r = np.zeros(ids.size)
         q = np.zeros(ids.size)
         for start in range(0, n_steps, _BLOCK):
-            if ids.size == 0:
+            live = ids.size
+            if live == 0:
                 break
             width = min(_BLOCK, n_steps - start)
-            drawn = drawn_buf[:ids.size, :width]
+            drawn = drawn_buf[:live, :width]
             for row, i in zip(drawn, (ids - lo).tolist()):
                 draws[i](out=row)
             rows = None  # rows of `drawn` still alive, once a path has left
-            for s0 in range(start, start + width, _SLAB):
-                if ids.size == 0:
+            a, a_dt, sd, w = a_buf[:live], a_dt_buf[:live], sd_buf[:live], w_buf[:live]
+            inside, flag = inside_buf[:live], flag_buf[:live]
+            for j in range(start, start + width):
+                column = drawn[:, j - start]
+                xi = column if rows is None else column[rows]
+                # in the order of operations of the plain expressions in the comments
+                eval_a(j * dt, x, a)
+                np.multiply(a, dt, out=a_dt)
+                np.sqrt(a_dt, out=sd)                       # step_sd = sqrt(a * dt)
+                x += np.multiply(sd, xi, out=w)             # x + step_sd * xi
+                shift = np.multiply(sd, BARRIER_CORRECTION, out=w)  # shift < x < 1 - shift
+                np.greater(x, shift, out=inside)
+                np.less(x, np.subtract(1.0, shift, out=w), out=flag)
+                inside &= flag
+                np.log(a, out=a)                            # 0.5 * (1 + log a) * dt
+                a += 1.0
+                a *= 0.5
+                a *= dt
+                r += a
+                q += a_dt
+                if np.count_nonzero(inside) == live:
+                    continue
+                gone = np.logical_not(inside, out=flag).nonzero()[0]
+                paths = ids[gone]
+                # record the nearer boundary; endpoints clip to {0, 1}
+                left_exit = x[gone] <= 0.5
+                side[paths] = np.where(left_exit, -1, 1)
+                terminal[paths] = np.where(left_exit, 0.0, 1.0)
+                exit_time[paths] = (j + 1) * dt
+                reward[paths] = r[gone]
+                qv[paths] = q[gone]
+                ids, x, r, q = ids[inside], x[inside], r[inside], q[inside]
+                rows = np.flatnonzero(inside) if rows is None else rows[inside]
+                live = ids.size
+                if live == 0:
                     break
-                live, s1 = ids.size, min(s0 + _SLAB, start + width)
-                part = drawn[:, s0 - start:s1 - start]
-                slab = slab_buf[:s1 - s0, :live]
-                for t0 in range(0, live, _TILE):
-                    t1 = min(t0 + _TILE, live)
-                    tile = part[t0:t1] if rows is None else part[rows[t0:t1]]
-                    np.copyto(slab[:, t0:t1], tile.T)
-                cols = None  # columns of `slab` still alive, once a path has left
                 a, a_dt, sd, w = a_buf[:live], a_dt_buf[:live], sd_buf[:live], w_buf[:live]
                 inside, flag = inside_buf[:live], flag_buf[:live]
-                for j in range(s0, s1):
-                    xi = (slab[j - s0] if cols is None else
-                          slab[j - s0].take(cols, out=xi_buf[:live], mode="clip"))
-                    # in the order of operations of the plain expressions in the comments
-                    eval_a(j * dt, x, a)
-                    np.multiply(a, dt, out=a_dt)
-                    np.sqrt(a_dt, out=sd)                       # step_sd = sqrt(a * dt)
-                    x += np.multiply(sd, xi, out=w)             # x + step_sd * xi
-                    shift = np.multiply(sd, BARRIER_CORRECTION, out=w)  # shift < x < 1 - shift
-                    np.greater(x, shift, out=inside)
-                    np.less(x, np.subtract(1.0, shift, out=w), out=flag)
-                    inside &= flag
-                    np.log(a, out=a)                            # 0.5 * (1 + log a) * dt
-                    a += 1.0
-                    a *= 0.5
-                    a *= dt
-                    if np.count_nonzero(inside) == live:
-                        r += a
-                        q += a_dt
-                        continue
-                    gone = np.logical_not(inside, out=flag).nonzero()[0]
-                    paths = ids[gone]
-                    # record the nearer boundary; endpoints clip to {0, 1}
-                    left_exit = x[gone] <= 0.5
-                    side[paths] = np.where(left_exit, -1, 1)
-                    terminal[paths] = np.where(left_exit, 0.0, 1.0)
-                    exit_time[paths] = (j + 1) * dt
-                    reward[paths] = r[gone] + a[gone]
-                    qv[paths] = q[gone] + a_dt[gone]
-                    r += a
-                    q += a_dt
-                    ids, x, r, q = ids[inside], x[inside], r[inside], q[inside]
-                    cols = np.flatnonzero(inside) if cols is None else cols[inside]
-                    live = ids.size
-                    if live == 0:
-                        break
-                    a, a_dt, sd, w = a_buf[:live], a_dt_buf[:live], sd_buf[:live], w_buf[:live]
-                    inside, flag = inside_buf[:live], flag_buf[:live]
-                if cols is not None:
-                    rows = cols if rows is None else rows[cols]
         terminal[ids] = x
         reward[ids] = r
         qv[ids] = q

@@ -489,6 +489,28 @@ def test_density_with_no_probe_on_a_time_level_exits_one_like_the_figures(
     assert messages[0].startswith("error: no probe time (0.5, 0.9, 0.99 of T)")
 
 
+def test_density_start_between_nodes_exits_one_before_solving(tmp_path, capsys, monkeypatch):
+    # at N = 3 the start 0.5 lies between the nodes 1/3 and 2/3: the density's
+    # Dirac is not moved to a node, while simulate starts its paths at 0.5
+    assert cli.main(["simulate", "--grid-n", "3", "--grid-m", "100", "--x0", "0.5",
+                     "--n-paths", "16", "--dt", "0.01", "--output", str(tmp_path / "sim")]) == 0
+    capsys.readouterr()
+
+    def no_solve(*args):
+        raise AssertionError("solved before the start-node check")
+
+    for name in ("solve_hjb", "solve_forward_density"):
+        monkeypatch.setattr(cli, name, no_solve)
+    for command in ("density", "reproduce-figures"):
+        out = tmp_path / command
+        assert cli.main([command, "--grid-n", "3", "--grid-m", "100", "--x0", "0.5",
+                         "--output", str(out)]) == 1
+        (message,) = _message_lines(capsys.readouterr().err)
+        assert message == ("error: x = 0.5 is not a grid node (h = 1/3); "
+                           "the nearest nodes are 0.333333 and 0.666667")
+        assert not out.exists()
+
+
 # sha256 of every file each command writes at a small config.  M = 300 puts the
 # 0.99 probe row at a t that prints differently from t_nodes()[297], so the
 # figure CSVs pin the probe times they are written with.

@@ -250,8 +250,8 @@ def reference_forward_density(model, grid, x0):
 @pytest.mark.parametrize("N, M, x0, solved", [
     (2, 1, 0.5, False),  # one interior node: a 1x1 solve with empty off-diagonals
     (2, 4, 0.5, True),
-    (3, 5, 0.4, False),
-    (64, 30, 0.3, False),
+    (3, 5, 1 / 3, False),
+    (64, 30, 19 / 64, False),
     (40, 300, 0.5, True),
 ])
 def test_forward_density_matches_reference_loop(N, M, x0, solved):
@@ -299,8 +299,10 @@ def test_density_input_validation():
     model = me.VolatilityModel.early_termination(ctrl)
     with pytest.raises(ValidationError):
         me.solve_forward_density(model, g, 0.0)
-    with pytest.raises(ValidationError):
-        me.solve_forward_density(model, g, 0.01)  # rounds onto the boundary node
+    with pytest.raises(ValidationError, match="nearest nodes are 0 and 0.1"):
+        me.solve_forward_density(model, g, 0.01)  # between nodes: the Dirac is not moved
+    with pytest.raises(ValidationError, match="boundary node"):
+        me.solve_forward_density(model, g, 1e-11)  # within 1e-9 h of node 0
     other = me.make_grid(20, 10, 1.0)
     with pytest.raises(ValidationError):
         me.solve_forward_density(model, other, 0.5)

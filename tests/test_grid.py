@@ -60,6 +60,14 @@ def test_grid_nodes_hit_endpoints():
     assert g.time_index(0.0) == 0 and g.time_index(2.5) == 3
     with pytest.raises(ValidationError):
         g.time_index(1.0)  # not a multiple of k = 2.5/3
+    assert g.space_index(0.0) == 0 and g.space_index(3 / 7) == 3 and g.space_index(1.0) == 7
+    assert g.space_index(3 / 7 + 1e-11) == 3  # 7e-11 h from the node
+    for x in (0.5, 3 / 7 + 1e-9):
+        with pytest.raises(ValidationError, match="is not a grid node"):
+            g.space_index(x)
+    for x in (-1 / 7, 8 / 7, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="outside the grid"):
+            g.space_index(x)
 
 
 def test_stationary_entropy_values():

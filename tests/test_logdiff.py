@@ -131,6 +131,25 @@ def test_newton_damping_underflow_raises(monkeypatch):
         me.solve_log_diffusion(me.make_grid(8, 4, 1.0), me.LadderConfig(2))
 
 
+def test_newton_damping_halves_until_the_iterate_is_positive(monkeypatch):
+    # the Jacobian diagonal is 2/k + 2/(h^2 w), so each solve reveals the iterate w
+    g = me.make_grid(16, 4, 1.0)
+    iterates = []
+
+    def spy(sub, diag, sup, rhs):
+        w = 2.0 / (g.h * g.h * (diag - 2.0 / g.k))
+        iterates.append(w)
+        if len(iterates) == 1:
+            return -3.0 * w  # w + delta and w + delta/2 are not positive, w + delta/4 is
+        return solve_tridiagonal(sub, diag, sup, rhs)
+
+    monkeypatch.setattr(logdiff, "solve_tridiagonal", spy)
+    p = me.solve_log_diffusion(g, me.LadderConfig(regularisation_n=16))
+    assert isinstance(p, me.PField)
+    np.testing.assert_allclose(iterates[0], 1.0 / 16.0, rtol=1e-12)
+    np.testing.assert_allclose(iterates[1], iterates[0] / 4.0, rtol=1e-12)
+
+
 def test_ladder_config_validation():
     with pytest.raises(ValidationError):
         me.LadderConfig(regularisation_n=0)

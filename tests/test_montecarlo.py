@@ -50,7 +50,6 @@ def test_per_path_streams_do_not_depend_on_batch(monkeypatch):
         assert_same_paths(run(40), many, slice(0, 40))
         monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
         monkeypatch.setattr(montecarlo, "_BLOCK", 7)
-        monkeypatch.setattr(montecarlo, "_SLAB", 3)  # does not divide the block
         assert_same_paths(run(n_many), many)
         monkeypatch.undo()
 
@@ -135,8 +134,8 @@ def test_full_length_evaluator_equals_benchmark_variance_bitwise():
 
 
 def reference_simulate_paths(control, cfg, T=None):
-    """The simulator's loop before its noise slabs and work buffers, kept as the
-    bitwise reference: per-path Philox streams drawn 128 steps at a time and
+    """The simulator's loop before its work buffers, kept as the bitwise
+    reference: per-path Philox streams drawn 128 steps at a time and
     transposed whole, every step written as plain numpy expressions."""
     if isinstance(control, me.ControlField):
         grid = control.grid
@@ -204,11 +203,11 @@ def reference_simulate_paths(control, cfg, T=None):
             "exit_time_samples": exit_time, "absorbed_side": side}
 
 
-@pytest.mark.parametrize("layout", [None, (128, 7, 3, 5)], ids=["default", "tiny"])
+@pytest.mark.parametrize("layout", [None, (128, 7)], ids=["default", "tiny"])
 def test_paths_match_reference_loop_bitwise(layout, monkeypatch):
     if layout is not None:
-        # chunk, block, slab and tile edges all fall in the middle of the runs
-        for name, value in zip(("_CHUNK", "_BLOCK", "_SLAB", "_TILE"), layout):
+        # chunk and block edges both fall in the middle of the runs
+        for name, value in zip(("_CHUNK", "_BLOCK"), layout):
             monkeypatch.setattr(montecarlo, name, value)
     ctrl, _ = small_control_field(50)  # k = 0.02
     full = me.VolatilityModel.full_length(1.0)
