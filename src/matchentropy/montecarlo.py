@@ -221,9 +221,10 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats
     key = [cfg.base_seed, 0]  # plain ints: the setter reads them word by word
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    # a block of noise is drawn path by path, one row per path alive at its start
+    # one row per path alive at the block's start, a cache line longer than the block:
+    # a power-of-two row stride would map a step's column onto a few cache sets
     block = min(_BLOCK, n_steps)
-    drawn_buf = np.empty((slots, block))
+    drawn_buf = np.empty((slots, block + 8))
     # work rows of one step, cut to the paths alive
     a_buf, a_dt_buf, sd_buf, w_buf = np.empty((4, slots))
     inside_buf, flag_buf = np.empty((2, slots), dtype=bool)
