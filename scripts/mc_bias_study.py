@@ -6,7 +6,9 @@ the exit step) on the solved optimal control of the reference grid at each
 given step dt: reward versus the solved value at (0, 1/2), the pathwise
 quadratic-variation identity, and the absorbed fraction at t = 0.5 versus the
 forward-density curve.  Every dt must be at most the grid's time step k = 1e-3,
-since the simulator rejects a coarser dt on a solved control.
+since the simulator rejects a coarser dt on a solved control.  The simulator
+reads control row a_m on [t_m, t_{m+1}), as the HJB step does, so a dt below
+k reads each row for k/dt steps.
 """
 
 import argparse

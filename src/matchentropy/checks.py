@@ -118,7 +118,10 @@ def hjb_horizon_solver(N: int = 100, k: float = 5e-3,
     """
 
     def solve(T: float) -> ValueSurface:
-        grid = make_grid(N, int(round(T / k)), T)
+        steps = T / k
+        if not math.isfinite(steps):  # make_grid rejects a finite count too large
+            raise ValidationError(f"horizon {T!r} is not a finite number of steps k = {k!r}")
+        grid = make_grid(N, int(round(steps)), T)
         return solve_hjb(grid, SchemeConfig(cap_d=cap_d))
 
     return solve

@@ -46,7 +46,8 @@ class Grid:
 
     def time_index(self, t: float) -> int:
         """Index m with m*k == t; rejects off-grid times (no nearest-node fallback)."""
-        m = int(round(t / self.k))
+        pos = t / self.k
+        m = round(pos) if -1.0 < pos < self.M + 1.0 else -1  # NaN and inf name no level
         if m < 0 or m > self.M or abs(m * self.k - t) > 1e-9 * max(1.0, self.T):
             raise ValidationError(f"time {t} is not a grid time level (k={self.k})")
         return m

@@ -1,8 +1,10 @@
 """Euler-Maruyama simulation of the controlled win-probability martingale.
 
 Paths follow X_{j+1} = X_j + sigma(t_j, X_j) sqrt(dt) xi_j with feedback
-sigma^2 read from a solved control field (bilinear interpolation), the
-closed-form full-length benchmark, or a constant.  A path stops the first
+sigma^2 read from a solved control field, the closed-form full-length
+benchmark, or a constant.  A field is read as row a_m on [t_m, t_{m+1}),
+linear in x: the left-point policy of the HJB step, whose implicit step from
+t_{m+1} to t_m uses row m (Kushner & Dupuis 2001).  A path stops the first
 step its endpoint crosses the continuity-corrected barriers
 beta*sigma*sqrt(dt) inside {0, 1} (beta = -zeta(1/2)/sqrt(2*pi), the
 standard correction for discretely monitored absorption, which removes the
@@ -19,9 +21,8 @@ gathered to the rows still alive once a path has left.  Consecutive draws
 continue each path's stream, so the results equal those of drawing the
 whole horizon up front.  Memory is O(chunk x block), independent of dt.
 A step runs in preallocated work rows, in the order of operations of the
-plain expressions it stands for, so its bits are theirs.  A solved control
-is read by index arithmetic on its uniform x grid, bit-identical to
-np.interp.
+plain expressions it stands for, so its bits are theirs.  The x lookup is
+index arithmetic on the uniform grid, bit-identical to np.interp.
 """
 
 from __future__ import annotations
@@ -125,8 +126,9 @@ def _control_evaluator(control, T: float | None, size: int):
 
 
 def _field_evaluator(control: ControlField, size: int):
-    """Bilinear lookup of a*(t, x): the rows either side of t blended in time,
-    then np.interp(x, nodes, row) bit for bit, for x in [0, 1].
+    """Lookup of a*(t, x): row min(floor(t / k + 1e-9), M - 1), then
+    np.interp(x, nodes, row) bit for bit, for x in [0, 1].  The 1e-9 keeps a
+    t / k that rounds just below an integer from reading the row before.
 
     The bracketing index comes from floor(x * N), corrected by one comparison
     each way against the nodes followed by an inf sentinel, and the value from
@@ -140,21 +142,13 @@ def _field_evaluator(control: ControlField, size: int):
     xs_next = xs[1:]
     dxs = np.diff(nodes)
     a_rows = control.a_star
-    blend, other = np.empty((2, grid.N + 1))
     slopes = np.zeros(grid.N + 1)
     index = np.empty(size, dtype=np.intp)
     work = np.empty(size)
     flag = np.empty(size, dtype=bool)
 
     def eval_field(t, x, out):
-        mf = t / grid.k
-        m = min(int(mf), grid.M - 1)
-        wt = mf - m
-        if wt == 0.0:
-            row = a_rows[m]
-        else:  # (1 - wt) * a_m + wt * a_{m+1}
-            row = np.multiply(a_rows[m], 1.0 - wt, out=blend)
-            row += np.multiply(a_rows[m + 1], wt, out=other)
+        row = a_rows[min(int(t / grid.k + 1e-9), grid.M - 1)]
         np.subtract(row[1:], row[:-1], out=slopes[:-1])
         slopes[:-1] /= dxs
         j, w, f = index[:x.size], work[:x.size], flag[:x.size]

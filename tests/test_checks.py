@@ -142,6 +142,11 @@ def test_decay_check_rejects_horizons_off_the_step_grid():
     for bad in ((), (1.0, 0.0), (1.0, -2.0), (1.0, math.nan), (math.inf,)):
         with pytest.raises(ValidationError, match="positive and finite"):
             me.decay_rate_check(solver, bad)
+    # 1e308 / k overflows to inf; 1e300 / k is a finite count no array can hold
+    with pytest.raises(ValidationError, match="not a finite number of steps"):
+        me.decay_rate_check(me.hjb_horizon_solver(), [1e308])
+    with pytest.raises(ValidationError, match="too large for one array"):
+        me.decay_rate_check(me.hjb_horizon_solver(), [1e300])
 
 
 def test_decay_check_rejects_a_horizon_shorter_than_one_step():

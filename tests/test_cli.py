@@ -532,7 +532,7 @@ GOLDEN_DIGESTS = {
             "726ebabb78067331e0c22ff790bb2e1a23426e1aa830635168b24ab46f4c949e",
     },
     "simulate": {
-        "simulate.json": "64ab560d32dca11d65bdd19167dcadf35dd6e5527a4ac291168655807f4888c0",
+        "simulate.json": "1968f9dcd666e8d236092ac9a3c3fa2171bde32f1fd579da7606bcaa31b1ff7b",
     },
     "check": {
         "check_report.json": "3d3ee6702b85c6414b05bc6fc6c40730a61a7f6e94dc22560a28ce8b129e248d",

@@ -100,8 +100,9 @@ def test_survival_requires_exact_grid_time():
     g = me.make_grid(10, 10, 1.0)
     dens = me.solve_forward_density(
         me.VolatilityModel.early_termination(constant_control_field(g)), g, 0.5)
-    with pytest.raises(ValidationError):
-        me.survival_probability(dens, 0.123)
+    for t in (0.123, float("nan"), float("inf"), 1e308):
+        with pytest.raises(ValidationError):
+            me.survival_probability(dens, t)
 
 
 def test_unit_control_matches_series_solution():

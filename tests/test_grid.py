@@ -60,6 +60,10 @@ def test_grid_nodes_hit_endpoints():
     assert g.time_index(0.0) == 0 and g.time_index(2.5) == 3
     with pytest.raises(ValidationError):
         g.time_index(1.0)  # not a multiple of k = 2.5/3
+    # t / k is NaN or +-inf (1e308 / 0.1 overflows), which round() cannot take
+    for t in (float("nan"), float("inf"), -float("inf"), 1e308, -1e308):
+        with pytest.raises(ValidationError, match="not a grid time level"):
+            me.make_grid(10, 10, 1.0).time_index(t)
     assert g.space_index(0.0) == 0 and g.space_index(3 / 7) == 3 and g.space_index(1.0) == 7
     assert g.space_index(3 / 7 + 1e-11) == 3  # 7e-11 h from the node
     for x in (0.5, 3 / 7 + 1e-9):

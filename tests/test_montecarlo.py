@@ -56,10 +56,11 @@ def test_per_path_streams_do_not_depend_on_batch(monkeypatch):
 
 # sha256 over PATH_ARRAYS, recorded with the simulator that drew each path's
 # whole horizon of noise up front and looked the control up with np.interp
-# (x86-64, numpy 2.4); a numpy whose SIMD log or sin rounds differently will
-# not reproduce them
+# (x86-64, numpy 2.4; field_dt_below_k re-recorded when the lookup became the
+# left-point row); a numpy whose SIMD log or sin rounds differently will not
+# reproduce them
 GOLDEN_RUNS = {
-    "field_time_blend": "51630a94997a7be3b61880c0aa1ce080b720ce9c930de5706af43fd6bf036ac7",
+    "field_dt_below_k": "11382766a5d2532f77fa49e01c1ccca1e1553f7383d8f62cc6e27ddd44274432",
     "field_stopped_early": "9e86adff7256ce2df508bb960f2881466f85cbd08ea5de8c02f154d943e50cf1",
     "full_length": "ff142c7bc9e5dd519949e9049a6f974fd613dc88ada6dcd3050466feef21bf33",
     "constant": "cc50c3187a3e0fe1de18d32cc5666e9179e662fef3d6235dd4f982b57e577b7c",
@@ -69,8 +70,8 @@ GOLDEN_RUNS = {
 def test_paths_match_golden_digests():
     ctrl, _ = small_control_field(50)  # k = 0.02
     runs = {
-        # dt < k, so the control rows are blended in time
-        "field_time_blend": lambda: me.simulate_paths(
+        # dt < k, so four steps read each control row
+        "field_dt_below_k": lambda: me.simulate_paths(
             ctrl, me.SimConfig(n_paths=300, dt=0.005, base_seed=11, x0=0.5)),
         "field_stopped_early": lambda: me.simulate_paths(
             ctrl, me.SimConfig(n_paths=300, dt=0.02, base_seed=9, x0=0.4), T=0.5),
@@ -116,10 +117,15 @@ def test_control_lookup_equals_np_interp_bitwise():
         queries = np.concatenate([xs, np.nextafter(xs[1:], 0.0), np.nextafter(xs[:-1], 1.0),
                                   [0.0, 1.0], rng.uniform(0.0, 1.0, 10_000)])
         _, eval_a = _control_evaluator(field, None, queries.size)
-        a0, a1 = field.a_star[0], field.a_star[1]
-        for t, row in ((0.0, a0), (0.5 * field.grid.k, 0.5 * a0 + 0.5 * a1)):
+        # row m on [t_m, t_{m+1}); on k = 0.02, 58 * 0.01 / k and 29 * 0.02 / k are both
+        # 28.999999999999996, and each must read row 29, as the HJB step does
+        times = [(0.0, 0), (0.5 * field.grid.k, 0), (field.grid.T, field.grid.M - 1)]
+        if field is ctrl:
+            times += [(58 * 0.01, 29), (29 * 0.02, 29)]
+        for t, m in times:
             got = eval_a(t, queries, np.empty(queries.size))
-            assert np.array_equal(got.view(np.uint64), np.interp(queries, xs, row).view(np.uint64))
+            want = np.interp(queries, xs, field.a_star[m])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), t
 
 
 def test_full_length_evaluator_equals_benchmark_variance_bitwise():
@@ -142,13 +148,9 @@ def reference_simulate_paths(control, cfg, T=None):
         xs = grid.x_nodes()
         horizon = grid.T
 
-        def eval_a(t, x):
-            mf = t / grid.k
-            m = min(int(mf), grid.M - 1)
-            wt = mf - m
-            rows = control.a_star
-            row = rows[m] if wt == 0.0 else (1.0 - wt) * rows[m] + wt * rows[m + 1]
-            return np.interp(x, xs, row)
+        def eval_a(t, x):  # the left-point row a_m on [t_m, t_{m+1})
+            m = min(math.floor(t / grid.k + 1e-9), grid.M - 1)
+            return np.interp(x, xs, control.a_star[m])
     elif isinstance(control, me.VolatilityModel):
         horizon = control.T
 
@@ -266,6 +268,15 @@ def test_full_length_quadratic_variation_identity():
     # the step-resolution cutoff of the final collapse keeps qv a little under 1/4
     assert stats.qv_mean == pytest.approx(0.25, abs=0.05)
     assert stats.fraction_absorbed_by[0.5] == 0.0
+
+
+def test_quadratic_variation_identity_holds_below_the_grid_step():
+    # dt = k/2 on a solved field: the last half-steps before T read row M - 1,
+    # as the HJB step does, not the capped terminal row (a* = 1e6 at x = 1/2)
+    ctrl, _ = small_control_field(100, cap=1e6)
+    cfg = me.SimConfig(n_paths=20000, dt=0.005, base_seed=23, x0=0.5)
+    report = me.quadratic_variation_check(me.simulate_paths(ctrl, cfg), cfg)
+    assert report.passed, report
 
 
 def test_quadratic_variation_check_fails_on_a_built_bias():
