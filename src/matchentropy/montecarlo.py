@@ -23,24 +23,37 @@ whole horizon up front.  Memory is O(chunk x block), independent of dt.
 A step runs in preallocated work rows, in the order of operations of the
 plain expressions it stands for, so its bits are theirs.  The x lookup is
 index arithmetic on the uniform grid, bit-identical to np.interp.
+
+A large run is split into contiguous, near-equal ranges of path indices, one
+per CPU in the process's affinity mask (`taskset` limits them), but none for
+fewer than _MIN_WORKER_STEPS path-steps.  The calling process simulates the
+first range and a spawned worker process each other one; the per-path streams
+make every result independent of the number of workers.  Spawn imports the
+caller's main module in each worker, so a script that calls simulate_paths on
+a large run must keep its own work under `if __name__ == "__main__":`.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .density import FULL_LENGTH, VolatilityModel, _full_length_variance
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .grid import MAX_ARRAY_ENTRIES
 from .hjb import ControlField
 
 _CHUNK = 8192
 # steps of noise drawn per path and generator call: the drawn block is _CHUNK x _BLOCK
 _BLOCK = 256
+# path-steps (n_paths * n_steps) per worker process, about the serial cost of
+# starting one: a spawned worker takes about 0.3 s to start and import numpy and
+# this package, as long as one process takes for 5-10M path-steps (30-60 ns each)
+_MIN_WORKER_STEPS = 8_000_000
 
 # mean overshoot of a discretely monitored Brownian crossing, -zeta(1/2)/sqrt(2 pi)
 BARRIER_CORRECTION = 0.5825971579390107
@@ -167,42 +180,17 @@ def _field_evaluator(control: ControlField, size: int):
     return eval_field
 
 
-def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats:
-    """Simulate cfg.n_paths trajectories and aggregate their statistics.
-
-    `control` may be a ControlField, a VolatilityModel, or a positive
-    constant diffusion coefficient (which needs an explicit horizon T).
-    For controls with a natural horizon, passing a smaller T stops the
-    simulation early (the law of the stopped process at T).
-    """
-    if isinstance(control, VolatilityModel) and control.kind != FULL_LENGTH:
-        control = control.control  # an early-termination model is its solved field
-    n = cfg.n_paths
+def _simulate_range(control, cfg: SimConfig, T: float, lo: int, hi: int):
+    """Simulate paths [lo, hi) of a validated run to the horizon T; return their
+    terminal values, absorbed sides, exit times, rewards and quadratic variations."""
+    n = hi - lo
     slots = min(n, _CHUNK)
-    horizon, eval_a = _control_evaluator(control, T, slots)
-    if T is not None and isinstance(control, (ControlField, VolatilityModel)):
-        if T > horizon + 1e-12:
-            raise ValidationError(f"T={T!r} exceeds the control horizon {horizon!r}")
-        horizon = float(T)
-    if isinstance(control, ControlField) and cfg.dt > control.grid.k + 1e-15:
-        raise ValidationError(f"dt={cfg.dt!r} exceeds the control grid step {control.grid.k!r}")
-    n_steps_f = horizon / cfg.dt
-    # past 2**53 steps the step times j*dt are no longer distinct doubles
-    if n_steps_f > 2.0 ** 53:
-        raise ValidationError(f"horizon/dt = {n_steps_f:.6g} steps is more than 2**53")
-    n_steps = int(round(n_steps_f)) if math.isfinite(n_steps_f) else 0
-    if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-9:
-        raise ValidationError(f"dt={cfg.dt!r} must divide the horizon {horizon!r} evenly")
+    _, eval_a = _control_evaluator(control, T, slots)
     dt = cfg.dt
-    # every path's first reward is log of it
-    a_start = float(eval_a(0.0, np.array([cfg.x0]), np.empty(1))[0])
-    if not a_start > 0.0:
-        raise ValidationError(f"the diffusion coefficient a(0, x0={cfg.x0!r}) is {a_start!r}, "
-                              "not positive")
-
+    n_steps = int(round(T / dt))
     terminal = np.empty(n)
     side = np.zeros(n, dtype=np.int8)
-    exit_time = np.full(n, horizon)
+    exit_time = np.full(n, T)
     reward = np.zeros(n)
     qv = np.zeros(n)
 
@@ -222,13 +210,13 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats
     # work rows of one step, cut to the paths alive
     a_buf, a_dt_buf, sd_buf, w_buf = np.empty((4, slots))
     inside_buf, flag_buf = np.empty((2, slots), dtype=bool)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        for path, bit in zip(range(lo, hi), bits):
+    for c_lo in range(0, n, _CHUNK):
+        c_hi = min(c_lo + _CHUNK, n)
+        for path, bit in zip(range(lo + c_lo, lo + c_hi), bits):
             key[1] = path
             bit.state = state
         # state of the live paths only, in path order; a path leaves the step it exits
-        ids = np.arange(lo, hi)
+        ids = np.arange(c_lo, c_hi)
         x = np.full(ids.size, cfg.x0)
         r = np.zeros(ids.size)
         q = np.zeros(ids.size)
@@ -238,7 +226,7 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats
                 break
             width = min(_BLOCK, n_steps - start)
             drawn = drawn_buf[:live, :width]
-            for row, i in zip(drawn, (ids - lo).tolist()):
+            for row, i in zip(drawn, (ids - c_lo).tolist()):
                 draws[i](out=row)
             rows = None  # rows of `drawn` still alive, once a path has left
             a, a_dt, sd, w = a_buf[:live], a_dt_buf[:live], sd_buf[:live], w_buf[:live]
@@ -282,6 +270,98 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats
         terminal[ids] = x
         reward[ids] = r
         qv[ids] = q
+
+    return terminal, side, exit_time, reward, qv
+
+
+def _path_ranges(n_paths: int, n_steps: int) -> list[tuple[int, int]]:
+    """Contiguous, near-equal ranges of [0, n_paths), one per process."""
+    workers = max(1, min(len(os.sched_getaffinity(0)), n_paths * n_steps // _MIN_WORKER_STEPS,
+                         n_paths))
+    return [(i * n_paths // workers, (i + 1) * n_paths // workers) for i in range(workers)]
+
+
+def _range_worker(conn, control, cfg: SimConfig, T: float, lo: int, hi: int) -> None:
+    """Body of a spawned worker: simulate paths [lo, hi), send their five arrays."""
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent ends its workers
+    with conn:
+        for arr in _simulate_range(control, cfg, T, lo, hi):
+            conn.send_bytes(arr)
+
+
+def _simulate_split(control, cfg: SimConfig, T: float, ranges):
+    """Simulate ranges[0] here and every other range in a spawned worker; return
+    each range's five arrays, in range order."""
+    import multiprocessing
+    ctx = multiprocessing.get_context("spawn")
+    workers = []
+    try:
+        for lo, hi in ranges[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            # the job is pickled at start, before this process allocates its own buffers
+            proc = ctx.Process(target=_range_worker, args=(send, control, cfg, T, lo, hi))
+            proc.start()
+            workers.append((proc, recv))
+            send.close()
+        parts = [_simulate_range(control, cfg, T, *ranges[0])]
+        for proc, recv in workers:
+            try:
+                parts.append([np.frombuffer(recv.recv_bytes(), dtype=own.dtype)
+                              for own in parts[0]])
+            except EOFError:
+                proc.join()
+                raise NumericalError(f"a Monte Carlo worker exited with code {proc.exitcode} "
+                                     "before returning its paths") from None
+            proc.join()
+        return parts
+    finally:
+        # reached with a worker alive only when this process raised
+        for proc, recv in workers:
+            recv.close()
+            proc.terminate()  # a no-op on a worker already joined
+            proc.join()
+
+
+def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats:
+    """Simulate cfg.n_paths trajectories and aggregate their statistics.
+
+    `control` may be a ControlField, a VolatilityModel, or a positive
+    constant diffusion coefficient (which needs an explicit horizon T).
+    For controls with a natural horizon, passing a smaller T stops the
+    simulation early (the law of the stopped process at T).  A large run is
+    split across worker processes (see the module docstring) with the same
+    results.
+    """
+    if isinstance(control, VolatilityModel) and control.kind != FULL_LENGTH:
+        control = control.control  # an early-termination model is its solved field
+    horizon, eval_a = _control_evaluator(control, T, 1)
+    if T is not None and isinstance(control, (ControlField, VolatilityModel)):
+        if T > horizon + 1e-12:
+            raise ValidationError(f"T={T!r} exceeds the control horizon {horizon!r}")
+        horizon = float(T)
+    if isinstance(control, ControlField) and cfg.dt > control.grid.k + 1e-15:
+        raise ValidationError(f"dt={cfg.dt!r} exceeds the control grid step {control.grid.k!r}")
+    n_steps_f = horizon / cfg.dt
+    # past 2**53 steps the step times j*dt are no longer distinct doubles
+    if n_steps_f > 2.0 ** 53:
+        raise ValidationError(f"horizon/dt = {n_steps_f:.6g} steps is more than 2**53")
+    n_steps = int(round(n_steps_f)) if math.isfinite(n_steps_f) else 0
+    if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-9:
+        raise ValidationError(f"dt={cfg.dt!r} must divide the horizon {horizon!r} evenly")
+    # every path's first reward is log of it
+    a_start = float(eval_a(0.0, np.array([cfg.x0]), np.empty(1))[0])
+    if not a_start > 0.0:
+        raise ValidationError(f"the diffusion coefficient a(0, x0={cfg.x0!r}) is {a_start!r}, "
+                              "not positive")
+
+    n = cfg.n_paths
+    ranges = _path_ranges(n, n_steps)
+    if len(ranges) == 1:
+        parts = [_simulate_range(control, cfg, horizon, 0, n)]
+    else:
+        parts = _simulate_split(control, cfg, horizon, ranges)
+    terminal, side, exit_time, reward, qv = (np.concatenate(arrays) for arrays in zip(*parts))
 
     absorbed = side != 0
     probes = [frac * horizon for frac in PROBE_FRACTIONS]

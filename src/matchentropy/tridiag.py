@@ -1,9 +1,19 @@
 """Tridiagonal linear solves by direct elimination (LAPACK dgtsv)."""
 
+import functools
+
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import NumericalError
+
+
+@functools.cache
+def _dgtsv():
+    """scipy's dgtsv, imported on the first solve rather than with the package:
+    scipy.linalg costs about 0.3 s to import, and a Monte Carlo worker never
+    solves."""
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv
 
 
 def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
@@ -18,7 +28,7 @@ def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
     if diag.size < 2:
         # dgtsv rejects empty off-diagonals; a 1x1 system is one division
         return rhs / diag
-    _, _, _, x, info = dgtsv(sub, diag, sup, rhs)
+    _, _, _, x, info = _dgtsv()(sub, diag, sup, rhs)
     if info > 0:
         raise NumericalError(f"tridiagonal solve failed: zero pivot in row {info}")
     return x

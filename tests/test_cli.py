@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -280,13 +282,65 @@ def test_simulations_the_simulator_cannot_run_exit_one_at_once(flags, tmp_path):
 
 
 def test_cli_import_loads_no_scipy_integrate(tmp_path):
-    # the package reaches scipy only for LAPACK's dgtsv; scipy.integrate alone
-    # would pull in hundreds of modules at every CLI start
-    probe = ("import sys, matchentropy.cli; "
-             "print([m for m in sys.modules if m.startswith('scipy.integrate')])")
-    done = _run_python("-c", probe, cwd=tmp_path)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    # the package reaches scipy only for LAPACK's dgtsv, imported on the first
+    # solve: scipy.linalg alone would add about 0.3 s to every CLI start and to
+    # every Monte Carlo worker, which imports matchentropy.montecarlo
+    for module in ("matchentropy.cli", "matchentropy.montecarlo"):
+        probe = (f"import sys, {module}; "
+                 "print([m for m in sys.modules if m.startswith('scipy')])")
+        done = _run_python("-c", probe, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]", module
+
+
+# `simulate` with its paths split in two, whatever the machine's core count
+SPLIT_SIMULATE = ("import sys; from matchentropy import cli, montecarlo; "
+                  "montecarlo._path_ranges = lambda n, steps: [(0, n // 2), (n // 2, n)]; "
+                  "sys.exit(cli.main())")
+
+
+def _spawned_workers(pid: int) -> list[int]:
+    """Children of `pid` that run multiprocessing's spawn entry point."""
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as fh:
+            children = [int(c) for c in fh.read().split()]
+    except FileNotFoundError:
+        return []
+    workers = []
+    for child in children:
+        try:
+            with open(f"/proc/{child}/cmdline", "rb") as fh:
+                if b"spawn_main" in fh.read():
+                    workers.append(child)
+        except FileNotFoundError:
+            pass
+    return workers
+
+
+def test_killed_worker_is_one_error_line_and_leaves_no_process(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-c", SPLIT_SIMULATE, "simulate", "--grid-n", "100",
+            "--grid-m", "100", "--model", "full_length", "--n-paths", "4000", "--dt", "1e-4",
+            "--output", "out"]
+    proc = subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        workers = []
+        while not workers and proc.poll() is None and time.monotonic() < deadline:
+            workers = _spawned_workers(proc.pid)
+            time.sleep(0.01)
+        assert len(workers) == 1, "no worker appeared"
+        os.kill(workers[0], signal.SIGKILL)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    assert proc.returncode == 2
+    (message,) = _message_lines(err)
+    assert message.startswith("numerical failure:") and "code -9" in message
+    assert not os.path.exists(f"/proc/{workers[0]}")
+    assert not (tmp_path / "out" / "simulate.json").exists()
 
 
 def test_explicit_scheme_cfl_precheck_fails_fast(capsys):

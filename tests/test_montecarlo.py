@@ -1,6 +1,10 @@
+import contextlib
 import dataclasses
 import hashlib
 import math
+import multiprocessing
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -452,3 +456,119 @@ def test_constant_controls_do_not_beat_the_solved_control():
         other = me.simulate_paths(a, sim, T=1.0)
         se = math.hypot(best.reward_stderr, other.reward_stderr)
         assert other.reward_mean <= best.reward_mean + 3.0 * se
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the main thread if the block runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def forced_split(workers):
+    """A stand-in for montecarlo._path_ranges: `workers` near-equal ranges."""
+    return lambda n_paths, n_steps: [(i * n_paths // workers, (i + 1) * n_paths // workers)
+                                     for i in range(workers)]
+
+
+SPLIT_PATHS = 2 * _CHUNK + 1005  # divides by none of 2, 3, 5; one and two workers cross a chunk edge
+
+
+@pytest.mark.parametrize("case", ["field_dt_below_k", "field_stopped_early", "full_length",
+                                  "constant"])
+def test_every_worker_count_gives_the_same_bits(case, monkeypatch):
+    ctrl, _ = small_control_field(50)  # k = 0.02
+    control, cfg, kwargs = {
+        "field_dt_below_k": (ctrl, me.SimConfig(SPLIT_PATHS, 0.005, 11, 0.5), {}),
+        "field_stopped_early": (ctrl, me.SimConfig(SPLIT_PATHS, 0.02, 9, 0.4), {"T": 0.5}),
+        "full_length": (me.VolatilityModel.full_length(1.0),
+                        me.SimConfig(SPLIT_PATHS, 0.01, 5, 0.5), {}),
+        "constant": (1.0, me.SimConfig(SPLIT_PATHS, 0.01, 3, 0.3), {"T": 1.0}),
+    }[case]
+    reference = reference_simulate_paths(control, cfg, **kwargs)
+    runs = {}
+    with time_limit(120):
+        for workers in (1, 2, 3, 5):  # 5 is more than most machines' cores
+            monkeypatch.setattr(montecarlo, "_path_ranges", forced_split(workers))
+            runs[workers] = me.simulate_paths(control, cfg, **kwargs)
+            assert multiprocessing.active_children() == []
+    for workers, stats in runs.items():
+        for name in PATH_ARRAYS:
+            got = getattr(stats, name).tobytes()
+            assert got == getattr(runs[1], name).tobytes(), (workers, name)
+            assert got == reference[name].tobytes(), (workers, name)
+        assert stats.reward_mean == runs[1].reward_mean and stats.qv_mean == runs[1].qv_mean
+        assert stats.fraction_absorbed_by == runs[1].fraction_absorbed_by
+
+
+def test_path_ranges_cover_the_paths_and_start_no_worker_for_small_runs():
+    steps = montecarlo._MIN_WORKER_STEPS
+    assert montecarlo._path_ranges(1, 10 * steps) == [(0, 1)]
+    assert montecarlo._path_ranges(1000, steps // 1000 - 1) == [(0, 1000)]
+    ranges = montecarlo._path_ranges(100_001, 64 * steps)
+    assert len(ranges) == min(len(os.sched_getaffinity(0)), 100_001)
+    assert ranges[0][0] == 0 and ranges[-1][1] == 100_001
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    assert max(hi - lo for lo, hi in ranges) - min(hi - lo for lo, hi in ranges) <= 1
+
+
+def test_a_worker_sends_its_range_in_order_and_leaves_interrupts_to_the_parent():
+    cfg = me.SimConfig(n_paths=40, dt=0.01, base_seed=8, x0=0.5)
+    whole = me.simulate_paths(1.0, cfg, T=1.0)
+    recv, send = multiprocessing.Pipe(duplex=False)
+    previous = signal.getsignal(signal.SIGINT)
+    try:  # in this process, as a spawned worker runs it
+        montecarlo._range_worker(send, 1.0, cfg, 1.0, 13, 29)
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    for name in ("terminal_values", "absorbed_side", "exit_time_samples", "reward_samples",
+                 "qv_samples"):
+        assert recv.recv_bytes() == getattr(whole, name)[13:29].tobytes(), name
+    with pytest.raises(EOFError):  # the worker closed its end
+        recv.recv_bytes()
+    recv.close()
+
+
+def _split_run(monkeypatch, own_range):
+    """Run a two-process split whose calling-process range is `own_range`."""
+    monkeypatch.setattr(montecarlo, "_path_ranges", forced_split(2))
+    monkeypatch.setattr(montecarlo, "_simulate_range", own_range)
+    cfg = me.SimConfig(n_paths=200, dt=0.01, base_seed=4, x0=0.5)
+    with time_limit(120):
+        return me.simulate_paths(1.0, cfg, T=1.0)
+
+
+def test_a_worker_that_dies_is_one_package_error(monkeypatch):
+    simulate_range = montecarlo._simulate_range
+
+    def kill_workers_first(*args):
+        for child in multiprocessing.active_children():
+            os.kill(child.pid, signal.SIGKILL)
+        return simulate_range(*args)
+
+    with pytest.raises(me.NumericalError, match="worker exited with code -9 before returning"):
+        _split_run(monkeypatch, kill_workers_first)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupt_in_the_own_range_ends_the_workers(monkeypatch):
+    pids = []
+
+    def interrupted(*args):
+        pids.extend(child.pid for child in multiprocessing.active_children())
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        _split_run(monkeypatch, interrupted)
+    assert len(pids) == 1 and multiprocessing.active_children() == []
+    with pytest.raises(ProcessLookupError):  # joined, so not even a zombie is left
+        os.kill(pids[0], 0)
