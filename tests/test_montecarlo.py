@@ -479,7 +479,8 @@ def forced_split(workers):
                                      for i in range(workers)]
 
 
-SPLIT_PATHS = 2 * _CHUNK + 1005  # divides by none of 2, 3, 5; one and two workers cross a chunk edge
+# divisible by none of 2, 3 and 5; the ranges of one and of two workers cross a chunk edge
+SPLIT_PATHS = 2 * _CHUNK + 1005
 
 
 @pytest.mark.parametrize("case", ["field_dt_below_k", "field_stopped_early", "full_length",
