@@ -35,8 +35,12 @@ a large run must keep its own work under `if __name__ == "__main__":`.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,52 +278,112 @@ def _simulate_range(control, cfg: SimConfig, T: float, lo: int, hi: int):
     return terminal, side, exit_time, reward, qv
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _path_ranges(n_paths: int, n_steps: int) -> list[tuple[int, int]]:
     """Contiguous, near-equal ranges of [0, n_paths), one per process."""
-    workers = max(1, min(len(os.sched_getaffinity(0)), n_paths * n_steps // _MIN_WORKER_STEPS,
-                         n_paths))
+    workers = min(n_paths * n_steps // _MIN_WORKER_STEPS, n_paths)
+    if workers > 1:
+        workers = min(workers, _cpu_count())
+    workers = max(1, workers)
     return [(i * n_paths // workers, (i + 1) * n_paths // workers) for i in range(workers)]
 
 
-def _range_worker(conn, control, cfg: SimConfig, T: float, lo: int, hi: int) -> None:
-    """Body of a spawned worker: simulate paths [lo, hi), send their five arrays."""
-    import signal
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent ends its workers
+def _range_worker(conn, cfg: SimConfig, T: float, lo: int, hi: int) -> None:
+    """Body of a spawned worker: read the pickled control, simulate paths [lo, hi)
+    and send an empty status, then their five arrays.  An exception is sent as a
+    one-line status instead, so the worker exits quietly and the caller raises."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the caller ends its workers
     with conn:
-        for arr in _simulate_range(control, cfg, T, lo, hi):
+        try:
+            arrays = _simulate_range(pickle.loads(conn.recv_bytes()), cfg, T, lo, hi)
+        except Exception as exc:
+            conn.send_bytes(f"{type(exc).__name__}: {exc}".splitlines()[0].encode())
+            return
+        conn.send_bytes(b"")
+        for arr in arrays:
             conn.send_bytes(arr)
+
+
+@contextlib.contextmanager
+def _interrupts_ignored():
+    """Ignore SIGINT in the main thread while workers start: a spawned child keeps
+    an ignored signal through exec, so a Ctrl-C while it imports cannot print a
+    traceback there.  A Ctrl-C within these few milliseconds is lost.  Elsewhere,
+    or with a handler set outside Python, the workers ignore it once they run."""
+    if (threading.current_thread() is not threading.main_thread()
+            or signal.getsignal(signal.SIGINT) is None):
+        yield
+        return
+    previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, previous)
+
+
+def _worker_lost(proc) -> NumericalError:
+    """The error for a worker whose pipe closed early, once it has exited."""
+    proc.join()
+    return NumericalError(f"a Monte Carlo worker exited with code {proc.exitcode} "
+                          "before returning its paths")
+
+
+def _receive_range(proc, conn, like):
+    """The five arrays a worker sends, typed as the arrays in `like`, once it has exited."""
+    try:
+        status = conn.recv_bytes()
+        if not status:
+            arrays = [np.frombuffer(conn.recv_bytes(), dtype=own.dtype) for own in like]
+    except (EOFError, OSError):
+        raise _worker_lost(proc) from None
+    proc.join()
+    if not status:
+        return arrays
+    message = f"a Monte Carlo worker raised {status.decode(errors='replace')}"
+    if status.startswith(b"MemoryError"):
+        raise MemoryError(message)
+    raise NumericalError(message)
 
 
 def _simulate_split(control, cfg: SimConfig, T: float, ranges):
     """Simulate ranges[0] here and every other range in a spawned worker; return
     each range's five arrays, in range order."""
-    import multiprocessing
-    ctx = multiprocessing.get_context("spawn")
     workers = []
     try:
-        for lo, hi in ranges[1:]:
-            recv, send = ctx.Pipe(duplex=False)
-            # the job is pickled at start, before this process allocates its own buffers
-            proc = ctx.Process(target=_range_worker, args=(send, control, cfg, T, lo, hi))
-            proc.start()
-            workers.append((proc, recv))
-            send.close()
+        if len(ranges) > 1:
+            import multiprocessing
+            ctx = multiprocessing.get_context("spawn")
+            # start arguments this small fit the start pipe's buffer, so no start
+            # waits for the child before it to import numpy and this package
+            with _interrupts_ignored():
+                for lo, hi in ranges[1:]:
+                    conn, child_conn = ctx.Pipe()
+                    proc = ctx.Process(target=_range_worker, args=(child_conn, cfg, T, lo, hi))
+                    proc.start()
+                    workers.append((proc, conn))
+                    child_conn.close()
+            # pickled once, and freed before this process allocates its own buffers
+            job = pickle.dumps(control, protocol=pickle.HIGHEST_PROTOCOL)
+            for proc, conn in workers:
+                try:
+                    conn.send_bytes(job)
+                except OSError:
+                    raise _worker_lost(proc) from None
+            del job
         parts = [_simulate_range(control, cfg, T, *ranges[0])]
-        for proc, recv in workers:
-            try:
-                parts.append([np.frombuffer(recv.recv_bytes(), dtype=own.dtype)
-                              for own in parts[0]])
-            except EOFError:
-                proc.join()
-                raise NumericalError(f"a Monte Carlo worker exited with code {proc.exitcode} "
-                                     "before returning its paths") from None
-            proc.join()
+        parts.extend(_receive_range(proc, conn, parts[0]) for proc, conn in workers)
         return parts
     finally:
         # reached with a worker alive only when this process raised
-        for proc, recv in workers:
-            recv.close()
-            proc.terminate()  # a no-op on a worker already joined
+        for proc, conn in workers:
+            conn.close()
+            proc.terminate()  # a no-op on a worker that has exited
             proc.join()
 
 
@@ -356,11 +420,7 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats
                               "not positive")
 
     n = cfg.n_paths
-    ranges = _path_ranges(n, n_steps)
-    if len(ranges) == 1:
-        parts = [_simulate_range(control, cfg, horizon, 0, n)]
-    else:
-        parts = _simulate_split(control, cfg, horizon, ranges)
+    parts = _simulate_split(control, cfg, horizon, _path_ranges(n, n_steps))
     terminal, side, exit_time, reward, qv = (np.concatenate(arrays) for arrays in zip(*parts))
 
     absorbed = side != 0

@@ -4,8 +4,10 @@ import hashlib
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -515,27 +517,96 @@ def test_path_ranges_cover_the_paths_and_start_no_worker_for_small_runs():
     assert montecarlo._path_ranges(1, 10 * steps) == [(0, 1)]
     assert montecarlo._path_ranges(1000, steps // 1000 - 1) == [(0, 1000)]
     ranges = montecarlo._path_ranges(100_001, 64 * steps)
-    assert len(ranges) == min(len(os.sched_getaffinity(0)), 100_001)
+    assert len(ranges) == min(montecarlo._cpu_count(), 100_001)
     assert ranges[0][0] == 0 and ranges[-1][1] == 100_001
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
     assert max(hi - lo for lo, hi in ranges) - min(hi - lo for lo, hi in ranges) <= 1
 
 
-def test_a_worker_sends_its_range_in_order_and_leaves_interrupts_to_the_parent():
-    cfg = me.SimConfig(n_paths=40, dt=0.01, base_seed=8, x0=0.5)
-    whole = me.simulate_paths(1.0, cfg, T=1.0)
-    recv, send = multiprocessing.Pipe(duplex=False)
+def test_path_ranges_without_an_affinity_mask(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity; a run too small to split
+    # asks for no CPU count at all
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+
+    def no_cpu_count():
+        raise AssertionError("a run too small to split asked for the CPU count")
+
+    monkeypatch.setattr(os, "cpu_count", no_cpu_count)
+    cfg = me.SimConfig(n_paths=50, dt=0.01, base_seed=6, x0=0.5)
+    assert me.simulate_paths(1.0, cfg, T=1.0).reward_samples.size == 50
+    steps = montecarlo._MIN_WORKER_STEPS
+    assert montecarlo._path_ranges(4, 2 * steps // 4 - 1) == [(0, 4)]
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert montecarlo._path_ranges(100, 64 * steps) == [(0, 33), (33, 66), (66, 100)]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert montecarlo._path_ranges(100, 64 * steps) == [(0, 100)]
+
+
+def _raise_memory_error():
+    raise MemoryError("no room for the range")
+
+
+class _MemoryErrorOnLoad(float):
+    """A constant control whose pickled copy raises MemoryError as it loads."""
+
+    def __reduce__(self):
+        return _raise_memory_error, ()
+
+
+def _worker_in_this_process(control, cfg, lo, hi):
+    """Run montecarlo._range_worker here, as a spawned worker runs it, and return
+    the caller's end of its pipe."""
+    conn, child_conn = multiprocessing.Pipe()
+    conn.send_bytes(pickle.dumps(control))
     previous = signal.getsignal(signal.SIGINT)
-    try:  # in this process, as a spawned worker runs it
-        montecarlo._range_worker(send, 1.0, cfg, 1.0, 13, 29)
+    try:
+        montecarlo._range_worker(child_conn, cfg, 1.0, lo, hi)
         assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
     finally:
         signal.signal(signal.SIGINT, previous)
+    return conn
+
+
+def test_a_worker_sends_its_range_in_order_and_leaves_interrupts_to_the_parent():
+    cfg = me.SimConfig(n_paths=40, dt=0.01, base_seed=8, x0=0.5)
+    whole = me.simulate_paths(1.0, cfg, T=1.0)
+    conn = _worker_in_this_process(1.0, cfg, 13, 29)
+    assert conn.recv_bytes() == b""
     for name in ("terminal_values", "absorbed_side", "exit_time_samples", "reward_samples",
                  "qv_samples"):
-        assert recv.recv_bytes() == getattr(whole, name)[13:29].tobytes(), name
+        assert conn.recv_bytes() == getattr(whole, name)[13:29].tobytes(), name
     with pytest.raises(EOFError):  # the worker closed its end
-        recv.recv_bytes()
+        conn.recv_bytes()
+    conn.close()
+
+
+def test_a_worker_sends_its_error_as_one_status_line():
+    cfg = me.SimConfig(n_paths=40, dt=0.01, base_seed=8, x0=0.5)
+    conn = _worker_in_this_process(_MemoryErrorOnLoad(1.0), cfg, 13, 29)
+    assert conn.recv_bytes() == b"MemoryError: no room for the range"
+    with pytest.raises(EOFError):
+        conn.recv_bytes()
+    conn.close()
+
+
+def _send_interrupt_handler(conn):
+    conn.send(signal.getsignal(signal.SIGINT) == signal.SIG_IGN)
+    conn.close()
+
+
+def test_workers_start_with_interrupts_ignored():
+    # a Ctrl-C while a worker imports numpy would print a traceback there
+    ctx = multiprocessing.get_context("spawn")
+    recv, send = ctx.Pipe(duplex=False)
+    before = signal.getsignal(signal.SIGINT)
+    with montecarlo._interrupts_ignored():
+        proc = ctx.Process(target=_send_interrupt_handler, args=(send,))
+        proc.start()
+    send.close()
+    assert signal.getsignal(signal.SIGINT) is before
+    with time_limit(120):
+        assert recv.recv() is True
+        proc.join()
     recv.close()
 
 
@@ -548,17 +619,40 @@ def _split_run(monkeypatch, own_range):
         return me.simulate_paths(1.0, cfg, T=1.0)
 
 
-def test_a_worker_that_dies_is_one_package_error(monkeypatch):
+def _kill_workers():
+    for child in multiprocessing.active_children():
+        os.kill(child.pid, signal.SIGKILL)
+        child.join()
+
+
+@pytest.mark.parametrize("when", ["before_its_job", "in_the_own_range"])
+def test_a_worker_that_dies_is_one_package_error(when, monkeypatch):
     simulate_range = montecarlo._simulate_range
 
     def kill_workers_first(*args):
-        for child in multiprocessing.active_children():
-            os.kill(child.pid, signal.SIGKILL)
+        if when == "in_the_own_range":
+            _kill_workers()
         return simulate_range(*args)
 
+    def dumps_after_killing(obj, protocol):
+        _kill_workers()
+        return pickle.dumps(obj, protocol)
+
+    if when == "before_its_job":
+        monkeypatch.setattr(montecarlo, "pickle", types.SimpleNamespace(
+            dumps=dumps_after_killing, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
     with pytest.raises(me.NumericalError, match="worker exited with code -9 before returning"):
         _split_run(monkeypatch, kill_workers_first)
     assert multiprocessing.active_children() == []
+
+
+def test_a_worker_out_of_memory_is_a_quiet_memory_error(monkeypatch, capfd):
+    monkeypatch.setattr(montecarlo, "_path_ranges", forced_split(2))
+    cfg = me.SimConfig(n_paths=200, dt=0.01, base_seed=4, x0=0.5)
+    with time_limit(120), pytest.raises(MemoryError, match="worker raised MemoryError: no room"):
+        me.simulate_paths(_MemoryErrorOnLoad(1.0), cfg, T=1.0)
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr().err == ""  # no traceback from the worker
 
 
 def test_an_interrupt_in_the_own_range_ends_the_workers(monkeypatch):
