@@ -2,7 +2,7 @@
 into reproducible runs that emit plot-ready data.
 
 Exit codes: 0 success, 1 validation, 2 numerical failure (a Monte Carlo
-worker that died included), 3 check failure, 4 I/O or memory.  Flags
+worker that died or failed included), 3 check failure, 4 I/O or memory.  Flags
 override config-file values, which override the defaults (N = M = 1000,
 T = 1, cap_d = 1e6).  Every emitted file embeds the
 fully resolved configuration, so identical configs give byte-identical output.

@@ -25,12 +25,16 @@ plain expressions it stands for, so its bits are theirs.  The x lookup is
 index arithmetic on the uniform grid, bit-identical to np.interp.
 
 A large run is split into contiguous, near-equal ranges of path indices, one
-per CPU in the process's affinity mask (`taskset` limits them), but none for
-fewer than _MIN_WORKER_STEPS path-steps.  The calling process simulates the
-first range and a spawned worker process each other one; the per-path streams
-make every result independent of the number of workers.  Spawn imports the
-caller's main module in each worker, so a script that calls simulate_paths on
-a large run must keep its own work under `if __name__ == "__main__":`.
+per CPU in the process's affinity mask (`taskset` limits them; os.cpu_count()
+where the OS keeps no mask), but none for fewer than _MIN_WORKER_STEPS
+path-steps.  The calling process simulates the first range and a spawned
+worker process each other one; the per-path streams make every result
+independent of the number of workers.  The workers all start before the
+control is pickled and sent to each, so their starts overlap.  A worker's
+exception comes back as one line and is raised in the caller, as MemoryError
+or NumericalError.  Spawn imports the caller's main module in each worker, so
+a script that calls simulate_paths on a large run must keep its own work
+under `if __name__ == "__main__":`.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import threading
 import tracemalloc
 import types
 
@@ -546,11 +547,22 @@ def _raise_memory_error():
     raise MemoryError("no room for the range")
 
 
+def _raise_value_error():
+    raise ValueError("bad control")
+
+
 class _MemoryErrorOnLoad(float):
     """A constant control whose pickled copy raises MemoryError as it loads."""
 
     def __reduce__(self):
         return _raise_memory_error, ()
+
+
+class _ValueErrorOnLoad(float):
+    """A constant control whose pickled copy raises ValueError as it loads."""
+
+    def __reduce__(self):
+        return _raise_value_error, ()
 
 
 def _worker_in_this_process(control, cfg, lo, hi):
@@ -594,7 +606,7 @@ def _send_interrupt_handler(conn):
     conn.close()
 
 
-def test_workers_start_with_interrupts_ignored():
+def test_workers_start_with_interrupts_ignored(monkeypatch):
     # a Ctrl-C while a worker imports numpy would print a traceback there
     ctx = multiprocessing.get_context("spawn")
     recv, send = ctx.Pipe(duplex=False)
@@ -608,6 +620,11 @@ def test_workers_start_with_interrupts_ignored():
         assert recv.recv() is True
         proc.join()
     recv.close()
+    # off the main thread no handler can be set, and the workers ignore Ctrl-C themselves
+    monkeypatch.setattr(montecarlo, "threading", types.SimpleNamespace(
+        current_thread=object, main_thread=threading.main_thread))
+    with montecarlo._interrupts_ignored():
+        assert signal.getsignal(signal.SIGINT) is before
 
 
 def _split_run(monkeypatch, own_range):
@@ -646,11 +663,16 @@ def test_a_worker_that_dies_is_one_package_error(when, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_a_worker_out_of_memory_is_a_quiet_memory_error(monkeypatch, capfd):
+@pytest.mark.parametrize("control, error, message", [
+    (_MemoryErrorOnLoad(1.0), MemoryError, "worker raised MemoryError: no room for the range"),
+    (_ValueErrorOnLoad(1.0), me.NumericalError, "worker raised ValueError: bad control"),
+])
+def test_a_worker_error_is_raised_quietly_in_the_caller(control, error, message, monkeypatch,
+                                                        capfd):
     monkeypatch.setattr(montecarlo, "_path_ranges", forced_split(2))
     cfg = me.SimConfig(n_paths=200, dt=0.01, base_seed=4, x0=0.5)
-    with time_limit(120), pytest.raises(MemoryError, match="worker raised MemoryError: no room"):
-        me.simulate_paths(_MemoryErrorOnLoad(1.0), cfg, T=1.0)
+    with time_limit(120), pytest.raises(error, match=message):
+        me.simulate_paths(control, cfg, T=1.0)
     assert multiprocessing.active_children() == []
     assert capfd.readouterr().err == ""  # no traceback from the worker
 
