@@ -17,8 +17,8 @@ from .density import (DensitySurface, VolatilityModel, benchmark_entropy,
 from .errors import ConvergenceError, MatchEntropyError, NumericalError, ValidationError
 from .grid import (Grid, PField, ValueSurface, field_from_csv, field_to_csv,
                    make_grid, stationary_entropy)
-from .hjb import (ControlField, SchemeConfig, hamiltonian_capped, optimal_control_field,
-                  solve_hjb, solve_hjb_with_iterations)
+from .hjb import (ControlField, SchemeConfig, optimal_control_field, solve_hjb,
+                  solve_hjb_with_iterations)
 from .logdiff import LadderConfig, entropy_from_p, solve_log_diffusion
 from .montecarlo import PathStats, SimConfig, quadratic_variation_check, simulate_paths
 
@@ -27,8 +27,8 @@ __all__ = [
     "ConvergenceError", "MatchEntropyError", "NumericalError", "ValidationError",
     "Grid", "PField", "ValueSurface", "make_grid", "stationary_entropy",
     "field_to_csv", "field_from_csv",
-    "SchemeConfig", "ControlField", "hamiltonian_capped", "solve_hjb",
-    "solve_hjb_with_iterations", "optimal_control_field",
+    "SchemeConfig", "ControlField", "solve_hjb", "solve_hjb_with_iterations",
+    "optimal_control_field",
     "LadderConfig", "solve_log_diffusion", "entropy_from_p",
     "DensitySurface", "VolatilityModel", "benchmark_entropy",
     "solve_forward_density", "survival_probability", "terminal_atoms",

@@ -117,9 +117,11 @@ def benchmark_entropy(t: float, x: float, T: float) -> float:
 
 
 def solve_forward_density(model: VolatilityModel, grid: Grid, x0: float) -> DensitySurface:
-    """Propagate a discrete Dirac at x0 through the implicit conservative scheme."""
-    if not 0.0 < x0 < 1.0:
-        raise ValidationError(f"x0 must lie strictly inside (0, 1), got {x0!r}")
+    """Propagate a discrete Dirac at x0 through the implicit conservative scheme.
+
+    x0 must be an interior grid node: Grid.space_index rejects a point outside
+    [0, 1] (NaN included) or between nodes, and the boundary check below it
+    rejects 0 and 1."""
     if model.kind == EARLY_TERMINATION and model.control.grid != grid:
         raise ValidationError("control field and density grid do not match")
     if model.kind == FULL_LENGTH and model.T != grid.T:

@@ -97,17 +97,6 @@ def capped_control(q, cap_d: float, out: np.ndarray | None = None) -> np.ndarray
     return out
 
 
-def hamiltonian_capped(q, cap_d: float) -> tuple[np.ndarray, np.ndarray]:
-    """Minimise -a*q - log(a) - 1 over a in [1/e, cap_d], elementwise over q.
-
-    Returns (values, minimisers), the minimisers being capped_control(q, cap_d);
-    the value equals log(-q) wherever the clamp is inactive.
-    """
-    q = np.asarray(q, dtype=float)
-    a = capped_control(q, cap_d)
-    return _hamiltonian_values(q, a, np.log(a), np.empty_like(q))[()], a
-
-
 def _hamiltonian_values(q, a, log_a, out: np.ndarray) -> np.ndarray:
     """-a*q - log_a - 1.0 written into `out`, in that order of operations."""
     np.negative(a, out=out)

@@ -100,19 +100,16 @@ def solve_log_diffusion(grid: Grid, cfg: LadderConfig) -> PField:
     return PField(grid=grid, values=values)
 
 
-def entropy_surface_from_p_values(p_values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Entropy rows from raw p rows via nested cumulative trapezoidal sums."""
-    inner = np.zeros(np.shape(p_values))  # column 0 is each running integral's start, 0
-    np.cumsum(trapezoid_panels(p_values, grid.h), axis=1, out=inner[:, 1:])
-    outer = np.zeros_like(inner)
-    np.cumsum(trapezoid_panels(inner, grid.h), axis=1, out=outer[:, 1:])
-    e = grid.x_nodes() * outer[:, -1:]
-    e -= outer  # in place: the same bits as -outer + x*outer[:, -1:], one temporary fewer
+def entropy_from_p(p: PField) -> ValueSurface:
+    """Rebuild the entropy surface from a solved p field via nested cumulative
+    trapezoidal sums (lateral boundaries exact 0); row m reads p at time T - m*k."""
+    grid = p.grid
+    running = np.zeros(p.values.shape)  # column 0 is each running integral's start, 0
+    np.cumsum(trapezoid_panels(p.values, grid.h), axis=1, out=running[:, 1:])
+    # the panels are a new array, so the outer integral can overwrite the inner one
+    np.cumsum(trapezoid_panels(running, grid.h), axis=1, out=running[:, 1:])
+    # e = x * outer[:, -1:] - outer over the outer integral: the bits of -outer + x * outer[:, -1:]
+    e = np.subtract(grid.x_nodes() * running[:, -1:], running, out=running)
     e[:, 0] = 0.0
     e[:, -1] = 0.0
-    return e[::-1]  # e row m reads p at time T - m*k
-
-
-def entropy_from_p(p: PField) -> ValueSurface:
-    """Rebuild the entropy surface from a solved p field (lateral boundaries exact 0)."""
-    return ValueSurface(grid=p.grid, values=entropy_surface_from_p_values(p.values, p.grid))
+    return ValueSurface(grid=grid, values=e[::-1])

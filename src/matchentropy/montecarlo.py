@@ -30,11 +30,13 @@ where the OS keeps no mask), but none for fewer than _MIN_WORKER_STEPS
 path-steps.  The calling process simulates the first range and a spawned
 worker process each other one; the per-path streams make every result
 independent of the number of workers.  The workers all start before the
-control is pickled and sent to each, so their starts overlap.  A worker's
-exception comes back as one line and is raised in the caller, as MemoryError
-or NumericalError.  Spawn imports the caller's main module in each worker, so
-a script that calls simulate_paths on a large run must keep its own work
-under `if __name__ == "__main__":`.
+control is pickled once and sent to each, so their starts overlap.  A worker
+replies with one message: its five arrays, or its exception as one line,
+raised in the caller as MemoryError or NumericalError.  Spawn imports the
+caller's main module in each worker, so a script that calls simulate_paths on
+a large run must keep its own work under `if __name__ == "__main__":`.  Spawn
+also starts multiprocessing's resource tracker at a process's first split;
+it is no worker, and it exits with the caller.
 """
 
 from __future__ import annotations
@@ -300,18 +302,15 @@ def _path_ranges(n_paths: int, n_steps: int) -> list[tuple[int, int]]:
 
 def _range_worker(conn, cfg: SimConfig, T: float, lo: int, hi: int) -> None:
     """Body of a spawned worker: read the pickled control, simulate paths [lo, hi)
-    and send an empty status, then their five arrays.  An exception is sent as a
-    one-line status instead, so the worker exits quietly and the caller raises."""
+    and send their five arrays in one message.  An exception is sent as one line
+    instead, so the worker exits quietly and the caller raises."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the caller ends its workers
     with conn:
         try:
-            arrays = _simulate_range(pickle.loads(conn.recv_bytes()), cfg, T, lo, hi)
+            reply = _simulate_range(pickle.loads(conn.recv_bytes()), cfg, T, lo, hi)
         except Exception as exc:
-            conn.send_bytes(f"{type(exc).__name__}: {exc}".splitlines()[0].encode())
-            return
-        conn.send_bytes(b"")
-        for arr in arrays:
-            conn.send_bytes(arr)
+            reply = f"{type(exc).__name__}: {exc}".splitlines()[0]
+        conn.send(reply)
 
 
 @contextlib.contextmanager
@@ -331,26 +330,21 @@ def _interrupts_ignored():
         signal.signal(signal.SIGINT, previous)
 
 
-def _worker_lost(proc) -> NumericalError:
-    """The error for a worker whose pipe closed early, once it has exited."""
-    proc.join()
-    return NumericalError(f"a Monte Carlo worker exited with code {proc.exitcode} "
-                          "before returning its paths")
-
-
-def _receive_range(proc, conn, like):
-    """The five arrays a worker sends, typed as the arrays in `like`, once it has exited."""
+def _receive_range(proc, conn):
+    """The five arrays a worker sends, once it has exited; its error line, or its
+    exit before a whole reply, is raised as the package error."""
     try:
-        status = conn.recv_bytes()
-        if not status:
-            arrays = [np.frombuffer(conn.recv_bytes(), dtype=own.dtype) for own in like]
-    except (EOFError, OSError):
-        raise _worker_lost(proc) from None
+        reply = conn.recv()
+    except (EOFError, OSError):  # no reply, or one cut short
+        reply = None
     proc.join()
-    if not status:
-        return arrays
-    message = f"a Monte Carlo worker raised {status.decode(errors='replace')}"
-    if status.startswith(b"MemoryError"):
+    if isinstance(reply, tuple):
+        return reply
+    if reply is None:
+        raise NumericalError(f"a Monte Carlo worker exited with code {proc.exitcode} "
+                             "before returning its paths")
+    message = f"a Monte Carlo worker raised {reply}"
+    if reply.startswith("MemoryError"):
         raise MemoryError(message)
     raise NumericalError(message)
 
@@ -377,11 +371,11 @@ def _simulate_split(control, cfg: SimConfig, T: float, ranges):
             for proc, conn in workers:
                 try:
                     conn.send_bytes(job)
-                except OSError:
-                    raise _worker_lost(proc) from None
+                except OSError:  # the worker has gone; it replies only after its job
+                    _receive_range(proc, conn)
             del job
         parts = [_simulate_range(control, cfg, T, *ranges[0])]
-        parts.extend(_receive_range(proc, conn, parts[0]) for proc, conn in workers)
+        parts.extend(_receive_range(proc, conn) for proc, conn in workers)
         return parts
     finally:
         # reached with a worker alive only when this process raised

@@ -300,6 +300,11 @@ def test_density_input_validation():
     model = me.VolatilityModel.early_termination(ctrl)
     with pytest.raises(ValidationError):
         me.solve_forward_density(model, g, 0.0)
+    with pytest.raises(ValidationError, match=r"x0=1\.0 lies on a boundary node"):
+        me.solve_forward_density(model, g, 1.0)
+    for outside in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match=rf"x = {outside!r} lies outside the grid"):
+            me.solve_forward_density(model, g, outside)
     with pytest.raises(ValidationError, match="nearest nodes are 0 and 0.1"):
         me.solve_forward_density(model, g, 0.01)  # between nodes: the Dirac is not moved
     with pytest.raises(ValidationError, match="boundary node"):

@@ -16,6 +16,13 @@ from matchentropy.tridiag import solve_tridiagonal
 FLOOR = hjb.CONTROL_FLOOR
 
 
+def hamiltonian(q, cap_d):
+    """(values, minimisers) of -a*q - log a - 1 over a in [1/e, cap_d]: the solvers'
+    capped_control, and the objective at it as the plain expression."""
+    a = hjb.capped_control(q, cap_d)
+    return -a * q - np.log(a) - 1.0, a
+
+
 def brute_force_hamiltonian(q, cap_d, n_pts=1_000_000):
     """Independent minimisation of -a*q - log a - 1 on a dense uniform a-grid."""
     a = np.linspace(FLOOR, cap_d, n_pts)
@@ -25,15 +32,15 @@ def brute_force_hamiltonian(q, cap_d, n_pts=1_000_000):
 
 
 def test_hamiltonian_reference_points():
-    v, a = me.hamiltonian_capped(-1.0, 10.0)
+    v, a = hamiltonian(-1.0, 10.0)
     assert v == pytest.approx(0.0, abs=1e-15)
     assert a == pytest.approx(1.0, abs=1e-15)
 
-    v, a = me.hamiltonian_capped(-math.e, 10.0)
+    v, a = hamiltonian(-math.e, 10.0)
     assert a == pytest.approx(FLOOR, abs=1e-15)
     assert v == pytest.approx(1.0, abs=1e-12)  # clamp activates exactly at the floor
 
-    v, a = me.hamiltonian_capped(0.5, 10.0)
+    v, a = hamiltonian(0.5, 10.0)
     assert a == 10.0
     assert v == pytest.approx(-5.0 - math.log(10.0) - 1.0, abs=1e-12)
     bv, ba = brute_force_hamiltonian(0.5, 10.0)
@@ -42,7 +49,7 @@ def test_hamiltonian_reference_points():
 
 def test_hamiltonian_unconstrained_branch_equals_log():
     for q in (-0.5, -1.0, -2.0, -2.5):
-        v, a = me.hamiltonian_capped(q, 10.0)
+        v, a = hamiltonian(q, 10.0)
         assert a == pytest.approx(-1.0 / q, rel=1e-15)
         assert v == pytest.approx(math.log(-q), abs=1e-14)
 
@@ -55,7 +62,7 @@ def test_hamiltonian_against_brute_force_grid():
     qs = rng.uniform(-100.0, 1.0, size=1000)
     a_grid = np.linspace(FLOOR, cap, n_pts)
     log_a = np.log(a_grid)
-    values, minimisers = me.hamiltonian_capped(qs, cap)  # the array call the solvers make
+    values, minimisers = hamiltonian(qs, cap)  # the array call the solvers make
     for q, v, a in zip(qs, values, minimisers):
         vals = -a_grid * q - log_a - 1.0
         i = int(np.argmin(vals))
@@ -67,7 +74,7 @@ def test_hamiltonian_against_brute_force_grid():
 
 @given(q=st.floats(-50.0, 5.0, allow_nan=False), cap=st.floats(0.5, 100.0))
 def test_hamiltonian_minimiser_satisfies_first_order_conditions(q, cap):
-    v, a = me.hamiltonian_capped(q, cap)
+    v, a = hamiltonian(q, cap)
     assert FLOOR - 1e-15 <= a <= cap + 1e-15
     grad = -q - 1.0 / a  # derivative of the objective in a
     if FLOOR + 1e-9 < a < cap - 1e-9:
@@ -82,8 +89,8 @@ def test_hamiltonian_minimiser_satisfies_first_order_conditions(q, cap):
        cap_lo=st.floats(0.5, 20.0), cap_hi=st.floats(0.5, 20.0))
 def test_hamiltonian_value_monotone_in_cap(q, cap_lo, cap_hi):
     lo, hi = sorted((cap_lo, cap_hi))
-    v_lo, _ = me.hamiltonian_capped(q, lo)
-    v_hi, _ = me.hamiltonian_capped(q, hi)
+    v_lo, _ = hamiltonian(q, lo)
+    v_hi, _ = hamiltonian(q, hi)
     assert v_hi <= v_lo + 1e-12  # minimising over a larger set can only help
 
 
@@ -127,7 +134,7 @@ def test_explicit_step_preserves_stationary_bound():
 
 def policy_controls(u, grid, cap_d):
     """The control update of the implicit sweep: minimisers at the interior nodes of u."""
-    return me.hamiltonian_capped(second_difference_interior(u, grid.h), cap_d)[1]
+    return hjb.capped_control(second_difference_interior(u, grid.h), cap_d)
 
 
 def test_policy_update_reference_rows():
@@ -159,7 +166,7 @@ def test_implicit_step_matches_dense_root_find(monkeypatch):
     def residual(u_int):
         full = np.concatenate([[0.0], u_int, [0.0]])
         q = second_difference_interior(full, g.h)
-        hvals = np.array([me.hamiltonian_capped(float(qq), 10.0)[0] for qq in q])
+        hvals = np.array([hamiltonian(float(qq), 10.0)[0] for qq in q])
         return u_int + 0.5 * g.k * hvals
 
     oracle = scipy.optimize.root(residual, x0=np.full(3, 0.05), method="hybr", tol=1e-14)
@@ -290,7 +297,7 @@ def reference_explicit_step(v_next, grid, cfg):
     """One backward step of the explicit scheme as first written."""
     v = np.asarray(v_next, dtype=float)
     q = second_difference_interior(v, grid.h)
-    hvals, _ = me.hamiltonian_capped(q, cfg.cap_d)
+    hvals, _ = hamiltonian(q, cfg.cap_d)
     out = np.zeros_like(v)
     out[1:-1] = v[1:-1] - 0.5 * grid.k * hvals
     return out
@@ -372,7 +379,7 @@ def test_implicit_step_matches_reference_loop(monkeypatch, N, M, T, cap, reg_n, 
     assert surface.values.tobytes() == ref_values.tobytes()
     assert iters.tobytes() == ref_iters.tobytes()
     control = me.optimal_control_field(surface, cfg).a_star
-    _, a_int = me.hamiltonian_capped(second_difference_interior(surface.values, g.h), cap)
+    a_int = hjb.capped_control(second_difference_interior(surface.values, g.h), cap)
     assert control[:, 1:-1].tobytes() == a_int.tobytes()
 
 

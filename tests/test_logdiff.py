@@ -6,7 +6,6 @@ import matchentropy as me
 from matchentropy.errors import ConvergenceError, NumericalError, ValidationError
 from matchentropy import logdiff
 from matchentropy.grid import second_difference_interior
-from matchentropy.logdiff import entropy_surface_from_p_values
 from matchentropy.tridiag import solve_tridiagonal
 
 
@@ -45,17 +44,17 @@ def test_entropy_from_constant_one_is_stationary_profile():
     assert np.max(np.abs(e.values - expected)) <= 1e-14
 
 
-def test_entropy_from_zero_rows_is_zero():
-    g = me.make_grid(16, 4, 1.0)
-    e_vals = entropy_surface_from_p_values(np.zeros((5, 17)), g)
-    assert np.all(e_vals == 0.0)
+def random_p_field(rng, N, M):
+    """A valid p field of uniform random rows: positive, at most 1, lateral value 1
+    for m >= 1."""
+    g = me.make_grid(N, M, 1.0)
+    pvals = rng.uniform(0.1, 1.0, size=(M + 1, N + 1))
+    pvals[1:, [0, -1]] = 1.0
+    return me.PField(grid=g, values=pvals)
 
 
 def test_entropy_boundaries_exactly_zero_for_any_p():
-    g = me.make_grid(33, 7, 1.0)
-    rng = np.random.default_rng(1)
-    pvals = rng.uniform(0.1, 1.0, size=(8, 34))
-    e_vals = entropy_surface_from_p_values(pvals, g)
+    e_vals = me.entropy_from_p(random_p_field(np.random.default_rng(1), 33, 7)).values
     assert np.all(e_vals[:, 0] == 0.0) and np.all(e_vals[:, -1] == 0.0)
 
 
@@ -212,10 +211,10 @@ def test_damped_newton_step_matches_reference_loop(N, M, level):
 def test_entropy_rebuild_matches_reference_expression():
     rng = np.random.default_rng(7)
     for N, M in ((2, 1), (33, 7), (1000, 3)):
-        g = me.make_grid(N, M, 1.0)
-        pvals = rng.uniform(-1.0, 1.0, size=(M + 1, N + 1))
+        p = random_p_field(rng, N, M)
+        g, pvals = p.grid, p.values
         outer = cumulative_trapezoid(cumulative_trapezoid(pvals, dx=g.h, axis=1, initial=0.0),
                                      dx=g.h, axis=1, initial=0.0)
         expected = -outer + g.x_nodes()[np.newaxis, :] * outer[:, -1:]
         expected[:, 0] = expected[:, -1] = 0.0
-        assert entropy_surface_from_p_values(pvals, g).tobytes() == expected[::-1].tobytes()
+        assert me.entropy_from_p(p).values.tobytes() == expected[::-1].tobytes()

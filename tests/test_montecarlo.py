@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import struct
 import threading
 import tracemalloc
 import types
@@ -583,21 +584,34 @@ def test_a_worker_sends_its_range_in_order_and_leaves_interrupts_to_the_parent()
     cfg = me.SimConfig(n_paths=40, dt=0.01, base_seed=8, x0=0.5)
     whole = me.simulate_paths(1.0, cfg, T=1.0)
     conn = _worker_in_this_process(1.0, cfg, 13, 29)
-    assert conn.recv_bytes() == b""
-    for name in ("terminal_values", "absorbed_side", "exit_time_samples", "reward_samples",
-                 "qv_samples"):
-        assert conn.recv_bytes() == getattr(whole, name)[13:29].tobytes(), name
+    reply = conn.recv()
+    assert isinstance(reply, tuple) and len(reply) == 5
+    for arr, name in zip(reply, ("terminal_values", "absorbed_side", "exit_time_samples",
+                                 "reward_samples", "qv_samples")):
+        assert arr.tobytes() == getattr(whole, name)[13:29].tobytes(), name
     with pytest.raises(EOFError):  # the worker closed its end
-        conn.recv_bytes()
+        conn.recv()
     conn.close()
 
 
 def test_a_worker_sends_its_error_as_one_status_line():
     cfg = me.SimConfig(n_paths=40, dt=0.01, base_seed=8, x0=0.5)
     conn = _worker_in_this_process(_MemoryErrorOnLoad(1.0), cfg, 13, 29)
-    assert conn.recv_bytes() == b"MemoryError: no room for the range"
+    assert conn.recv() == "MemoryError: no room for the range"
     with pytest.raises(EOFError):
-        conn.recv_bytes()
+        conn.recv()
+    conn.close()
+
+
+def test_a_reply_cut_short_is_the_dead_worker_error():
+    # a worker killed mid-send leaves a frame header announcing more bytes than follow
+    conn, child_conn = multiprocessing.Pipe(duplex=False)
+    reply = pickle.dumps((np.zeros(4),) * 5)
+    os.write(child_conn.fileno(), struct.pack("!i", len(reply)) + reply[:len(reply) // 2])
+    child_conn.close()
+    proc = types.SimpleNamespace(join=lambda: None, exitcode=-9)
+    with pytest.raises(me.NumericalError, match="worker exited with code -9 before returning"):
+        montecarlo._receive_range(proc, conn)
     conn.close()
 
 
