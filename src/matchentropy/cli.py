@@ -6,6 +6,15 @@ worker that died or failed included), 3 check failure, 4 I/O or memory.  Flags
 override config-file values, which override the defaults (N = M = 1000,
 T = 1, cap_d = 1e6).  Every emitted file embeds the
 fully resolved configuration, so identical configs give byte-identical output.
+
+The commands that write full fields (solve, forward-p, density and
+reproduce-figures) start one file-writing worker per CPU beyond the first
+(`taskset` limits them) for a grid of at least grid._MIN_WORKER_VALUES field
+values, once their inputs are checked and before their first solve.  The
+workers format and write shares of each large field with the same bytes,
+and end with the command; a worker that dies or fails is exit 4.  They are
+spawned, so a script that calls main() on a large grid must keep its own
+work under `if __name__ == "__main__":`.
 """
 
 from __future__ import annotations
@@ -19,12 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
+from ._workers import _started
 from .checks import (CheckReport, CheckResult, check_solution_properties, cross_solver_gap,
                      decay_rate_check, hjb_horizon_solver, merge_reports)
 from .density import (EARLY_TERMINATION, FULL_LENGTH, VolatilityModel,
                       solve_forward_density, terminal_atoms)
 from .errors import NumericalError, ValidationError
-from .grid import Grid, dump_json, field_to_csv, make_grid, second_difference_interior
+from .grid import (Grid, _writer_count, _writer_worker, dump_json, field_to_csv, make_grid,
+                   second_difference_interior)
 from .hjb import (SchemeConfig, optimal_control_field, solve_hjb,
                   solve_hjb_with_iterations)
 from .logdiff import LadderConfig, entropy_from_p, solve_log_diffusion
@@ -172,26 +183,37 @@ def _json_payload(config: RunConfig, body: dict) -> dict:
     return {"version": __version__, "config": config_as_dict(config), **body}
 
 
-def _write_field(config: RunConfig, stem: str, label: str, values, **extra) -> None:
+def _file_workers(config: RunConfig, stack: contextlib.ExitStack):
+    """Start the file-writing workers worth starting for the command's full fields
+    (see grid._writer_count), which `stack` ends.  A command starts them once its
+    inputs are checked and before its first solve, so their start (about 0.3 s)
+    overlaps the solve."""
+    count = _writer_count((config.grid.M + 1) * (config.grid.N + 1))
+    return stack.enter_context(_started(_writer_worker, [()] * count))
+
+
+def _write_field(config: RunConfig, workers, stem: str, label: str, values, **extra) -> None:
     """Write a full field as stem.csv, or with --format json as stem.json with
     `extra` beside the grid in its envelope."""
     grid = config.grid
     if config.format == "json":
         payload = _json_payload(config, {"grid": {"N": grid.N, "M": grid.M, "T": grid.T}, **extra})
-        dump_json(payload, _outpath(config, stem + ".json"), values=values)
+        dump_json(payload, _outpath(config, stem + ".json"), values=values, workers=workers)
     else:
-        field_to_csv(grid, values, _outpath(config, stem + ".csv"), label, _meta(config))
+        field_to_csv(grid, values, _outpath(config, stem + ".csv"), label, _meta(config),
+                     workers=workers)
 
 
-def _cmd_solve(config: RunConfig) -> int:
+def _cmd_solve(config: RunConfig, stack: contextlib.ExitStack) -> int:
     grid, cfg = config.grid, config.scheme_config
+    workers = _file_workers(config, stack)
     surface, iters = solve_hjb_with_iterations(grid, cfg)
     control = optimal_control_field(surface, cfg)
-    _write_field(config, "solve_surface", "value", surface.values)
+    _write_field(config, workers, "solve_surface", "value", surface.values)
     field_to_csv(grid, control.a_star, _outpath(config, "solve_control.csv"),
-                 "a", _meta(config))
+                 "a", _meta(config), workers=workers)
     field_to_csv(grid, control.sigma_star, _outpath(config, "solve_volatility.csv"),
-                 "sigma", _meta(config))
+                 "sigma", _meta(config), workers=workers)
     mid = grid.N // 2
     print(f"solved {config.scheme} scheme on {grid.N}x{grid.M}: "
           f"e(0, {grid.x_nodes()[mid]:g}) = {surface.values[0, mid]:.6f}, "
@@ -199,11 +221,12 @@ def _cmd_solve(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_forward_p(config: RunConfig) -> int:
+def _cmd_forward_p(config: RunConfig, stack: contextlib.ExitStack) -> int:
     grid = config.grid
     n = config.regularisation_n if config.regularisation_n is not None else 16
+    workers = _file_workers(config, stack)
     p = solve_log_diffusion(grid, LadderConfig(regularisation_n=n))
-    _write_field(config, "forward_p", "p", p.values, regularisation_n=n)
+    _write_field(config, workers, "forward_p", "p", p.values, regularisation_n=n)
     entropy = entropy_from_p(p)
     mid = grid.N // 2
     print(f"forward p solved with initial value 1/{n}: "
@@ -249,12 +272,14 @@ def _density_summary(grid, density, probe_levels) -> dict:
     }
 
 
-def _cmd_density(config: RunConfig) -> int:
+def _cmd_density(config: RunConfig, stack: contextlib.ExitStack) -> int:
     grid = config.grid
     probe_levels = _probe_levels(grid)
     grid.space_index(config.x0)  # the density's start node, checked before any solve
+    workers = _file_workers(config, stack)
     density = solve_forward_density(_volatility_model(config), grid, config.x0)
-    field_to_csv(grid, density.values, _outpath(config, "density.csv"), "q", _meta(config))
+    field_to_csv(grid, density.values, _outpath(config, "density.csv"), "q", _meta(config),
+                 workers=workers)
     summary = _density_summary(grid, density, probe_levels)
     dump_json(_json_payload(config, summary), _outpath(config, "density_summary.json"))
     probes = summary["interior_mass_at_probe_fractions"]
@@ -263,7 +288,7 @@ def _cmd_density(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_simulate(config: RunConfig) -> int:
+def _cmd_simulate(config: RunConfig, stack: contextlib.ExitStack) -> int:
     stats = simulate_paths(_volatility_model(config), config.sim_config)
     qv = quadratic_variation_check(stats, config.sim_config)
     report = {
@@ -282,7 +307,7 @@ def _cmd_simulate(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_check(config: RunConfig) -> int:
+def _cmd_check(config: RunConfig, stack: contextlib.ExitStack) -> int:
     grid = config.grid
     surface = solve_hjb(grid, config.scheme_config)
     properties = check_solution_properties(surface)
@@ -307,10 +332,11 @@ def _cmd_check(config: RunConfig) -> int:
     return 0 if report.passed else 3
 
 
-def _cmd_reproduce_figures(config: RunConfig) -> int:
+def _cmd_reproduce_figures(config: RunConfig, stack: contextlib.ExitStack) -> int:
     grid, cfg = config.grid, config.scheme_config
     probes = _probe_levels(grid)
     grid.space_index(config.x0)  # the densities' start node, checked before any solve
+    workers = _file_workers(config, stack)
     surface = solve_hjb(grid, cfg)
     control = optimal_control_field(surface, cfg)
     meta = _meta(config)
@@ -330,7 +356,7 @@ def _cmd_reproduce_figures(config: RunConfig) -> int:
               _outpath(config, "fig1_percentages.json"))
 
     field_to_csv(grid, surface.values, _outpath(config, "fig2_entropy_surface.csv"),
-                 "value", meta)
+                 "value", meta, workers=workers)
 
     a_probe = control.a_star[probe_ms]
     dxx = np.zeros_like(a_probe)
@@ -360,8 +386,10 @@ COMMANDS = tuple(_DISPATCH)
 
 
 def run(config: RunConfig) -> int:
-    """Dispatch a resolved config to its command; returns the process exit status."""
-    return _DISPATCH[config.command](config)
+    """Dispatch a resolved config to its command; returns the process exit status.
+    No worker the command starts outlives it."""
+    with contextlib.ExitStack() as stack:
+        return _DISPATCH[config.command](config, stack)
 
 
 def main(argv=None) -> int:

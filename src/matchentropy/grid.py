@@ -7,21 +7,33 @@ dense in 64-bit floating point and are immutable after construction.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import json
 import math
+import os
+import signal
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._workers import _cpu_count, _error_line, _receive
 from .errors import ValidationError
 
 # how far round-off may carry a solved p above its invariant p <= 1
 P_CEILING_TOL = 1e-8
 # most float64 entries one numpy array can hold: its size in bytes must fit in intp
 MAX_ARRAY_ENTRIES = np.iinfo(np.intp).max // 8
+# field values per file-writing worker: a spawned worker takes about 0.3 s to
+# start, as long as formatting 400k values takes at about 0.75 us each
+_MIN_WORKER_VALUES = 400_000
+# rows of a field CSV numpy parses at a time: 1.5 MB arrays can reuse freed
+# memory, where one array for a whole body (24 MB at N = M = 1000) takes new pages
+_READ_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -165,15 +177,112 @@ class PField:
         object.__setattr__(self, "values", arr)
 
 
+def _csv_rows(values, ts, x_cells):
+    """The CSV text of field rows `values` at printed times `ts`, one row at a time:
+    joined with the row's t, the ",x,%.17g\n" cells make one row one % operation."""
+    for t, row in zip(ts, values):
+        t_text = f"{t:.17g}"
+        yield (t_text + t_text.join(x_cells)) % tuple(row.tolist())
+
+
+def _json_rows(values, first: bool):
+    """The rows of a 2-D array of finite floats as json.dumps(indent=2) prints them
+    inside a top-level list, one row at a time; the first row of the list opens it."""
+    opening = "[\n    " if first else ",\n    "
+    for row in values:
+        text = ",\n      ".join(map(float.__repr__, row.tolist()))
+        yield f"{opening}[\n      {text}\n    ]"
+        opening = ",\n    "
+
+
+def _writer_count(n_values: int) -> int:
+    """File-writing workers worth starting for fields of n_values values: one per
+    CPU beyond the first, or none below _MIN_WORKER_VALUES."""
+    return _cpu_count() - 1 if n_values >= _MIN_WORKER_VALUES else 0
+
+
+def _send_jobs(jobs) -> None:
+    """Send each worker its job and then its rows' float64 buffer, unpickled."""
+    for conn, job, rows in jobs:
+        try:
+            conn.send(job)
+            conn.send_bytes(rows)
+        except OSError:  # the worker has gone; _receive reports it
+            pass
+
+
+def _write_rows(fh, path, values, rows, args_of, workers) -> None:
+    """Write rows(values[lo:hi], *args_of(lo, hi)) for consecutive row ranges
+    [lo, hi) of `values` to the text file fh, opened at `path`, from its position.
+
+    The ranges are near-equal, one here and one per worker, or the one range of
+    all rows for fewer than _MIN_WORKER_VALUES values.  The first is written
+    here.  Each other one goes to one of `workers` (see `_writer_worker`) while
+    this process writes its own: the worker formats it, and once the ranges
+    before it are written it writes it at their end.  fh is left at the end of
+    the last range."""
+    parts = min(1 + len(workers), len(values)) if np.size(values) >= _MIN_WORKER_VALUES else 1
+    ranges = [(i * len(values) // parts, (i + 1) * len(values) // parts) for i in range(parts)]
+    (lo, hi), rest = ranges[0], ranges[1:]
+    if not rest:
+        fh.writelines(rows(values, *args_of(lo, hi)))
+        return
+    values = np.ascontiguousarray(values, dtype=float)
+    path = os.path.abspath(path)  # the workers keep the directory they started in
+    jobs = [(conn, (rows, args_of(r_lo, r_hi), values.shape[1], path), values[r_lo:r_hi])
+            for (_, conn), (r_lo, r_hi) in zip(workers, rest)]
+    # from a thread, since a worker that is still importing reads nothing yet
+    sender = threading.Thread(target=_send_jobs, args=(jobs,))
+    sender.start()
+    try:
+        fh.writelines(rows(values[lo:hi], *args_of(lo, hi)))
+    finally:
+        sender.join()
+    end = fh.tell()  # flushes what this process has written
+    for proc, conn in workers[:len(rest)]:
+        with contextlib.suppress(OSError):  # the worker has gone; _receive reports it
+            conn.send(end)
+        end = _receive(proc, conn, "file-writing worker", "writing its rows", OSError)
+    fh.seek(end)
+
+
+def _writer_worker(conn) -> None:
+    """Body of a spawned file-writing worker: for each job until the caller closes
+    the pipe, format its rows, then write them at the offset that follows and
+    reply with the position after them.  An exception is sent as one line
+    instead, and the worker stops."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the caller ends its workers
+    with conn:
+        while True:
+            try:
+                rows, args, width, path = conn.recv()
+                values = np.frombuffer(conn.recv_bytes()).reshape(-1, width)
+                text = list(rows(values, *args))
+                with open(path, "r+") as fh:
+                    fh.seek(conn.recv())
+                    fh.writelines(text)
+                    reply = fh.tell()
+            except EOFError:  # the caller has closed its end: the command has ended
+                return
+            except Exception as exc:
+                reply = _error_line(exc)
+            conn.send(reply)
+            if isinstance(reply, str):
+                return
+
+
 def field_to_csv(grid: Grid, values: np.ndarray, path, value_label: str, meta: dict,
-                 times=None) -> None:
+                 times=None, *, workers=()) -> None:
     """Write field rows to a new CSV file at `path`, ordered by t then x.
 
     `times` holds the printed t of each row of `values` and defaults to
     grid.t_nodes(), for a full (M+1)x(N+1) field.  Values are printed with 17
     significant digits so a round trip is exact.  The metadata mapping is
     emitted as leading '# key = value' lines.  The rows are written one time
-    row at a time, so memory does not grow with M.
+    row at a time, so memory does not grow with M.  `workers`, started with
+    `_workers._started(_writer_worker, ...)`, format and write near-equal
+    shares of the rows of a field of at least _MIN_WORKER_VALUES values, with
+    the same bytes.
     """
     ts = grid.t_nodes() if times is None else times
     if len(ts) != len(values):
@@ -181,76 +290,97 @@ def field_to_csv(grid: Grid, values: np.ndarray, path, value_label: str, meta: d
     if np.shape(values)[1:] != (grid.N + 1,):
         raise ValidationError(f"field rows have shape {np.shape(values)[1:]}, "
                               f"expected ({grid.N + 1},) for N = {grid.N}")
-    # ",x,%.17g\n" per node: joined with the row's t, one row is one % operation
     x_cells = [f",{x:.17g},%.17g\n" for x in grid.x_nodes()]
     head = [f"# {key} = {val}\n" for key, val in meta.items()]
     head.append(f"t,x,{value_label}\n")
     with open(path, "w") as fh:
         fh.write("".join(head))
-        for t, row in zip(ts, values):
-            t_text = f"{t:.17g}"
-            fh.write((t_text + t_text.join(x_cells)) % tuple(row.tolist()))
+        _write_rows(fh, path, values, _csv_rows,
+                    lambda lo, hi: (ts[lo:hi], x_cells), workers)
+
+
+def _skip_header(fh) -> None:
+    """Read fh past its leading '#' and blank lines and the header line after them."""
+    for line in fh:
+        if line.strip() and not line.startswith("#"):
+            return
+
+
+def _csv_body(fh, max_rows=None) -> np.ndarray:
+    """The next max_rows t,x,value rows of fh (all by default) as a 2-D array;
+    '#' and blank lines are skipped and not counted."""
+    try:
+        with warnings.catch_warnings():
+            # an empty body warns; field_from_csv reports it as a ValidationError
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(fh, delimiter=",", comments="#", ndmin=2, max_rows=max_rows)
+    except ValueError as exc:
+        raise ValidationError(f"field CSV body is not rows of numbers: {exc}") from exc
 
 
 def field_from_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a field CSV file back as (t values, x values, value matrix); '#' and
-    blank lines are skipped, and the first other line is the t,x,<label> header."""
+    blank lines are skipped, and the first other line is the t,x,<label> header.
+
+    The body is parsed _READ_ROWS rows at a time, into arrays small enough to
+    reuse freed memory, and the value matrix is a C-contiguous array of its own.
+    """
     with open(path) as fh:
-        for line in fh:
-            if line.strip() and not line.startswith("#"):
-                break  # the header; numpy parses the rest of the same stream
+        _skip_header(fh)
         try:
-            with warnings.catch_warnings():
-                # an empty body warns; it is reported below as a ValidationError
-                warnings.simplefilter("ignore", UserWarning)
-                body = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
-        except ValueError as exc:
-            raise ValidationError(f"field CSV body is not rows of numbers: {exc}") from exc
-    if body.shape[0] == 0 or body.shape[1] != 3:
-        raise ValidationError(f"field CSV needs t,x,value rows, got a body of shape {body.shape}")
-    ts = np.unique(body[:, 0])
-    xs = np.unique(body[:, 1])
-    if not (body.shape[0] == ts.size * xs.size
-            and np.array_equal(body[:, 0], np.repeat(ts, xs.size))
-            and np.array_equal(body[:, 1], np.tile(xs, ts.size))):
-        raise ValidationError(f"field CSV rows are not one per (t, x) pair ordered by t then x "
-                              f"({body.shape[0]} rows, {ts.size} times, {xs.size} nodes)")
-    vals = body[:, 2].reshape(ts.size, xs.size)
-    return ts, xs, vals
+            pieces = [_csv_body(fh, _READ_ROWS)]
+            while len(pieces[-1]) == _READ_ROWS and (piece := _csv_body(fh, _READ_ROWS)).size:
+                pieces.append(piece)
+            widths = {piece.shape[1] for piece in pieces}
+        except ValidationError:
+            widths = set()
+        if len(widths) != 1:  # parsed whole, numpy names the failing row of the file
+            fh.seek(0)
+            _skip_header(fh)
+            pieces = [_csv_body(fh)]
+    lengths = [len(piece) for piece in pieces]
+    shape = (sum(lengths), pieces[0].shape[1])
+    if shape[0] == 0 or shape[1] != 3:
+        raise ValidationError(f"field CSV needs t,x,value rows, got a body of shape {shape}")
+    ts = functools.reduce(np.union1d, [np.unique(piece[:, 0]) for piece in pieces])
+    xs = functools.reduce(np.union1d, [np.unique(piece[:, 1]) for piece in pieces])
+    if shape[0] == ts.size * xs.size:
+        vals = np.empty((ts.size, xs.size))
+        for lo, piece in zip(itertools.accumulate(lengths, initial=0), pieces):
+            at = np.arange(lo, lo + len(piece))  # row `at` holds time at // nodes, node at % nodes
+            if not ((piece[:, 0] == ts[at // xs.size]).all()
+                    and (piece[:, 1] == xs[at % xs.size]).all()):
+                break
+            vals.reshape(-1)[lo:lo + len(piece)] = piece[:, 2]
+        else:
+            return ts, xs, vals
+    raise ValidationError(f"field CSV rows are not one per (t, x) pair ordered by t then x "
+                          f"({shape[0]} rows, {ts.size} times, {xs.size} nodes)")
 
 
-def _json_rows(values: np.ndarray):
-    """The rows of a non-empty 2-D array of finite floats as json.dumps(indent=2)
-    prints them as a top-level value, one row at a time."""
-    opening = "[\n    "
-    for row in values:
-        text = ",\n      ".join(map(float.__repr__, row.tolist()))
-        yield f"{opening}[\n      {text}\n    ]"
-        opening = ",\n    "
-    yield "\n  ]"
-
-
-def dump_json(payload: dict, path, values=None) -> None:
+def dump_json(payload: dict, path, values=None, *, workers=()) -> None:
     """Write payload to the file `path` as json.dumps(payload, indent=2, sort_keys=True) would.
 
     `values`, if given, must be a non-empty 2-D array of finite floats, such
     as a field's values; it becomes the top-level "values" key, and its rows
     are streamed, so no list of Python floats or document string the size of
     the whole array is built.  Other `values` are rejected before the file
-    is opened.
+    is opened.  `workers` share the rows of a large `values` as in field_to_csv.
     """
     if values is None:
-        chunks = [json.dumps(payload, indent=2, sort_keys=True)]
-    else:
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.size == 0 or not np.isfinite(values).all():
-            raise ValidationError("JSON values must be a non-empty 2-D array of finite "
-                                  f"floats (shape {values.shape})")
-        # a line break is escaped inside JSON strings, so this anchor can
-        # only be the top-level key itself
-        key = '\n  "values": '
-        text = json.dumps({**payload, "values": None}, indent=2, sort_keys=True)
-        head, _, tail = text.partition(key + "null")
-        chunks = itertools.chain((head, key), _json_rows(values), (tail,))
+        with open(path, "w") as fh:
+            fh.write(json.dumps(payload, indent=2, sort_keys=True))
+        return
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.size == 0 or not np.isfinite(values).all():
+        raise ValidationError("JSON values must be a non-empty 2-D array of finite "
+                              f"floats (shape {values.shape})")
+    # a line break is escaped inside JSON strings, so this anchor can
+    # only be the top-level key itself
+    key = '\n  "values": '
+    text = json.dumps({**payload, "values": None}, indent=2, sort_keys=True)
+    head, _, tail = text.partition(key + "null")
     with open(path, "w") as fh:
-        fh.writelines(chunks)
+        fh.write(head + key)
+        _write_rows(fh, path, values, _json_rows, lambda lo, hi: (lo == 0,), workers)
+        fh.write("\n  ]" + tail)

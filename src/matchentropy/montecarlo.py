@@ -25,33 +25,27 @@ plain expressions it stands for, so its bits are theirs.  The x lookup is
 index arithmetic on the uniform grid, bit-identical to np.interp.
 
 A large run is split into contiguous, near-equal ranges of path indices, one
-per CPU in the process's affinity mask (`taskset` limits them; os.cpu_count()
-where the OS keeps no mask), but none for fewer than _MIN_WORKER_STEPS
+per CPU the process may run on, but none for fewer than _MIN_WORKER_STEPS
 path-steps.  The calling process simulates the first range and a spawned
-worker process each other one; the per-path streams make every result
-independent of the number of workers.  The workers all start before the
-control is pickled once and sent to each, so their starts overlap.  A worker
-replies with one message: its five arrays, or its exception as one line,
-raised in the caller as MemoryError or NumericalError.  Spawn imports the
-caller's main module in each worker, so a script that calls simulate_paths on
-a large run must keep its own work under `if __name__ == "__main__":`.  Spawn
-also starts multiprocessing's resource tracker at a process's first split;
-it is no worker, and it exits with the caller.
+worker process (see `_workers`) each other one; the per-path streams make
+every result independent of the number of workers.  The workers all start
+before the control is pickled once and sent to each, so their starts
+overlap.  A worker replies with one message: its five arrays, or its
+exception as one line, raised in the caller as MemoryError or
+NumericalError.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 import pickle
 import signal
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from ._workers import _cpu_count, _error_line, _receive, _started
 from .density import FULL_LENGTH, VolatilityModel, _full_length_variance
 from .errors import NumericalError, ValidationError
 from .grid import MAX_ARRAY_ENTRIES
@@ -284,13 +278,6 @@ def _simulate_range(control, cfg: SimConfig, T: float, lo: int, hi: int):
     return terminal, side, exit_time, reward, qv
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity mask where the OS keeps one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _path_ranges(n_paths: int, n_steps: int) -> list[tuple[int, int]]:
     """Contiguous, near-equal ranges of [0, n_paths), one per process."""
     workers = min(n_paths * n_steps // _MIN_WORKER_STEPS, n_paths)
@@ -309,63 +296,21 @@ def _range_worker(conn, cfg: SimConfig, T: float, lo: int, hi: int) -> None:
         try:
             reply = _simulate_range(pickle.loads(conn.recv_bytes()), cfg, T, lo, hi)
         except Exception as exc:
-            reply = f"{type(exc).__name__}: {exc}".splitlines()[0]
+            reply = _error_line(exc)
         conn.send(reply)
 
 
-@contextlib.contextmanager
-def _interrupts_ignored():
-    """Ignore SIGINT in the main thread while workers start: a spawned child keeps
-    an ignored signal through exec, so a Ctrl-C while it imports cannot print a
-    traceback there.  A Ctrl-C within these few milliseconds is lost.  Elsewhere,
-    or with a handler set outside Python, the workers ignore it once they run."""
-    if (threading.current_thread() is not threading.main_thread()
-            or signal.getsignal(signal.SIGINT) is None):
-        yield
-        return
-    previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGINT, previous)
-
-
 def _receive_range(proc, conn):
-    """The five arrays a worker sends, once it has exited; its error line, or its
-    exit before a whole reply, is raised as the package error."""
-    try:
-        reply = conn.recv()
-    except (EOFError, OSError):  # no reply, or one cut short
-        reply = None
-    proc.join()
-    if isinstance(reply, tuple):
-        return reply
-    if reply is None:
-        raise NumericalError(f"a Monte Carlo worker exited with code {proc.exitcode} "
-                             "before returning its paths")
-    message = f"a Monte Carlo worker raised {reply}"
-    if reply.startswith("MemoryError"):
-        raise MemoryError(message)
-    raise NumericalError(message)
+    """The five arrays a worker sends; its error line, or its exit before a whole
+    reply, is raised as the package error."""
+    return _receive(proc, conn, "Monte Carlo worker", "returning its paths", NumericalError)
 
 
 def _simulate_split(control, cfg: SimConfig, T: float, ranges):
     """Simulate ranges[0] here and every other range in a spawned worker; return
     each range's five arrays, in range order."""
-    workers = []
-    try:
-        if len(ranges) > 1:
-            import multiprocessing
-            ctx = multiprocessing.get_context("spawn")
-            # start arguments this small fit the start pipe's buffer, so no start
-            # waits for the child before it to import numpy and this package
-            with _interrupts_ignored():
-                for lo, hi in ranges[1:]:
-                    conn, child_conn = ctx.Pipe()
-                    proc = ctx.Process(target=_range_worker, args=(child_conn, cfg, T, lo, hi))
-                    proc.start()
-                    workers.append((proc, conn))
-                    child_conn.close()
+    with _started(_range_worker, [(cfg, T, lo, hi) for lo, hi in ranges[1:]]) as workers:
+        if workers:
             # pickled once, and freed before this process allocates its own buffers
             job = pickle.dumps(control, protocol=pickle.HIGHEST_PROTOCOL)
             for proc, conn in workers:
@@ -377,12 +322,6 @@ def _simulate_split(control, cfg: SimConfig, T: float, ranges):
         parts = [_simulate_range(control, cfg, T, *ranges[0])]
         parts.extend(_receive_range(proc, conn) for proc, conn in workers)
         return parts
-    finally:
-        # reached with a worker alive only when this process raised
-        for proc, conn in workers:
-            conn.close()
-            proc.terminate()  # a no-op on a worker that has exited
-            proc.join()
 
 
 def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import matchentropy as me
-from matchentropy import cli
+from matchentropy import cli, grid as me_grid
 from matchentropy.checks import CheckReport, CheckResult
+from test_montecarlo import time_limit
 
 
 SMALL = ["--grid-n", "24", "--grid-m", "12", "--cap-d", "100"]
@@ -286,8 +288,8 @@ def test_cli_import_loads_no_scipy_integrate(tmp_path):
     # solve: scipy.linalg alone would add about 0.3 s to every CLI start and to
     # every Monte Carlo worker, which imports matchentropy.montecarlo
     for module in ("matchentropy.cli", "matchentropy.montecarlo"):
-        probe = (f"import sys, {module}; "
-                 "print([m for m in sys.modules if m.startswith('scipy')])")
+        probe = (f"import sys, {module}; print([m for m in sys.modules "
+                 "if m.startswith(('scipy', 'multiprocessing'))])")
         done = _run_python("-c", probe, cwd=tmp_path)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]", module
@@ -341,6 +343,83 @@ def test_killed_worker_is_one_error_line_and_leaves_no_process(tmp_path):
     assert message.startswith("numerical failure:") and "code -9" in message
     assert not os.path.exists(f"/proc/{workers[0]}")
     assert not (tmp_path / "out" / "simulate.json").exists()
+
+
+# `solve` with its fields split between the caller and one writer, whatever the machine
+SPLIT_WRITE = ("import os, sys; from matchentropy import cli, grid; "
+               "grid._MIN_WORKER_VALUES = 1; os.sched_getaffinity = lambda pid: {0, 1}; "
+               "sys.exit(cli.main())")
+
+
+def test_killed_writer_worker_is_one_error_line_and_leaves_no_process(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-c", SPLIT_WRITE, "solve", *SMALL, "--output", "out"]
+    proc = subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        workers = []
+        while not workers and proc.poll() is None and time.monotonic() < deadline:
+            workers = _spawned_workers(proc.pid)
+            time.sleep(0.01)
+        assert len(workers) == 1, "no worker appeared"
+        os.kill(workers[0], signal.SIGKILL)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    assert proc.returncode == 4
+    (message,) = _message_lines(err)
+    assert message.startswith("i/o failure:") and "code -9" in message
+    assert not os.path.exists(f"/proc/{workers[0]}")
+
+
+def _force_writer_split(monkeypatch, cpus=2):
+    monkeypatch.setattr(me_grid, "_MIN_WORKER_VALUES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["forward-p", "--format", "json"], ["density"],
+                                  ["reproduce-figures"]], ids=lambda argv: argv[0])
+def test_a_writer_split_gives_the_same_files(argv, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert cli.main([*argv, *SMALL, "--output", str(out)]) == 0
+    serial = {path.name: path.read_bytes() for path in out.iterdir()}
+    _force_writer_split(monkeypatch)
+    with time_limit(120):
+        assert cli.main([*argv, *SMALL, "--output", str(out)]) == 0
+    assert multiprocessing.active_children() == []
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == serial
+
+
+def test_one_cpu_or_a_small_field_starts_no_writer(tmp_path, monkeypatch, capsys):
+    def no_start(method):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_start)
+    assert cli.main(["solve", *SMALL, "--output", str(tmp_path / "small")]) == 0
+    _force_writer_split(monkeypatch, cpus=1)
+    assert cli.main(["solve", *SMALL, "--output", str(tmp_path / "one_cpu")]) == 0
+
+
+_CSV_ROWS = me_grid._csv_rows
+
+
+def _rows_failing_in_a_worker(values, *args):
+    if multiprocessing.parent_process() is not None:
+        raise MemoryError("no room for the rows")
+    return _CSV_ROWS(values, *args)
+
+
+def test_a_writer_worker_memory_error_exits_four_in_one_line(tmp_path, monkeypatch, capfd):
+    _force_writer_split(monkeypatch)
+    monkeypatch.setattr(me_grid, "_csv_rows", _rows_failing_in_a_worker)
+    with time_limit(120):
+        assert cli.main(["solve", *SMALL, "--output", str(tmp_path / "out")]) == 4
+    assert multiprocessing.active_children() == []
+    (message,) = _message_lines(capfd.readouterr().err)  # no traceback from the worker
+    assert message == ("out of memory: a file-writing worker raised MemoryError: "
+                       "no room for the rows")
 
 
 def test_explicit_scheme_cfl_precheck_fails_fast(capsys):

@@ -1,6 +1,8 @@
 import json
 import math
+import multiprocessing
 import os
+import signal
 import tracemalloc
 import warnings
 
@@ -9,8 +11,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import matchentropy as me
+from matchentropy import _workers, grid as me_grid
 from matchentropy.errors import ValidationError
 from matchentropy.grid import MAX_ARRAY_ENTRIES, dump_json, second_difference_interior
+from test_montecarlo import _MemoryErrorOnLoad, _ValueErrorOnLoad, time_limit
 
 
 def test_make_grid_examples():
@@ -393,3 +397,171 @@ def test_dump_json_without_values_is_json_dumps(tmp_path):
     payload = {"b": [1.5, math.nan], "a": {"values": [[1.0]]}}
     dump_json(payload, tmp_path / "f.json")
     assert (tmp_path / "f.json").read_text() == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("read_rows", [1, 2, 3])
+def test_csv_reader_in_pieces_gives_the_same_values_and_messages(read_rows, tmp_path,
+                                                                monkeypatch):
+    grid = me.make_grid(9, 3, 2.0)
+    path = tmp_path / "field.csv"
+    me.field_to_csv(grid, _special_field(grid, grid.M + 1), path, "q", {"k": "v"})
+    # each fault lies past the first piece of one, two and three rows
+    bodies = ["0,0,1\n0,1,2\n# note\n\n1,0,3\n1,1,4\n", "0,0,1\n0,1,2\n1,0,3\n1,1\n",
+              "0,0,1\n0,1,2\n1,0,3\n1,1,x\n", "0,0,1\n0,1,2\n1,0,3\n1,1,4,5\n",
+              "0,0,1\n0,1,2\n1,1,3\n1,0,4\n", "0,0,1\n1,1,2\n1,0,3\n1,1,4\n",
+              "0,0,1\n0,1,2\n1,0,3\n"]
+    for i, body in enumerate(bodies):
+        (tmp_path / f"{i}.csv").write_text("t,x,q\n" + body)
+
+    def read_all():
+        results = []
+        for name in ["field", *map(str, range(len(bodies)))]:
+            try:
+                results.append(b"".join(a.tobytes() for a in
+                                        me.field_from_csv(tmp_path / f"{name}.csv")))
+            except ValidationError as exc:
+                results.append(str(exc))
+        return results
+
+    whole = read_all()
+    monkeypatch.setattr(me_grid, "_READ_ROWS", read_rows)
+    assert read_all() == whole
+    assert [isinstance(r, bytes) for r in whole] == [True, True] + [False] * 6
+
+
+def test_csv_reader_returns_values_that_own_their_data(tmp_path):
+    # a strided view of the parsed t,x,value body would keep all three columns alive
+    s = _tiny_surface()
+    path = tmp_path / "field.csv"
+    me.field_to_csv(s.grid, s.values, path, "value", {})
+    _, _, vals = me.field_from_csv(path)
+    assert vals.flags.c_contiguous and vals.flags.owndata and vals.base is None
+
+
+def _writer_cases(grid, values):
+    """(name, write(path, workers)) of each writer call a worker can share."""
+    payload = {"version": "0.1.0", "config": {"output": "out"}, "grid": {"N": grid.N}}
+    finite = np.nan_to_num(values, posinf=1e300, neginf=-1e300)
+    probe_rows, probe_times = values[[1, 4, 5, 8, 9, 10, 12]], [0.5, 0.9, 0.99, 0.1, 0.2,
+                                                                  1.0 / 3.0, 0.7]
+    return [
+        ("full_field", lambda path, workers: me.field_to_csv(
+            grid, values, path, "q", {"k": "v"}, workers=workers)),
+        ("probe_rows", lambda path, workers: me.field_to_csv(
+            grid, probe_rows, path, "q", {"k": "v"}, times=probe_times, workers=workers)),
+        ("json_values", lambda path, workers: dump_json(
+            payload, path, values=finite, workers=workers)),
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_every_writer_worker_count_gives_the_same_bytes(workers, tmp_path, monkeypatch):
+    # 13 and 7 rows: no split into 2, 3 or 4 ranges is even
+    grid = me.make_grid(24, 12, 1.0)
+    cases = _writer_cases(grid, _special_field(grid, grid.M + 1))
+    for name, write in cases:
+        write(tmp_path / f"{name}.serial", ())
+    monkeypatch.setattr(me_grid, "_MIN_WORKER_VALUES", 1)
+    with time_limit(120), _workers._started(me_grid._writer_worker, [()] * workers) as started:
+        for name, write in cases:
+            write(tmp_path / name, started)
+    assert multiprocessing.active_children() == []
+    for name, _ in cases:
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"{name}.serial").read_bytes(), name
+
+
+def test_a_field_below_the_threshold_is_written_here_alone(tmp_path, monkeypatch):
+    grid = me.make_grid(24, 12, 1.0)
+    values = _special_field(grid, grid.M + 1)
+    monkeypatch.setattr(me_grid, "_MIN_WORKER_VALUES", values.size + 1)
+    # a worker given a job would never reply: this stand-in has no process behind it
+    idle = [(None, None)]
+    me.field_to_csv(grid, values, tmp_path / "f.csv", "q", {}, workers=idle)
+    me.field_to_csv(grid, values, tmp_path / "serial.csv", "q", {})
+    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bad_time, error, message", [
+    (_MemoryErrorOnLoad(0.5), MemoryError,
+     "file-writing worker raised MemoryError: no room for the range"),
+    (_ValueErrorOnLoad(0.5), OSError, "file-writing worker raised ValueError: bad control"),
+])
+def test_a_writer_worker_error_is_raised_quietly_in_the_caller(bad_time, error, message,
+                                                               tmp_path, monkeypatch, capfd):
+    grid = me.make_grid(24, 12, 1.0)
+    values = np.ones((4, grid.N + 1))
+    monkeypatch.setattr(me_grid, "_MIN_WORKER_VALUES", 1)
+    with time_limit(120), _workers._started(me_grid._writer_worker, [()]) as started:
+        with pytest.raises(error, match=message):
+            me.field_to_csv(grid, values, tmp_path / "f.csv", "q", {},
+                            times=[0.1, 0.2, bad_time, 0.9], workers=started)
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr().err == ""  # no traceback from the worker
+
+
+def test_a_writer_worker_that_died_is_one_os_error(tmp_path, monkeypatch):
+    grid = me.make_grid(24, 12, 1.0)
+    monkeypatch.setattr(me_grid, "_MIN_WORKER_VALUES", 1)
+    with time_limit(120), _workers._started(me_grid._writer_worker, [()]) as started:
+        proc, _ = started[0]
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.join()
+        with pytest.raises(OSError, match="worker exited with code -9 before writing its rows"):
+            dump_json({}, tmp_path / "f.json", values=np.ones((5, 3)), workers=started)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_writer_worker_writes_its_rows_at_the_offset_and_stops_on_error_or_eof(tmp_path):
+    # the body of a spawned writer, run here over a pipe with its jobs queued
+    grid = me.make_grid(4, 2, 1.0)
+    values = _tiny_surface().values
+    whole = tmp_path / "whole.csv"
+    me.field_to_csv(grid, values, whole, "value", {})
+    head, first = "t,x,value\n", "".join(me_grid._csv_rows(values[:1], [0.0], _x_cells(grid)))
+    path = tmp_path / "f.csv"
+    path.write_text(head + first)
+    conn, child_conn = multiprocessing.Pipe()
+    conn.send((me_grid._csv_rows, ([0.5, 1.0], _x_cells(grid)), grid.N + 1, str(path)))
+    conn.send_bytes(values[1:])
+    conn.send(len(head + first))
+    conn.send((me_grid._csv_rows, ([0.5], _x_cells(grid)), grid.N + 2, str(path)))
+    conn.send_bytes(values[1])  # 5 values are no row of 6
+    _run_writer_worker(child_conn)
+    assert conn.recv() == whole.stat().st_size
+    assert path.read_bytes() == whole.read_bytes()
+    assert conn.recv().startswith("ValueError: cannot reshape array of size 5")
+    with pytest.raises(EOFError):  # it stopped at its error and closed its end
+        conn.recv()
+    conn.close()
+    # a worker whose caller has closed its end stops without a reply
+    conn, child_conn = multiprocessing.Pipe()
+    conn.close()
+    _run_writer_worker(child_conn)
+
+
+def test_the_job_sender_sends_each_job_then_its_rows_and_skips_a_worker_gone():
+    # the sender runs in a thread of the caller; here it runs in this one
+    values = np.arange(6.0).reshape(2, 3)
+    gone, gone_child = multiprocessing.Pipe()
+    gone_child.close()
+    conn, child_conn = multiprocessing.Pipe()
+    me_grid._send_jobs([(gone, "first job", values[:1]), (conn, "second job", values[1:])])
+    assert child_conn.recv() == "second job"
+    assert child_conn.recv_bytes() == values[1:].tobytes()
+    for end in (gone, conn, child_conn):
+        end.close()
+
+
+def _x_cells(grid):
+    return [f",{x:.17g},%.17g\n" for x in grid.x_nodes()]
+
+
+def _run_writer_worker(child_conn):
+    previous = signal.getsignal(signal.SIGINT)
+    try:
+        me_grid._writer_worker(child_conn)
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert child_conn.closed
+

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import matchentropy as me
-from matchentropy import montecarlo
+from matchentropy import _workers, montecarlo
 from matchentropy.errors import ValidationError
 from matchentropy.montecarlo import BARRIER_CORRECTION, _BLOCK, _CHUNK, _control_evaluator
 
@@ -625,7 +625,7 @@ def test_workers_start_with_interrupts_ignored(monkeypatch):
     ctx = multiprocessing.get_context("spawn")
     recv, send = ctx.Pipe(duplex=False)
     before = signal.getsignal(signal.SIGINT)
-    with montecarlo._interrupts_ignored():
+    with _workers._interrupts_ignored():
         proc = ctx.Process(target=_send_interrupt_handler, args=(send,))
         proc.start()
     send.close()
@@ -635,9 +635,9 @@ def test_workers_start_with_interrupts_ignored(monkeypatch):
         proc.join()
     recv.close()
     # off the main thread no handler can be set, and the workers ignore Ctrl-C themselves
-    monkeypatch.setattr(montecarlo, "threading", types.SimpleNamespace(
+    monkeypatch.setattr(_workers, "threading", types.SimpleNamespace(
         current_thread=object, main_thread=threading.main_thread))
-    with montecarlo._interrupts_ignored():
+    with _workers._interrupts_ignored():
         assert signal.getsignal(signal.SIGINT) is before
 
 
