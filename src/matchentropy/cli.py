@@ -8,13 +8,13 @@ T = 1, cap_d = 1e6).  Every emitted file embeds the
 fully resolved configuration, so identical configs give byte-identical output.
 
 The commands that write full fields (solve, forward-p, density and
-reproduce-figures) start one file-writing worker per CPU beyond the first
-(`taskset` limits them) for a grid of at least grid._MIN_WORKER_VALUES field
-values, once their inputs are checked and before their first solve.  The
-workers format and write shares of each large field with the same bytes,
-and end with the command; a worker that dies or fails is exit 4.  They are
-spawned, so a script that calls main() on a large grid must keep its own
-work under `if __name__ == "__main__":`.
+reproduce-figures) start file-writing workers once their inputs are checked
+and before their first solve: one process, the caller included, per
+grid._MIN_WORKER_VALUES values of a full field, and at most one per CPU
+(`taskset` limits them).  The workers format and write shares of each full
+field with the same bytes, and end with the command; a worker that dies or
+fails is exit 4.  They are spawned, so a script that calls main() on a large
+grid must keep its own work under `if __name__ == "__main__":`.
 """
 
 from __future__ import annotations

@@ -13,8 +13,10 @@ import itertools
 import json
 import math
 import os
+import shutil
 import signal
 import sys
+import tempfile
 import threading
 import warnings
 from dataclasses import dataclass
@@ -28,8 +30,9 @@ from .errors import ValidationError
 P_CEILING_TOL = 1e-8
 # most float64 entries one numpy array can hold: its size in bytes must fit in intp
 MAX_ARRAY_ENTRIES = np.iinfo(np.intp).max // 8
-# field values per file-writing worker: a spawned worker takes about 0.3 s to
-# start, as long as formatting 400k values takes at about 0.75 us each
+# fewest field values per process writing a field, the caller included: a
+# spawned worker takes about 0.3 s to start, as long as formatting 400k values
+# takes at about 0.75 us each
 _MIN_WORKER_VALUES = 400_000
 # rows of a field CSV numpy parses at a time: 1.5 MB arrays can reuse freed
 # memory, where one array for a whole body (24 MB at N = M = 1000) takes new pages
@@ -196,9 +199,10 @@ def _json_rows(values, first: bool):
 
 
 def _writer_count(n_values: int) -> int:
-    """File-writing workers worth starting for fields of n_values values: one per
-    CPU beyond the first, or none below _MIN_WORKER_VALUES."""
-    return _cpu_count() - 1 if n_values >= _MIN_WORKER_VALUES else 0
+    """File-writing workers worth starting for fields of n_values values: one
+    process per _MIN_WORKER_VALUES values and at most one per CPU, the caller
+    being the first."""
+    return max(0, min(_cpu_count(), n_values // _MIN_WORKER_VALUES) - 1)
 
 
 def _send_jobs(jobs) -> None:
@@ -215,13 +219,12 @@ def _write_rows(fh, path, values, rows, args_of, workers) -> None:
     """Write rows(values[lo:hi], *args_of(lo, hi)) for consecutive row ranges
     [lo, hi) of `values` to the text file fh, opened at `path`, from its position.
 
-    The ranges are near-equal, one here and one per worker, or the one range of
-    all rows for fewer than _MIN_WORKER_VALUES values.  The first is written
-    here.  Each other one goes to one of `workers` (see `_writer_worker`) while
-    this process writes its own: the worker formats it, and once the ranges
-    before it are written it writes it at their end.  fh is left at the end of
-    the last range."""
-    parts = min(1 + len(workers), len(values)) if np.size(values) >= _MIN_WORKER_VALUES else 1
+    The ranges are near-equal, one here and one per worker (so one range of all
+    rows without workers).  The first is written here.  Each other one goes to
+    one of `workers` (see `_writer_worker`) while this process writes its own:
+    the worker formats it, and once the ranges before it are written it copies
+    it in at their end.  fh is left at the end of the last range."""
+    parts = min(1 + len(workers), len(values))
     ranges = [(i * len(values) // parts, (i + 1) * len(values) // parts) for i in range(parts)]
     (lo, hi), rest = ranges[0], ranges[1:]
     if not rest:
@@ -248,7 +251,8 @@ def _write_rows(fh, path, values, rows, args_of, workers) -> None:
 
 def _writer_worker(conn) -> None:
     """Body of a spawned file-writing worker: for each job until the caller closes
-    the pipe, format its rows, then write them at the offset that follows and
+    the pipe, format its rows into a scratch file beside the output, so that it
+    holds one row at a time, then copy them in at the offset that follows and
     reply with the position after them.  An exception is sent as one line
     instead, and the worker stops."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the caller ends its workers
@@ -257,11 +261,14 @@ def _writer_worker(conn) -> None:
             try:
                 rows, args, width, path = conn.recv()
                 values = np.frombuffer(conn.recv_bytes()).reshape(-1, width)
-                text = list(rows(values, *args))
-                with open(path, "r+") as fh:
-                    fh.seek(conn.recv())
-                    fh.writelines(text)
-                    reply = fh.tell()
+                # unnamed where the OS allows, so a killed worker leaves no file behind
+                with tempfile.TemporaryFile("w+", dir=os.path.dirname(path)) as scratch:
+                    scratch.writelines(rows(values, *args))
+                    scratch.seek(0)  # flushes the text, so its bytes are those of the file
+                    with open(path, "r+b") as fh:
+                        fh.seek(conn.recv())
+                        shutil.copyfileobj(scratch.buffer, fh)
+                        reply = fh.tell()
             except EOFError:  # the caller has closed its end: the command has ended
                 return
             except Exception as exc:
@@ -281,8 +288,7 @@ def field_to_csv(grid: Grid, values: np.ndarray, path, value_label: str, meta: d
     emitted as leading '# key = value' lines.  The rows are written one time
     row at a time, so memory does not grow with M.  `workers`, started with
     `_workers._started(_writer_worker, ...)`, format and write near-equal
-    shares of the rows of a field of at least _MIN_WORKER_VALUES values, with
-    the same bytes.
+    shares of the rows, with the same bytes.
     """
     ts = grid.t_nodes() if times is None else times
     if len(ts) != len(values):

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import signal
+import threading
 import tracemalloc
 import warnings
 
@@ -455,13 +456,12 @@ def _writer_cases(grid, values):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_every_writer_worker_count_gives_the_same_bytes(workers, tmp_path, monkeypatch):
+def test_every_writer_worker_count_gives_the_same_bytes(workers, tmp_path):
     # 13 and 7 rows: no split into 2, 3 or 4 ranges is even
     grid = me.make_grid(24, 12, 1.0)
     cases = _writer_cases(grid, _special_field(grid, grid.M + 1))
     for name, write in cases:
         write(tmp_path / f"{name}.serial", ())
-    monkeypatch.setattr(me_grid, "_MIN_WORKER_VALUES", 1)
     with time_limit(120), _workers._started(me_grid._writer_worker, [()] * workers) as started:
         for name, write in cases:
             write(tmp_path / name, started)
@@ -470,15 +470,15 @@ def test_every_writer_worker_count_gives_the_same_bytes(workers, tmp_path, monke
         assert (tmp_path / name).read_bytes() == (tmp_path / f"{name}.serial").read_bytes(), name
 
 
-def test_a_field_below_the_threshold_is_written_here_alone(tmp_path, monkeypatch):
-    grid = me.make_grid(24, 12, 1.0)
-    values = _special_field(grid, grid.M + 1)
-    monkeypatch.setattr(me_grid, "_MIN_WORKER_VALUES", values.size + 1)
-    # a worker given a job would never reply: this stand-in has no process behind it
-    idle = [(None, None)]
-    me.field_to_csv(grid, values, tmp_path / "f.csv", "q", {}, workers=idle)
-    me.field_to_csv(grid, values, tmp_path / "serial.csv", "q", {})
-    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+@pytest.mark.parametrize("n_values, cpus, writers", [
+    (799_999, 8, 0), (800_000, 8, 1), (1_002_001, 2, 1), (1_002_001, 32, 1),
+    (2_000_000, 4, 3), (10_000_000, 4, 3), (10_000_000, 1, 0),
+])
+def test_writers_grow_with_the_field_up_to_one_per_cpu_beyond_the_caller(n_values, cpus,
+                                                                         writers, monkeypatch):
+    monkeypatch.setattr(me_grid, "_MIN_WORKER_VALUES", 400_000)
+    monkeypatch.setattr(me_grid, "_cpu_count", lambda: cpus)
+    assert me_grid._writer_count(n_values) == writers
 
 
 @pytest.mark.parametrize("bad_time, error, message", [
@@ -487,10 +487,9 @@ def test_a_field_below_the_threshold_is_written_here_alone(tmp_path, monkeypatch
     (_ValueErrorOnLoad(0.5), OSError, "file-writing worker raised ValueError: bad control"),
 ])
 def test_a_writer_worker_error_is_raised_quietly_in_the_caller(bad_time, error, message,
-                                                               tmp_path, monkeypatch, capfd):
+                                                               tmp_path, capfd):
     grid = me.make_grid(24, 12, 1.0)
     values = np.ones((4, grid.N + 1))
-    monkeypatch.setattr(me_grid, "_MIN_WORKER_VALUES", 1)
     with time_limit(120), _workers._started(me_grid._writer_worker, [()]) as started:
         with pytest.raises(error, match=message):
             me.field_to_csv(grid, values, tmp_path / "f.csv", "q", {},
@@ -499,9 +498,7 @@ def test_a_writer_worker_error_is_raised_quietly_in_the_caller(bad_time, error, 
     assert capfd.readouterr().err == ""  # no traceback from the worker
 
 
-def test_a_writer_worker_that_died_is_one_os_error(tmp_path, monkeypatch):
-    grid = me.make_grid(24, 12, 1.0)
-    monkeypatch.setattr(me_grid, "_MIN_WORKER_VALUES", 1)
+def test_a_writer_worker_that_died_is_one_os_error(tmp_path):
     with time_limit(120), _workers._started(me_grid._writer_worker, [()]) as started:
         proc, _ = started[0]
         os.kill(proc.pid, signal.SIGKILL)
@@ -537,6 +534,40 @@ def test_a_writer_worker_writes_its_rows_at_the_offset_and_stops_on_error_or_eof
     conn, child_conn = multiprocessing.Pipe()
     conn.close()
     _run_writer_worker(child_conn)
+    assert sorted(os.listdir(tmp_path)) == ["f.csv", "whole.csv"]  # no scratch file left
+
+
+def test_a_writer_worker_holds_rows_not_its_whole_range(tmp_path):
+    # its formatted range is about six times the size of the float64 rows it is sent
+    grid = me.make_grid(200, 399, 1.0)
+    values = np.random.default_rng(5).random((grid.M + 1, grid.N + 1))
+    path = tmp_path / "f.csv"
+    me.field_to_csv(grid, values, path, "q", {})
+    whole = path.read_bytes()
+    path.write_text("t,x,q\n")
+    conn, child_conn = multiprocessing.Pipe()
+    replies = []
+
+    def caller():  # the rows fill the pipe, so they are sent while the worker reads
+        conn.send((me_grid._csv_rows, (grid.t_nodes(), _x_cells(grid)), grid.N + 1, str(path)))
+        conn.send_bytes(values)
+        conn.send(len("t,x,q\n"))
+        replies.append(conn.recv())
+        conn.close()
+
+    sender = threading.Thread(target=caller)
+    tracemalloc.start()
+    try:
+        sender.start()
+        _run_writer_worker(child_conn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sender.join(timeout=60)
+    assert not sender.is_alive()
+    assert replies == [len(whole)]
+    assert path.read_bytes() == whole
+    assert peak < values.nbytes + len(whole) // 4
 
 
 def test_the_job_sender_sends_each_job_then_its_rows_and_skips_a_worker_gone():
