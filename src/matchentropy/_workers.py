@@ -1,10 +1,17 @@
-"""Spawned worker processes shared by the Monte Carlo split and the field writers.
+"""Spawned worker processes: one protocol for the Monte Carlo split and the field writers.
 
-A worker is a fresh interpreter from multiprocessing's `spawn` method, with one
-pipe to the caller.  It replies to each job with one message: its result, or
-its exception as one line, which `_receive` raises in the caller as the
-package error.  `_started` starts workers and, however the caller leaves it,
-ends and joins every one, so none outlives its call or CLI command.
+`_process_count` sizes a split: one process, the caller included, per
+`min_work` units of its work, at most one per item (path or row) and one per
+CPU.  `_ranges` cuts the items into that many contiguous, near-equal ranges,
+and the caller does the first.  `_started` starts a worker per other range,
+each running `_serve` on its own pipe, and `_send_jobs` sends each its job
+and then its data (a Monte Carlo run's pickled control, or a writer's rows as
+a float64 buffer), which the split's job function (`montecarlo._simulate_job`,
+`grid._write_job`) reads from the pipe.  A worker replies to each job with
+one message: its result, or its exception as one line, which `_receive`
+raises in the caller as the package error.  However the caller leaves the
+`_started` block, every worker is ended and joined, so none outlives its call
+or CLI command.
 
 Spawn, not fork: forking a process that holds BLAS threads warns from Python
 3.12 on, and the package supports 3.10 and later.  Spawn costs about 0.3 s
@@ -33,6 +40,22 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _process_count(items: int, work: int, min_work: int) -> int:
+    """Processes worth running for `work` units over `items` items, the caller
+    included: one per `min_work` units, at most one per item and one per CPU,
+    and at least one.  A split too small for two asks for no CPU count."""
+    count = min(work // min_work, items)
+    if count > 1:
+        count = min(count, _cpu_count())
+    return max(1, count)
+
+
+def _ranges(n: int, parts: int) -> list[tuple[int, int]]:
+    """`parts` contiguous, near-equal ranges of [0, n); n if fewer, one if n is 0."""
+    parts = max(1, min(parts, n))
+    return [(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
+
+
 @contextlib.contextmanager
 def _interrupts_ignored():
     """Ignore SIGINT in the main thread while workers start: a spawned child keeps
@@ -51,22 +74,20 @@ def _interrupts_ignored():
 
 
 @contextlib.contextmanager
-def _started(target, job_args):
-    """Start one spawned worker target(conn, *args) per tuple of `job_args`, each
-    with its own pipe, and yield their (process, caller's end of the pipe) pairs.
-    On leaving, each worker is terminated (a no-op on one that has exited) and
-    joined, and its pipe is closed."""
+def _started(count: int):
+    """Start `count` spawned workers, each running `_serve` on its own pipe, and
+    yield their (process, caller's end of the pipe) pairs.  On leaving, each
+    worker is terminated (a no-op on one that has exited) and joined, and its
+    pipe is closed."""
     workers = []
     try:
-        if job_args:
+        if count > 0:
             import multiprocessing
             ctx = multiprocessing.get_context("spawn")
-            # start arguments this small fit the start pipe's buffer, so no start
-            # waits for the child before it to import numpy and this package
             with _interrupts_ignored():
-                for args in job_args:
+                for _ in range(count):
                     conn, child_conn = ctx.Pipe()
-                    proc = ctx.Process(target=target, args=(child_conn, *args))
+                    proc = ctx.Process(target=_serve, args=(child_conn,))
                     proc.start()
                     workers.append((proc, conn))
                     child_conn.close()
@@ -78,9 +99,33 @@ def _started(target, job_args):
             conn.close()
 
 
-def _error_line(exc: BaseException) -> str:
-    """The one line a worker sends in place of its result."""
-    return f"{type(exc).__name__}: {exc}".splitlines()[0]
+def _serve(conn) -> None:
+    """Body of every spawned worker: for each job (fn, args) until the caller
+    closes the pipe, reply with fn(conn, *args).  An exception is sent as one
+    line instead, and the worker stops."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the caller ends its workers
+    with conn:
+        while True:
+            try:
+                fn, args = conn.recv()
+                reply = fn(conn, *args)
+            except EOFError:  # the caller has closed its end: the call or command has ended
+                return
+            except Exception as exc:
+                conn.send(f"{type(exc).__name__}: {exc}".splitlines()[0])
+                return
+            conn.send(reply)
+
+
+def _send_jobs(jobs) -> None:
+    """Send each worker its job (fn, args) and then its data, unpickled, for
+    each (caller's end of the pipe, job, data) of `jobs`."""
+    for conn, job, data in jobs:
+        try:
+            conn.send(job)
+            conn.send_bytes(data)
+        except OSError:  # the worker has gone; _receive reports it
+            pass
 
 
 def _receive(proc, conn, worker: str, task: str, error: type):

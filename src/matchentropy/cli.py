@@ -8,13 +8,12 @@ T = 1, cap_d = 1e6).  Every emitted file embeds the
 fully resolved configuration, so identical configs give byte-identical output.
 
 The commands that write full fields (solve, forward-p, density and
-reproduce-figures) start file-writing workers once their inputs are checked
-and before their first solve: one process, the caller included, per
-grid._MIN_WORKER_VALUES values of a full field, and at most one per CPU
-(`taskset` limits them).  The workers format and write shares of each full
-field with the same bytes, and end with the command; a worker that dies or
-fails is exit 4.  They are spawned, so a script that calls main() on a large
-grid must keep its own work under `if __name__ == "__main__":`.
+reproduce-figures) start file-writing workers once their inputs, the HJB
+scheme's CFL number included, are checked and before their first solve: one
+process, the caller included, per _MIN_WORKER_VALUES values of a full field,
+sized and split as `_workers` describes.  The workers format and write shares
+of each full field with the same bytes, and end with the command; a worker
+that dies or fails is exit 4.
 """
 
 from __future__ import annotations
@@ -28,18 +27,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from ._workers import _started
+from ._workers import _process_count, _started
 from .checks import (CheckReport, CheckResult, check_solution_properties, cross_solver_gap,
                      decay_rate_check, hjb_horizon_solver, merge_reports)
 from .density import (EARLY_TERMINATION, FULL_LENGTH, VolatilityModel,
                       solve_forward_density, terminal_atoms)
 from .errors import NumericalError, ValidationError
-from .grid import (Grid, _writer_count, _writer_worker, dump_json, field_to_csv, make_grid,
-                   second_difference_interior)
-from .hjb import (SchemeConfig, optimal_control_field, solve_hjb,
+from .grid import Grid, dump_json, field_to_csv, make_grid, second_difference_interior
+from .hjb import (SchemeConfig, _check_cfl, optimal_control_field, solve_hjb,
                   solve_hjb_with_iterations)
 from .logdiff import LadderConfig, entropy_from_p, solve_log_diffusion
 from .montecarlo import PROBE_FRACTIONS, SimConfig, quadratic_variation_check, simulate_paths
+
+# fewest field values per process writing a field, the caller included: a
+# spawned worker takes about 0.3 s to start, as long as formatting 400k values
+# takes at about 0.75 us each
+_MIN_WORKER_VALUES = 400_000
 
 
 @dataclass
@@ -184,12 +187,12 @@ def _json_payload(config: RunConfig, body: dict) -> dict:
 
 
 def _file_workers(config: RunConfig, stack: contextlib.ExitStack):
-    """Start the file-writing workers worth starting for the command's full fields
-    (see grid._writer_count), which `stack` ends.  A command starts them once its
-    inputs are checked and before its first solve, so their start (about 0.3 s)
-    overlaps the solve."""
-    count = _writer_count((config.grid.M + 1) * (config.grid.N + 1))
-    return stack.enter_context(_started(_writer_worker, [()] * count))
+    """Start the file-writing workers worth starting for the command's full fields,
+    which `stack` ends.  A command starts them once its inputs are checked and
+    before its first solve, so their start (about 0.3 s) overlaps the solve."""
+    rows = config.grid.M + 1
+    count = _process_count(rows, rows * (config.grid.N + 1), _MIN_WORKER_VALUES) - 1
+    return stack.enter_context(_started(count))
 
 
 def _write_field(config: RunConfig, workers, stem: str, label: str, values, **extra) -> None:
@@ -206,6 +209,7 @@ def _write_field(config: RunConfig, workers, stem: str, label: str, values, **ex
 
 def _cmd_solve(config: RunConfig, stack: contextlib.ExitStack) -> int:
     grid, cfg = config.grid, config.scheme_config
+    _check_cfl(grid, cfg)
     workers = _file_workers(config, stack)
     surface, iters = solve_hjb_with_iterations(grid, cfg)
     control = optimal_control_field(surface, cfg)
@@ -276,6 +280,8 @@ def _cmd_density(config: RunConfig, stack: contextlib.ExitStack) -> int:
     grid = config.grid
     probe_levels = _probe_levels(grid)
     grid.space_index(config.x0)  # the density's start node, checked before any solve
+    if config.model == EARLY_TERMINATION:  # its model is the solved control
+        _check_cfl(grid, config.scheme_config)
     workers = _file_workers(config, stack)
     density = solve_forward_density(_volatility_model(config), grid, config.x0)
     field_to_csv(grid, density.values, _outpath(config, "density.csv"), "q", _meta(config),
@@ -336,6 +342,7 @@ def _cmd_reproduce_figures(config: RunConfig, stack: contextlib.ExitStack) -> in
     grid, cfg = config.grid, config.scheme_config
     probes = _probe_levels(grid)
     grid.space_index(config.x0)  # the densities' start node, checked before any solve
+    _check_cfl(grid, cfg)
     workers = _file_workers(config, stack)
     surface = solve_hjb(grid, cfg)
     control = optimal_control_field(surface, cfg)

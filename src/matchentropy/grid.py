@@ -14,7 +14,6 @@ import json
 import math
 import os
 import shutil
-import signal
 import sys
 import tempfile
 import threading
@@ -23,17 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._workers import _cpu_count, _error_line, _receive
+from ._workers import _ranges, _receive, _send_jobs
 from .errors import ValidationError
 
 # how far round-off may carry a solved p above its invariant p <= 1
 P_CEILING_TOL = 1e-8
 # most float64 entries one numpy array can hold: its size in bytes must fit in intp
 MAX_ARRAY_ENTRIES = np.iinfo(np.intp).max // 8
-# fewest field values per process writing a field, the caller included: a
-# spawned worker takes about 0.3 s to start, as long as formatting 400k values
-# takes at about 0.75 us each
-_MIN_WORKER_VALUES = 400_000
 # rows of a field CSV numpy parses at a time: 1.5 MB arrays can reuse freed
 # memory, where one array for a whole body (24 MB at N = M = 1000) takes new pages
 _READ_ROWS = 1 << 16
@@ -198,42 +193,24 @@ def _json_rows(values, first: bool):
         opening = ",\n    "
 
 
-def _writer_count(n_values: int) -> int:
-    """File-writing workers worth starting for fields of n_values values: one
-    process per _MIN_WORKER_VALUES values and at most one per CPU, the caller
-    being the first."""
-    return max(0, min(_cpu_count(), n_values // _MIN_WORKER_VALUES) - 1)
-
-
-def _send_jobs(jobs) -> None:
-    """Send each worker its job and then its rows' float64 buffer, unpickled."""
-    for conn, job, rows in jobs:
-        try:
-            conn.send(job)
-            conn.send_bytes(rows)
-        except OSError:  # the worker has gone; _receive reports it
-            pass
-
-
 def _write_rows(fh, path, values, rows, args_of, workers) -> None:
     """Write rows(values[lo:hi], *args_of(lo, hi)) for consecutive row ranges
     [lo, hi) of `values` to the text file fh, opened at `path`, from its position.
 
-    The ranges are near-equal, one here and one per worker (so one range of all
-    rows without workers).  The first is written here.  Each other one goes to
-    one of `workers` (see `_writer_worker`) while this process writes its own:
-    the worker formats it, and once the ranges before it are written it copies
-    it in at their end.  fh is left at the end of the last range."""
-    parts = min(1 + len(workers), len(values))
-    ranges = [(i * len(values) // parts, (i + 1) * len(values) // parts) for i in range(parts)]
-    (lo, hi), rest = ranges[0], ranges[1:]
+    The ranges are cut as `_workers` describes, one here and one per worker (so
+    one range of all rows without workers).  The first is written here.  Each
+    other one goes to one of `workers` (see `_write_job`) while this process
+    writes its own: the worker formats it, and once the ranges before it are
+    written it copies it in at their end.  fh is left at the end of the last
+    range."""
+    (lo, hi), *rest = _ranges(len(values), 1 + len(workers))
     if not rest:
         fh.writelines(rows(values, *args_of(lo, hi)))
         return
     values = np.ascontiguousarray(values, dtype=float)
     path = os.path.abspath(path)  # the workers keep the directory they started in
-    jobs = [(conn, (rows, args_of(r_lo, r_hi), values.shape[1], path), values[r_lo:r_hi])
-            for (_, conn), (r_lo, r_hi) in zip(workers, rest)]
+    jobs = [(conn, (_write_job, (rows, args_of(r_lo, r_hi), values.shape[1], path)),
+             values[r_lo:r_hi]) for (_, conn), (r_lo, r_hi) in zip(workers, rest)]
     # from a thread, since a worker that is still importing reads nothing yet
     sender = threading.Thread(target=_send_jobs, args=(jobs,))
     sender.start()
@@ -249,33 +226,20 @@ def _write_rows(fh, path, values, rows, args_of, workers) -> None:
     fh.seek(end)
 
 
-def _writer_worker(conn) -> None:
-    """Body of a spawned file-writing worker: for each job until the caller closes
-    the pipe, format its rows into a scratch file beside the output, so that it
-    holds one row at a time, then copy them in at the offset that follows and
-    reply with the position after them.  An exception is sent as one line
-    instead, and the worker stops."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the caller ends its workers
-    with conn:
-        while True:
-            try:
-                rows, args, width, path = conn.recv()
-                values = np.frombuffer(conn.recv_bytes()).reshape(-1, width)
-                # unnamed where the OS allows, so a killed worker leaves no file behind
-                with tempfile.TemporaryFile("w+", dir=os.path.dirname(path)) as scratch:
-                    scratch.writelines(rows(values, *args))
-                    scratch.seek(0)  # flushes the text, so its bytes are those of the file
-                    with open(path, "r+b") as fh:
-                        fh.seek(conn.recv())
-                        shutil.copyfileobj(scratch.buffer, fh)
-                        reply = fh.tell()
-            except EOFError:  # the caller has closed its end: the command has ended
-                return
-            except Exception as exc:
-                reply = _error_line(exc)
-            conn.send(reply)
-            if isinstance(reply, str):
-                return
+def _write_job(conn, rows, args, width: int, path: str) -> int:
+    """A file-writing worker's job: format rows(values, *args) of the float64 rows
+    of `width` values that follow on conn into a scratch file beside the output,
+    so that it holds one row at a time, then copy them in at the offset that
+    follows; return the position after them."""
+    values = np.frombuffer(conn.recv_bytes()).reshape(-1, width)
+    # unnamed where the OS allows, so a killed worker leaves no file behind
+    with tempfile.TemporaryFile("w+", dir=os.path.dirname(path)) as scratch:
+        scratch.writelines(rows(values, *args))
+        scratch.seek(0)  # flushes the text, so its bytes are those of the file
+        with open(path, "r+b") as fh:
+            fh.seek(conn.recv())
+            shutil.copyfileobj(scratch.buffer, fh)
+            return fh.tell()
 
 
 def field_to_csv(grid: Grid, values: np.ndarray, path, value_label: str, meta: dict,
@@ -287,8 +251,8 @@ def field_to_csv(grid: Grid, values: np.ndarray, path, value_label: str, meta: d
     significant digits so a round trip is exact.  The metadata mapping is
     emitted as leading '# key = value' lines.  The rows are written one time
     row at a time, so memory does not grow with M.  `workers`, started with
-    `_workers._started(_writer_worker, ...)`, format and write near-equal
-    shares of the rows, with the same bytes.
+    `_workers._started`, format and write near-equal shares of the rows, with
+    the same bytes.
     """
     ts = grid.t_nodes() if times is None else times
     if len(ts) != len(values):

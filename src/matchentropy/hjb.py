@@ -211,21 +211,27 @@ def _scaled_residual(u, v_int, q, a, log_a, lin, off, half_k, work_arrays) -> fl
     return float(resid.max())
 
 
-def solve_hjb_with_iterations(grid: Grid, cfg: SchemeConfig) -> tuple[ValueSurface, np.ndarray]:
-    """Full backward sweep; also returns policy-iteration counts per step.
-
-    For the explicit scheme the counts are zeros.  The CFL number
-    k*cap_d/h^2 is checked once, before the first step.
-    """
+def _check_cfl(grid: Grid, cfg: SchemeConfig) -> None:
+    """Reject a CFL number k*cap_d/h^2 that overflows, or that exceeds 1 for the
+    explicit scheme: an input error, raised before any step (and, in the CLI,
+    before any worker starts)."""
     cfl = grid.k * cfg.cap_d / (grid.h * grid.h)
     if not math.isfinite(cfl):
         raise ValidationError(f"k*cap_d/h^2 overflows for k = {grid.k:.6g}, "
                               f"cap_d = {cfg.cap_d:.6g}, h = {grid.h:.6g}")
     if cfg.scheme == "explicit" and cfl > 1.0 + 1e-12:
-        # an unstable explicit grid is an input error, raised before the first step
         raise ValidationError(
             f"explicit scheme unstable: k*cap_d/h^2 = {grid.k:.6g}*{cfg.cap_d:.6g}"
             f"/{grid.h:.6g}^2 = {cfl:.6g} exceeds 1")
+
+
+def solve_hjb_with_iterations(grid: Grid, cfg: SchemeConfig) -> tuple[ValueSurface, np.ndarray]:
+    """Full backward sweep; also returns policy-iteration counts per step.
+
+    For the explicit scheme the counts are zeros.  The CFL number
+    k*cap_d/h^2 is checked once, before the first step (see `_check_cfl`).
+    """
+    _check_cfl(grid, cfg)
     values = np.zeros((grid.M + 1, grid.N + 1))
     if cfg.terminal_regularisation_n is not None:
         values[grid.M] = stationary_entropy(grid.x_nodes()) / cfg.terminal_regularisation_n

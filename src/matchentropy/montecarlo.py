@@ -24,28 +24,24 @@ A step runs in preallocated work rows, in the order of operations of the
 plain expressions it stands for, so its bits are theirs.  The x lookup is
 index arithmetic on the uniform grid, bit-identical to np.interp.
 
-A large run is split into contiguous, near-equal ranges of path indices, one
-per CPU the process may run on, but none for fewer than _MIN_WORKER_STEPS
-path-steps.  The calling process simulates the first range and a spawned
-worker process (see `_workers`) each other one; the per-path streams make
-every result independent of the number of workers.  The workers all start
-before the control is pickled once and sent to each, so their starts
-overlap.  A worker replies with one message: its five arrays, or its
-exception as one line, raised in the caller as MemoryError or
-NumericalError.
+A large run is split between processes as `_workers` describes, one per
+_MIN_WORKER_STEPS path-steps; the per-path streams make every result
+independent of the number of workers.  The workers all start before the
+control is pickled once and sent to each, so their starts overlap.  A worker
+replies with its range's five arrays, and its error is raised in the caller
+as MemoryError or NumericalError.
 """
 
 from __future__ import annotations
 
 import math
 import pickle
-import signal
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from ._workers import _cpu_count, _error_line, _receive, _started
+from ._workers import _process_count, _ranges, _receive, _send_jobs, _started
 from .density import FULL_LENGTH, VolatilityModel, _full_length_variance
 from .errors import NumericalError, ValidationError
 from .grid import MAX_ARRAY_ENTRIES
@@ -278,49 +274,25 @@ def _simulate_range(control, cfg: SimConfig, T: float, lo: int, hi: int):
     return terminal, side, exit_time, reward, qv
 
 
-def _path_ranges(n_paths: int, n_steps: int) -> list[tuple[int, int]]:
-    """Contiguous, near-equal ranges of [0, n_paths), one per process."""
-    workers = min(n_paths * n_steps // _MIN_WORKER_STEPS, n_paths)
-    if workers > 1:
-        workers = min(workers, _cpu_count())
-    workers = max(1, workers)
-    return [(i * n_paths // workers, (i + 1) * n_paths // workers) for i in range(workers)]
-
-
-def _range_worker(conn, cfg: SimConfig, T: float, lo: int, hi: int) -> None:
-    """Body of a spawned worker: read the pickled control, simulate paths [lo, hi)
-    and send their five arrays in one message.  An exception is sent as one line
-    instead, so the worker exits quietly and the caller raises."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the caller ends its workers
-    with conn:
-        try:
-            reply = _simulate_range(pickle.loads(conn.recv_bytes()), cfg, T, lo, hi)
-        except Exception as exc:
-            reply = _error_line(exc)
-        conn.send(reply)
-
-
-def _receive_range(proc, conn):
-    """The five arrays a worker sends; its error line, or its exit before a whole
-    reply, is raised as the package error."""
-    return _receive(proc, conn, "Monte Carlo worker", "returning its paths", NumericalError)
+def _simulate_job(conn, cfg: SimConfig, T: float, lo: int, hi: int):
+    """A worker's job: simulate paths [lo, hi) under the pickled control that
+    follows on conn, and return their five arrays."""
+    return _simulate_range(pickle.loads(conn.recv_bytes()), cfg, T, lo, hi)
 
 
 def _simulate_split(control, cfg: SimConfig, T: float, ranges):
     """Simulate ranges[0] here and every other range in a spawned worker; return
     each range's five arrays, in range order."""
-    with _started(_range_worker, [(cfg, T, lo, hi) for lo, hi in ranges[1:]]) as workers:
+    with _started(len(ranges) - 1) as workers:
         if workers:
             # pickled once, and freed before this process allocates its own buffers
-            job = pickle.dumps(control, protocol=pickle.HIGHEST_PROTOCOL)
-            for proc, conn in workers:
-                try:
-                    conn.send_bytes(job)
-                except OSError:  # the worker has gone; it replies only after its job
-                    _receive_range(proc, conn)
-            del job
+            data = pickle.dumps(control, protocol=pickle.HIGHEST_PROTOCOL)
+            _send_jobs([(conn, (_simulate_job, (cfg, T, lo, hi)), data)
+                        for (_, conn), (lo, hi) in zip(workers, ranges[1:])])
+            del data
         parts = [_simulate_range(control, cfg, T, *ranges[0])]
-        parts.extend(_receive_range(proc, conn) for proc, conn in workers)
+        parts.extend(_receive(proc, conn, "Monte Carlo worker", "returning its paths",
+                              NumericalError) for proc, conn in workers)
         return parts
 
 
@@ -357,7 +329,8 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats
                               "not positive")
 
     n = cfg.n_paths
-    parts = _simulate_split(control, cfg, horizon, _path_ranges(n, n_steps))
+    ranges = _ranges(n, _process_count(n, n * n_steps, _MIN_WORKER_STEPS))
+    parts = _simulate_split(control, cfg, horizon, ranges)
     terminal, side, exit_time, reward, qv = (np.concatenate(arrays) for arrays in zip(*parts))
 
     absorbed = side != 0

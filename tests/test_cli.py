@@ -297,7 +297,7 @@ def test_cli_import_loads_no_scipy_integrate(tmp_path):
 
 # `simulate` with its paths split in two, whatever the machine's core count
 SPLIT_SIMULATE = ("import sys; from matchentropy import cli, montecarlo; "
-                  "montecarlo._path_ranges = lambda n, steps: [(0, n // 2), (n // 2, n)]; "
+                  "montecarlo._process_count = lambda items, work, min_work: 2; "
                   "sys.exit(cli.main())")
 
 
@@ -346,8 +346,8 @@ def test_killed_worker_is_one_error_line_and_leaves_no_process(tmp_path):
 
 
 # `solve` with its fields split between the caller and one writer, whatever the machine
-SPLIT_WRITE = ("import os, sys; from matchentropy import cli, grid; "
-               "grid._MIN_WORKER_VALUES = 1; os.sched_getaffinity = lambda pid: {0, 1}; "
+SPLIT_WRITE = ("import os, sys; from matchentropy import cli; "
+               "cli._MIN_WORKER_VALUES = 1; os.sched_getaffinity = lambda pid: {0, 1}; "
                "sys.exit(cli.main())")
 
 
@@ -375,7 +375,7 @@ def test_killed_writer_worker_is_one_error_line_and_leaves_no_process(tmp_path):
 
 
 def _force_writer_split(monkeypatch, cpus=2):
-    monkeypatch.setattr(me_grid, "_MIN_WORKER_VALUES", 1)
+    monkeypatch.setattr(cli, "_MIN_WORKER_VALUES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
@@ -426,6 +426,29 @@ def test_explicit_scheme_cfl_precheck_fails_fast(capsys):
     # reference resolution with the default cap violates k*d/h^2 <= 1
     assert cli.main(["solve", "--scheme", "explicit"]) == 1
     assert "k*cap_d/h^2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["density"], ["reproduce-figures"]],
+                         ids=lambda argv: argv[0])
+def test_an_unstable_explicit_scheme_fails_before_any_worker_starts(argv, tmp_path, monkeypatch,
+                                                                    capsys):
+    def no_start(method):
+        raise AssertionError("a worker process was started")
+
+    _force_writer_split(monkeypatch)
+    monkeypatch.setattr(multiprocessing, "get_context", no_start)
+    out = tmp_path / "out"
+    assert cli.main([*argv, *SMALL, "--scheme", "explicit", "--output", str(out)]) == 1
+    (message,) = _message_lines(capsys.readouterr().err)
+    assert message.startswith("error: explicit scheme unstable: k*cap_d/h^2")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["forward-p"], ["density", "--model", "full_length"]],
+                         ids=lambda argv: argv[-1])
+def test_commands_that_solve_no_hjb_run_with_an_unstable_explicit_scheme(argv, tmp_path,
+                                                                         capsys):
+    assert cli.main([*argv, *SMALL, "--scheme", "explicit", "--output", str(tmp_path)]) == 0
 
 
 def test_explicit_scheme_runs_when_stable(tmp_path, capsys):

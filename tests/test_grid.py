@@ -3,7 +3,6 @@ import math
 import multiprocessing
 import os
 import signal
-import threading
 import tracemalloc
 import warnings
 
@@ -16,6 +15,7 @@ from matchentropy import _workers, grid as me_grid
 from matchentropy.errors import ValidationError
 from matchentropy.grid import MAX_ARRAY_ENTRIES, dump_json, second_difference_interior
 from test_montecarlo import _MemoryErrorOnLoad, _ValueErrorOnLoad, time_limit
+from test_workers import serve_here
 
 
 def test_make_grid_examples():
@@ -462,23 +462,12 @@ def test_every_writer_worker_count_gives_the_same_bytes(workers, tmp_path):
     cases = _writer_cases(grid, _special_field(grid, grid.M + 1))
     for name, write in cases:
         write(tmp_path / f"{name}.serial", ())
-    with time_limit(120), _workers._started(me_grid._writer_worker, [()] * workers) as started:
+    with time_limit(120), _workers._started(workers) as started:
         for name, write in cases:
             write(tmp_path / name, started)
     assert multiprocessing.active_children() == []
     for name, _ in cases:
         assert (tmp_path / name).read_bytes() == (tmp_path / f"{name}.serial").read_bytes(), name
-
-
-@pytest.mark.parametrize("n_values, cpus, writers", [
-    (799_999, 8, 0), (800_000, 8, 1), (1_002_001, 2, 1), (1_002_001, 32, 1),
-    (2_000_000, 4, 3), (10_000_000, 4, 3), (10_000_000, 1, 0),
-])
-def test_writers_grow_with_the_field_up_to_one_per_cpu_beyond_the_caller(n_values, cpus,
-                                                                         writers, monkeypatch):
-    monkeypatch.setattr(me_grid, "_MIN_WORKER_VALUES", 400_000)
-    monkeypatch.setattr(me_grid, "_cpu_count", lambda: cpus)
-    assert me_grid._writer_count(n_values) == writers
 
 
 @pytest.mark.parametrize("bad_time, error, message", [
@@ -490,7 +479,7 @@ def test_a_writer_worker_error_is_raised_quietly_in_the_caller(bad_time, error, 
                                                                tmp_path, capfd):
     grid = me.make_grid(24, 12, 1.0)
     values = np.ones((4, grid.N + 1))
-    with time_limit(120), _workers._started(me_grid._writer_worker, [()]) as started:
+    with time_limit(120), _workers._started(1) as started:
         with pytest.raises(error, match=message):
             me.field_to_csv(grid, values, tmp_path / "f.csv", "q", {},
                             times=[0.1, 0.2, bad_time, 0.9], workers=started)
@@ -499,7 +488,7 @@ def test_a_writer_worker_error_is_raised_quietly_in_the_caller(bad_time, error, 
 
 
 def test_a_writer_worker_that_died_is_one_os_error(tmp_path):
-    with time_limit(120), _workers._started(me_grid._writer_worker, [()]) as started:
+    with time_limit(120), _workers._started(1) as started:
         proc, _ = started[0]
         os.kill(proc.pid, signal.SIGKILL)
         proc.join()
@@ -509,7 +498,7 @@ def test_a_writer_worker_that_died_is_one_os_error(tmp_path):
 
 
 def test_a_writer_worker_writes_its_rows_at_the_offset_and_stops_on_error_or_eof(tmp_path):
-    # the body of a spawned writer, run here over a pipe with its jobs queued
+    # the loop of a spawned writer, run here over a pipe with its jobs queued
     grid = me.make_grid(4, 2, 1.0)
     values = _tiny_surface().values
     whole = tmp_path / "whole.csv"
@@ -517,23 +506,24 @@ def test_a_writer_worker_writes_its_rows_at_the_offset_and_stops_on_error_or_eof
     head, first = "t,x,value\n", "".join(me_grid._csv_rows(values[:1], [0.0], _x_cells(grid)))
     path = tmp_path / "f.csv"
     path.write_text(head + first)
-    conn, child_conn = multiprocessing.Pipe()
-    conn.send((me_grid._csv_rows, ([0.5, 1.0], _x_cells(grid)), grid.N + 1, str(path)))
-    conn.send_bytes(values[1:])
-    conn.send(len(head + first))
-    conn.send((me_grid._csv_rows, ([0.5], _x_cells(grid)), grid.N + 2, str(path)))
-    conn.send_bytes(values[1])  # 5 values are no row of 6
-    _run_writer_worker(child_conn)
-    assert conn.recv() == whole.stat().st_size
+
+    def caller(conn):
+        conn.send(_write_job(([0.5, 1.0], _x_cells(grid)), grid.N + 1, path))
+        conn.send_bytes(values[1:])
+        conn.send(len(head + first))
+        conn.send(_write_job(([0.5], _x_cells(grid)), grid.N + 2, path))
+        conn.send_bytes(values[1])  # 5 values are no row of 6
+        replies = [conn.recv(), conn.recv()]
+        with pytest.raises(EOFError):  # it stopped at its error and closed its end
+            conn.recv()
+        return replies
+
+    end, error = serve_here(caller)
+    assert end == whole.stat().st_size
     assert path.read_bytes() == whole.read_bytes()
-    assert conn.recv().startswith("ValueError: cannot reshape array of size 5")
-    with pytest.raises(EOFError):  # it stopped at its error and closed its end
-        conn.recv()
-    conn.close()
+    assert error.startswith("ValueError: cannot reshape array of size 5")
     # a worker whose caller has closed its end stops without a reply
-    conn, child_conn = multiprocessing.Pipe()
-    conn.close()
-    _run_writer_worker(child_conn)
+    serve_here(lambda conn: None)
     assert sorted(os.listdir(tmp_path)) == ["f.csv", "whole.csv"]  # no scratch file left
 
 
@@ -545,27 +535,20 @@ def test_a_writer_worker_holds_rows_not_its_whole_range(tmp_path):
     me.field_to_csv(grid, values, path, "q", {})
     whole = path.read_bytes()
     path.write_text("t,x,q\n")
-    conn, child_conn = multiprocessing.Pipe()
-    replies = []
 
-    def caller():  # the rows fill the pipe, so they are sent while the worker reads
-        conn.send((me_grid._csv_rows, (grid.t_nodes(), _x_cells(grid)), grid.N + 1, str(path)))
+    def caller(conn):  # the rows fill the pipe, so they are sent while the worker reads
+        conn.send(_write_job((grid.t_nodes(), _x_cells(grid)), grid.N + 1, path))
         conn.send_bytes(values)
         conn.send(len("t,x,q\n"))
-        replies.append(conn.recv())
-        conn.close()
+        return conn.recv()
 
-    sender = threading.Thread(target=caller)
     tracemalloc.start()
     try:
-        sender.start()
-        _run_writer_worker(child_conn)
+        end = serve_here(caller)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        sender.join(timeout=60)
-    assert not sender.is_alive()
-    assert replies == [len(whole)]
+    assert end == len(whole)
     assert path.read_bytes() == whole
     assert peak < values.nbytes + len(whole) // 4
 
@@ -576,23 +559,26 @@ def test_the_job_sender_sends_each_job_then_its_rows_and_skips_a_worker_gone():
     gone, gone_child = multiprocessing.Pipe()
     gone_child.close()
     conn, child_conn = multiprocessing.Pipe()
-    me_grid._send_jobs([(gone, "first job", values[:1]), (conn, "second job", values[1:])])
+    _workers._send_jobs([(gone, "first job", values[:1]), (conn, "second job", values[1:])])
     assert child_conn.recv() == "second job"
     assert child_conn.recv_bytes() == values[1:].tobytes()
     for end in (gone, conn, child_conn):
         end.close()
 
 
+def test_a_field_of_no_rows_is_its_header_alone_and_sends_no_job(tmp_path):
+    grid = me.make_grid(4, 2, 1.0)
+    path = tmp_path / "f.csv"
+    # a worker that is sent anything fails the call: there are no rows to share
+    me.field_to_csv(grid, np.empty((0, grid.N + 1)), path, "q", {"k": "v"}, times=[],
+                    workers=[(None, None)])
+    assert path.read_text() == "# k = v\nt,x,q\n"
+
+
 def _x_cells(grid):
     return [f",{x:.17g},%.17g\n" for x in grid.x_nodes()]
 
 
-def _run_writer_worker(child_conn):
-    previous = signal.getsignal(signal.SIGINT)
-    try:
-        me_grid._writer_worker(child_conn)
-        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
-    finally:
-        signal.signal(signal.SIGINT, previous)
-    assert child_conn.closed
-
+def _write_job(args, width, path):
+    """The job _write_rows sends a file-writing worker for CSV rows."""
+    return me_grid._write_job, (me_grid._csv_rows, args, width, str(path))

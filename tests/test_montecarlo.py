@@ -18,6 +18,7 @@ import matchentropy as me
 from matchentropy import _workers, montecarlo
 from matchentropy.errors import ValidationError
 from matchentropy.montecarlo import BARRIER_CORRECTION, _BLOCK, _CHUNK, _control_evaluator
+from test_workers import serve_here
 
 PATH_ARRAYS = ("reward_samples", "qv_samples", "terminal_values", "exit_time_samples",
                "absorbed_side")
@@ -478,9 +479,8 @@ def time_limit(seconds):
 
 
 def forced_split(workers):
-    """A stand-in for montecarlo._path_ranges: `workers` near-equal ranges."""
-    return lambda n_paths, n_steps: [(i * n_paths // workers, (i + 1) * n_paths // workers)
-                                     for i in range(workers)]
+    """A stand-in for montecarlo._process_count: `workers` processes."""
+    return lambda items, work, min_work: workers
 
 
 # divisible by none of 2, 3 and 5; the ranges of one and of two workers cross a chunk edge
@@ -502,7 +502,7 @@ def test_every_worker_count_gives_the_same_bits(case, monkeypatch):
     runs = {}
     with time_limit(120):
         for workers in (1, 2, 3, 5):  # 5 is more than most machines' cores
-            monkeypatch.setattr(montecarlo, "_path_ranges", forced_split(workers))
+            monkeypatch.setattr(montecarlo, "_process_count", forced_split(workers))
             runs[workers] = me.simulate_paths(control, cfg, **kwargs)
             assert multiprocessing.active_children() == []
     for workers, stats in runs.items():
@@ -512,36 +512,6 @@ def test_every_worker_count_gives_the_same_bits(case, monkeypatch):
             assert got == reference[name].tobytes(), (workers, name)
         assert stats.reward_mean == runs[1].reward_mean and stats.qv_mean == runs[1].qv_mean
         assert stats.fraction_absorbed_by == runs[1].fraction_absorbed_by
-
-
-def test_path_ranges_cover_the_paths_and_start_no_worker_for_small_runs():
-    steps = montecarlo._MIN_WORKER_STEPS
-    assert montecarlo._path_ranges(1, 10 * steps) == [(0, 1)]
-    assert montecarlo._path_ranges(1000, steps // 1000 - 1) == [(0, 1000)]
-    ranges = montecarlo._path_ranges(100_001, 64 * steps)
-    assert len(ranges) == min(montecarlo._cpu_count(), 100_001)
-    assert ranges[0][0] == 0 and ranges[-1][1] == 100_001
-    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-    assert max(hi - lo for lo, hi in ranges) - min(hi - lo for lo, hi in ranges) <= 1
-
-
-def test_path_ranges_without_an_affinity_mask(monkeypatch):
-    # macOS and Windows have no os.sched_getaffinity; a run too small to split
-    # asks for no CPU count at all
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-
-    def no_cpu_count():
-        raise AssertionError("a run too small to split asked for the CPU count")
-
-    monkeypatch.setattr(os, "cpu_count", no_cpu_count)
-    cfg = me.SimConfig(n_paths=50, dt=0.01, base_seed=6, x0=0.5)
-    assert me.simulate_paths(1.0, cfg, T=1.0).reward_samples.size == 50
-    steps = montecarlo._MIN_WORKER_STEPS
-    assert montecarlo._path_ranges(4, 2 * steps // 4 - 1) == [(0, 4)]
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert montecarlo._path_ranges(100, 64 * steps) == [(0, 33), (33, 66), (66, 100)]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
-    assert montecarlo._path_ranges(100, 64 * steps) == [(0, 100)]
 
 
 def _raise_memory_error():
@@ -566,41 +536,35 @@ class _ValueErrorOnLoad(float):
         return _raise_value_error, ()
 
 
-def _worker_in_this_process(control, cfg, lo, hi):
-    """Run montecarlo._range_worker here, as a spawned worker runs it, and return
-    the caller's end of its pipe."""
-    conn, child_conn = multiprocessing.Pipe()
+def _send_range_job(conn, control, cfg, lo, hi):
+    """Send a worker the job of paths [lo, hi) and its pickled control, as
+    montecarlo._simulate_split does, and return the worker's reply."""
+    conn.send((montecarlo._simulate_job, (cfg, 1.0, lo, hi)))
     conn.send_bytes(pickle.dumps(control))
-    previous = signal.getsignal(signal.SIGINT)
-    try:
-        montecarlo._range_worker(child_conn, cfg, 1.0, lo, hi)
-        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
-    finally:
-        signal.signal(signal.SIGINT, previous)
-    return conn
+    return conn.recv()
 
 
 def test_a_worker_sends_its_range_in_order_and_leaves_interrupts_to_the_parent():
+    # serve_here runs the worker loop here and checks that it ignores SIGINT
     cfg = me.SimConfig(n_paths=40, dt=0.01, base_seed=8, x0=0.5)
     whole = me.simulate_paths(1.0, cfg, T=1.0)
-    conn = _worker_in_this_process(1.0, cfg, 13, 29)
-    reply = conn.recv()
+    reply = serve_here(lambda conn: _send_range_job(conn, 1.0, cfg, 13, 29))
     assert isinstance(reply, tuple) and len(reply) == 5
     for arr, name in zip(reply, ("terminal_values", "absorbed_side", "exit_time_samples",
                                  "reward_samples", "qv_samples")):
         assert arr.tobytes() == getattr(whole, name)[13:29].tobytes(), name
-    with pytest.raises(EOFError):  # the worker closed its end
-        conn.recv()
-    conn.close()
 
 
 def test_a_worker_sends_its_error_as_one_status_line():
     cfg = me.SimConfig(n_paths=40, dt=0.01, base_seed=8, x0=0.5)
-    conn = _worker_in_this_process(_MemoryErrorOnLoad(1.0), cfg, 13, 29)
-    assert conn.recv() == "MemoryError: no room for the range"
-    with pytest.raises(EOFError):
-        conn.recv()
-    conn.close()
+
+    def caller(conn):
+        reply = _send_range_job(conn, _MemoryErrorOnLoad(1.0), cfg, 13, 29)
+        with pytest.raises(EOFError):  # the worker stopped and closed its end
+            conn.recv()
+        return reply
+
+    assert serve_here(caller) == "MemoryError: no room for the range"
 
 
 def test_a_reply_cut_short_is_the_dead_worker_error():
@@ -611,7 +575,8 @@ def test_a_reply_cut_short_is_the_dead_worker_error():
     child_conn.close()
     proc = types.SimpleNamespace(join=lambda: None, exitcode=-9)
     with pytest.raises(me.NumericalError, match="worker exited with code -9 before returning"):
-        montecarlo._receive_range(proc, conn)
+        _workers._receive(proc, conn, "Monte Carlo worker", "returning its paths",
+                          me.NumericalError)
     conn.close()
 
 
@@ -643,7 +608,7 @@ def test_workers_start_with_interrupts_ignored(monkeypatch):
 
 def _split_run(monkeypatch, own_range):
     """Run a two-process split whose calling-process range is `own_range`."""
-    monkeypatch.setattr(montecarlo, "_path_ranges", forced_split(2))
+    monkeypatch.setattr(montecarlo, "_process_count", forced_split(2))
     monkeypatch.setattr(montecarlo, "_simulate_range", own_range)
     cfg = me.SimConfig(n_paths=200, dt=0.01, base_seed=4, x0=0.5)
     with time_limit(120):
@@ -659,8 +624,10 @@ def _kill_workers():
 @pytest.mark.parametrize("when", ["before_its_job", "in_the_own_range"])
 def test_a_worker_that_dies_is_one_package_error(when, monkeypatch):
     simulate_range = montecarlo._simulate_range
+    own_ranges = []
 
     def kill_workers_first(*args):
+        own_ranges.append(args[3:])
         if when == "in_the_own_range":
             _kill_workers()
         return simulate_range(*args)
@@ -674,6 +641,7 @@ def test_a_worker_that_dies_is_one_package_error(when, monkeypatch):
             dumps=dumps_after_killing, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
     with pytest.raises(me.NumericalError, match="worker exited with code -9 before returning"):
         _split_run(monkeypatch, kill_workers_first)
+    assert own_ranges == [(0, 100)]  # a worker that died is reported after the own range
     assert multiprocessing.active_children() == []
 
 
@@ -683,7 +651,7 @@ def test_a_worker_that_dies_is_one_package_error(when, monkeypatch):
 ])
 def test_a_worker_error_is_raised_quietly_in_the_caller(control, error, message, monkeypatch,
                                                         capfd):
-    monkeypatch.setattr(montecarlo, "_path_ranges", forced_split(2))
+    monkeypatch.setattr(montecarlo, "_process_count", forced_split(2))
     cfg = me.SimConfig(n_paths=200, dt=0.01, base_seed=4, x0=0.5)
     with time_limit(120), pytest.raises(error, match=message):
         me.simulate_paths(control, cfg, T=1.0)
