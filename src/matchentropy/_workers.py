@@ -2,16 +2,16 @@
 
 `_process_count` sizes a split: one process, the caller included, per
 `min_work` units of its work, at most one per item (path or row) and one per
-CPU.  `_ranges` cuts the items into that many contiguous, near-equal ranges,
-and the caller does the first.  `_started` starts a worker per other range,
-each running `_serve` on its own pipe, and `_send_jobs` sends each its job
-and then its data (a Monte Carlo run's pickled control, or a writer's rows as
-a float64 buffer), which the split's job function (`montecarlo._simulate_job`,
-`grid._write_job`) reads from the pipe.  A worker replies to each job with
-one message: its result, or its exception as one line, which `_receive`
-raises in the caller as the package error.  However the caller leaves the
-`_started` block, every worker is ended and joined, so none outlives its call
-or CLI command.
+CPU.  `_ranges` cuts the items into that many contiguous, near-equal ranges;
+the caller does the first, and `_started` starts a worker for each other.
+Every worker runs `_serve` on its own pipe.  `_send_jobs` sends it its job
+(fn, args) and then its data (a Monte Carlo run's pickled control, or a
+writer's rows as a float64 buffer), which the split's job function
+(`montecarlo._simulate_job`, `grid._write_job`) reads.  The worker replies
+with the job's result, or its exception as one line, which `_receive` raises
+in the caller as the package error.  However the caller leaves the
+`_started` block, every worker is ended and joined, so none outlives its
+call or CLI command.
 
 Spawn, not fork: forking a process that holds BLAS threads warns from Python
 3.12 on, and the package supports 3.10 and later.  Spawn costs about 0.3 s
@@ -51,7 +51,7 @@ def _process_count(items: int, work: int, min_work: int) -> int:
 
 
 def _ranges(n: int, parts: int) -> list[tuple[int, int]]:
-    """`parts` contiguous, near-equal ranges of [0, n); n if fewer, one if n is 0."""
+    """`parts` contiguous, near-equal ranges of [0, n), but at most n (one if n is 0)."""
     parts = max(1, min(parts, n))
     return [(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
 
@@ -112,14 +112,18 @@ def _serve(conn) -> None:
             except EOFError:  # the caller has closed its end: the call or command has ended
                 return
             except Exception as exc:
-                conn.send(f"{type(exc).__name__}: {exc}".splitlines()[0])
+                conn.send(_error_line(exc))
                 return
             conn.send(reply)
 
 
+def _error_line(exc: BaseException) -> str:
+    """The one line a worker sends in place of its result."""
+    return f"{type(exc).__name__}: {exc}".splitlines()[0]
+
+
 def _send_jobs(jobs) -> None:
-    """Send each worker its job (fn, args) and then its data, unpickled, for
-    each (caller's end of the pipe, job, data) of `jobs`."""
+    """Send each (caller's pipe end, job, data) of `jobs`: the job, then the data unpickled."""
     for conn, job, data in jobs:
         try:
             conn.send(job)

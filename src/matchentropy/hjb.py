@@ -213,8 +213,7 @@ def _scaled_residual(u, v_int, q, a, log_a, lin, off, half_k, work_arrays) -> fl
 
 def _check_cfl(grid: Grid, cfg: SchemeConfig) -> None:
     """Reject a CFL number k*cap_d/h^2 that overflows, or that exceeds 1 for the
-    explicit scheme: an input error, raised before any step (and, in the CLI,
-    before any worker starts)."""
+    explicit scheme: an input error, raised before any step or worker starts."""
     cfl = grid.k * cfg.cap_d / (grid.h * grid.h)
     if not math.isfinite(cfl):
         raise ValidationError(f"k*cap_d/h^2 overflows for k = {grid.k:.6g}, "
