@@ -359,6 +359,7 @@ def _cmd_reproduce_figures(config: RunConfig, stack: contextlib.ExitStack) -> in
         percentages[model.kind] = {
             f"{t:g}": float(density.interior_mass[m]) for t, m in zip(probe_ts, probe_ms)
         }
+        del density  # released before the next model's solve
     dump_json(_json_payload(config, {"interior_mass": percentages}),
               _outpath(config, "fig1_percentages.json"))
 
@@ -372,7 +373,7 @@ def _cmd_reproduce_figures(config: RunConfig, stack: contextlib.ExitStack) -> in
     dxx[:, -1] = -a_probe[:, -1] ** -1
     for fname, rows, label in (
         ("fig3_second_derivative.csv", dxx, "dxx_e"),
-        ("fig3_volatility.csv", control.sigma_star[probe_ms], "sigma"),
+        ("fig3_volatility.csv", np.sqrt(a_probe), "sigma"),
     ):
         field_to_csv(grid, rows, _outpath(config, fname), label, meta, times=probe_ts)
 

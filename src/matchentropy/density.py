@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .grid import Grid, _frozen_array, trapezoid_panels
+from .grid import Grid, _frozen_array, _row_blocks, trapezoid_panels
 from .hjb import ControlField
 from .tridiag import solve_tridiagonal
 
@@ -62,7 +62,8 @@ class DensitySurface:
     """Sub-probability density rows plus the cumulative boundary absorption.
 
     `interior_mass`, not an argument, holds each row's trapezoidal integral
-    as the mass-ledger check computes it (read-only)."""
+    as the mass-ledger check computes it, a row block at a time (read-only).
+    The rows adopt the solver's read-only array, as ValueSurface does."""
 
     grid: Grid
     values: np.ndarray
@@ -77,7 +78,9 @@ class DensitySurface:
         right = _frozen_array(self.absorbed_mass_right, (g.M + 1,))
         if np.min(vals) < -1e-12:
             raise ValidationError("density has negative entries beyond tolerance")
-        interior = np.sum(trapezoid_panels(vals, g.h), axis=1)
+        interior = np.empty(g.M + 1)
+        for rows in _row_blocks(vals.shape):
+            interior[rows] = np.sum(trapezoid_panels(vals[rows], g.h), axis=1)
         ledger = interior + left + right
         if np.max(np.abs(ledger - 1.0)) > 1e-6:
             m = int(np.argmax(np.abs(ledger - 1.0)))
@@ -177,6 +180,7 @@ def solve_forward_density(model: VolatilityModel, grid: Grid, x0: float) -> Dens
             left[m + 1] = left[m] + bh * s[1] * interior[0]
             right[m + 1] = right[m] + bh * s[N - 1] * interior[-1]
 
+    q.setflags(write=False)  # the surface adopts it
     return DensitySurface(grid=grid, values=q,
                           absorbed_mass_left=left, absorbed_mass_right=right)
 

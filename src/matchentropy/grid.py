@@ -2,7 +2,10 @@
 
 The domain is [0, T] x [0, 1].  Time index m runs forward (m=0 is t=0,
 m=M is t=T); backward solvers iterate m = M -> 0.  All fields are stored
-dense in 64-bit floating point and are immutable after construction.
+dense in 64-bit floating point and are immutable after construction.  A
+solver's result adopts the one array the solver filled (see `_frozen_array`),
+and a pass that derives one field from another runs in place or over row
+blocks (`_row_blocks`), so a full field is allocated once.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ MAX_ARRAY_ENTRIES = np.iinfo(np.intp).max // 8
 # rows of a field CSV numpy parses at a time: 1.5 MB arrays can reuse freed
 # memory, where one array for a whole body (24 MB at N = M = 1000) takes new pages
 _READ_ROWS = 1 << 16
+# values per row block of a blocked pass over a field (64 kB of float64)
+_BLOCK_VALUES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -120,27 +125,50 @@ def second_difference_interior(v: np.ndarray, h: float,
     return out
 
 
-def trapezoid_panels(y: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoid-rule panels h (y[n+1] + y[n]) / 2 along the last axis: their
-    sum is the integral, their cumulative sum the running integral (both are
-    tested bit for bit against a reference quadrature, so keep this order)."""
-    return h * (y[..., 1:] + y[..., :-1]) / 2.0
+def trapezoid_panels(y: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Trapezoid-rule panels h (y[n+1] + y[n]) / 2 along the last axis, in one
+    array, written into `out` when given: their sum is the integral, their
+    cumulative sum the running integral (both are tested bit for bit against
+    a reference quadrature, so keep this order)."""
+    out = np.add(y[..., 1:], y[..., :-1], out=out)
+    np.multiply(h, out, out=out)
+    out /= 2.0
+    return out
+
+
+def _row_blocks(shape):
+    """Slices of consecutive rows of an array of `shape`, each _BLOCK_VALUES
+    values or one row: a pass block by block keeps a block-sized temporary
+    where a pass over the whole array keeps a field-sized one."""
+    step = max(1, _BLOCK_VALUES // shape[1])
+    return (slice(lo, lo + step) for lo in range(0, shape[0], step))
 
 
 def _frozen_array(values, shape) -> np.ndarray:
-    """A read-only float copy of `values`, checked for its shape and finiteness."""
-    arr = np.array(values, dtype=float)
+    """`values` as a read-only float64 array, checked for its shape and finiteness.
+
+    An array that is float64, C-contiguous, read-only and owns its data, as a
+    solver hands over the array it filled, is adopted as it is; anything else
+    is copied, so a caller's writable array (or a view of one) is never aliased.
+    """
+    if (type(values) is np.ndarray and values.dtype == np.float64
+            and values.flags.c_contiguous and not values.flags.writeable
+            and values.base is None):
+        arr = values
+    else:
+        arr = np.array(values, dtype=float)
+        arr.setflags(write=False)
     if arr.shape != shape:
         raise ValidationError(f"field has shape {arr.shape}, expected {shape}")
     if not np.isfinite(arr).all():
         raise ValidationError("field contains non-finite entries")
-    arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True)
 class ValueSurface:
-    """Entropy field e(m*k, n*h) with zero lateral boundaries."""
+    """Entropy field e(m*k, n*h) with zero lateral boundaries; adopts a solver's
+    read-only array and copies any other input (see `_frozen_array`)."""
 
     grid: Grid
     values: np.ndarray
@@ -158,7 +186,8 @@ class ValueSurface:
 
 @dataclass(frozen=True)
 class PField:
-    """Forward logarithmic-diffusion field p(m*k, n*h), boundary value 1."""
+    """Forward logarithmic-diffusion field p(m*k, n*h), boundary value 1; adopts
+    the solver's read-only array as ValueSurface does."""
 
     grid: Grid
     values: np.ndarray

@@ -51,7 +51,8 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class ControlField:
-    """Optimal diffusion coefficient a*(t, x); the volatility sigma* = sqrt(a*)."""
+    """Optimal diffusion coefficient a*(t, x); the volatility sigma* = sqrt(a*).
+    Adopts the read-only array optimal_control_field fills, as ValueSurface does."""
 
     grid: Grid
     a_star: np.ndarray
@@ -236,6 +237,7 @@ def solve_hjb_with_iterations(grid: Grid, cfg: SchemeConfig) -> tuple[ValueSurfa
         values[grid.M] = stationary_entropy(grid.x_nodes()) / cfg.terminal_regularisation_n
     sweep = _explicit_sweep if cfg.scheme == "explicit" else _implicit_sweep
     iters = sweep(values, grid, cfg.cap_d)
+    values.setflags(write=False)  # the surface adopts it
     return ValueSurface(grid=grid, values=values), iters
 
 
@@ -249,9 +251,13 @@ def optimal_control_field(surface: ValueSurface, cfg: SchemeConfig) -> ControlFi
 
     Lateral boundary nodes carry the smooth-fit value a* = 1.  Nodes with
     nonnegative second difference (the terminal layer in particular) get the
-    cap, reading -1/q as a limit.
+    cap, reading -1/q as a limit.  a* is filled in one array, which the
+    result adopts: the second differences are written into its interior
+    columns and turned into the control there.
     """
-    v = surface.values
-    a = np.ones_like(v)
-    a[:, 1:-1] = capped_control(second_difference_interior(v, surface.grid.h), cfg.cap_d)
+    a = np.empty_like(surface.values)
+    a[:, 0] = a[:, -1] = 1.0
+    q = second_difference_interior(surface.values, surface.grid.h, out=a[:, 1:-1])
+    capped_control(q, cfg.cap_d, out=q)
+    a.setflags(write=False)
     return ControlField(grid=surface.grid, a_star=a)

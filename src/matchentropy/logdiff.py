@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
-from .grid import (P_CEILING_TOL, Grid, PField, ValueSurface, second_difference_interior,
-                   trapezoid_panels)
+from .grid import (P_CEILING_TOL, Grid, PField, ValueSurface, _row_blocks,
+                   second_difference_interior, trapezoid_panels)
 from .tridiag import solve_tridiagonal
 
 _POSITIVITY_FLOOR = 1e-30
@@ -97,19 +97,30 @@ def solve_log_diffusion(grid: Grid, cfg: LadderConfig) -> PField:
     if peak > 1.0 + P_CEILING_TOL:
         raise NumericalError(f"p reached {peak!r}, above 1 beyond solver tolerance")
     np.clip(values, None, 1.0, out=values)
+    values.setflags(write=False)  # the field adopts it
     return PField(grid=grid, values=values)
 
 
 def entropy_from_p(p: PField) -> ValueSurface:
     """Rebuild the entropy surface from a solved p field via nested cumulative
-    trapezoidal sums (lateral boundaries exact 0); row m reads p at time T - m*k."""
+    trapezoidal sums (lateral boundaries exact 0); row m reads p at time T - m*k.
+
+    The rows are independent, so they are built in place in the surface's one
+    array, a row block at a time (`_row_blocks`)."""
     grid = p.grid
-    running = np.zeros(p.values.shape)  # column 0 is each running integral's start, 0
-    np.cumsum(trapezoid_panels(p.values, grid.h), axis=1, out=running[:, 1:])
-    # the panels are a new array, so the outer integral can overwrite the inner one
-    np.cumsum(trapezoid_panels(running, grid.h), axis=1, out=running[:, 1:])
-    # e = x * outer[:, -1:] - outer over the outer integral: the bits of -outer + x * outer[:, -1:]
-    e = np.subtract(grid.x_nodes() * running[:, -1:], running, out=running)
+    x = grid.x_nodes()
+    backward = p.values[::-1]
+    e = np.empty(p.values.shape)
+    e[:, 0] = 0.0  # each running integral's start
+    for rows in _row_blocks(e.shape):
+        running = e[rows]
+        panels = trapezoid_panels(backward[rows], grid.h)
+        np.cumsum(panels, axis=1, out=running[:, 1:])
+        # the panels are their own array, so the outer integral can overwrite the inner one
+        np.cumsum(trapezoid_panels(running, grid.h, out=panels), axis=1, out=running[:, 1:])
+        # e = x * outer[:, -1:] - outer: the bits of -outer + x * outer[:, -1:]
+        np.subtract(x * running[:, -1:], running, out=running)
     e[:, 0] = 0.0
     e[:, -1] = 0.0
-    return ValueSurface(grid=grid, values=e[::-1])
+    e.setflags(write=False)  # the surface adopts it
+    return ValueSurface(grid=grid, values=e)

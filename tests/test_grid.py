@@ -5,6 +5,7 @@ import os
 import signal
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -136,18 +137,27 @@ def test_value_surface_rejects_nonzero_lateral_boundary():
         me.ValueSurface(grid=g, values=vals)
 
 
+def _adoptable(values) -> np.ndarray:
+    """A read-only float64 array that owns its data, as a solver hands over."""
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 def test_value_surface_rejects_non_finite():
     g = me.make_grid(4, 2, 1.0)
     vals = np.zeros((3, 5))
     vals[1, 2] = np.inf
-    with pytest.raises(ValidationError):
-        me.ValueSurface(grid=g, values=vals)
+    for given in (vals, _adoptable(vals)):
+        with pytest.raises(ValidationError):
+            me.ValueSurface(grid=g, values=given)
 
 
 def test_value_surface_rejects_a_wrong_shape():
     g = me.make_grid(10, 10, 1.0)
-    with pytest.raises(ValidationError, match=r"shape \(10, 11\), expected \(11, 11\)"):
-        me.ValueSurface(grid=g, values=np.zeros((10, 11)))
+    for given in (np.zeros((10, 11)), _adoptable(np.zeros((10, 11)))):
+        with pytest.raises(ValidationError, match=r"shape \(10, 11\), expected \(11, 11\)"):
+            me.ValueSurface(grid=g, values=given)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -156,14 +166,16 @@ def test_control_field_rejects_non_finite_entries(bad):
     g = me.make_grid(10, 10, 1.0)
     a = np.ones((11, 11))
     a[4, 5] = bad
-    with pytest.raises(ValidationError, match="non-finite"):
-        me.ControlField(grid=g, a_star=a)
+    for given in (a, _adoptable(a)):
+        with pytest.raises(ValidationError, match="non-finite"):
+            me.ControlField(grid=g, a_star=given)
 
 
 def test_control_field_rejects_a_below_the_floor():
     g = me.make_grid(10, 10, 1.0)
-    with pytest.raises(ValidationError, match="control floor"):
-        me.ControlField(grid=g, a_star=np.full((11, 11), 0.3))
+    for given in (np.full((11, 11), 0.3), _adoptable(np.full((11, 11), 0.3))):
+        with pytest.raises(ValidationError, match="control floor"):
+            me.ControlField(grid=g, a_star=given)
 
 
 def test_value_surface_is_immutable():
@@ -174,14 +186,62 @@ def test_value_surface_is_immutable():
 
 
 def test_containers_are_immutable_after_construction():
+    # a read-only float64 array that owns its data is adopted; any other input
+    # is copied, so no write the caller can still make reaches the container
     g = me.make_grid(4, 2, 1.0)
-    p = me.PField(grid=g, values=np.ones((3, 5)))
-    with pytest.raises(ValueError):
-        p.values[0, 0] = 0.5
-    a = np.ones((3, 5))
-    ctrl = me.ControlField(grid=g, a_star=a)
-    with pytest.raises(ValueError):
-        ctrl.a_star[0, 0] = 2.0
+    for container, name, fill in ((me.ValueSurface, "values", 0.0), (me.PField, "values", 1.0),
+                                  (me.ControlField, "a_star", 1.0)):
+        for source in ("writable", "read-only view", "read-only owner"):
+            owner = np.full((3, 5), fill)
+            given = owner.view() if source == "read-only view" else owner
+            if source != "writable":
+                given.setflags(write=False)
+            field = getattr(container(grid=g, **{name: given}), name)
+            with pytest.raises(ValueError):
+                field[0, 1] = 0.5
+            assert (field is given) == (source == "read-only owner"), (container, source)
+            if source != "read-only owner":
+                owner[1, 2] = 0.5
+                assert field[1, 2] == fill, (container, source)
+
+
+@pytest.fixture(scope="module")
+def solved():
+    # untraced, so scipy's import on the first solve is not counted
+    grid = me.make_grid(500, 500, 1.0)
+    cfg = me.SchemeConfig()
+    surface = me.solve_hjb(grid, cfg)
+    p = me.solve_log_diffusion(grid, me.LadderConfig(regularisation_n=16))
+    return SimpleNamespace(grid=grid, cfg=cfg, surface=surface, p=p,
+                           control=me.optimal_control_field(surface, cfg),
+                           rebuilt=me.entropy_from_p(p))
+
+
+# each call with its bound on the traced peak, in fields of (M+1) x (N+1) float64
+FIELD_PEAKS = {
+    "solve_hjb": (lambda f: me.solve_hjb(f.grid, f.cfg), 1.3),
+    "optimal_control_field": (lambda f: me.optimal_control_field(f.surface, f.cfg), 1.3),
+    "solve_log_diffusion": (lambda f: me.solve_log_diffusion(f.grid, me.LadderConfig(16)), 1.3),
+    "entropy_from_p": (lambda f: me.entropy_from_p(f.p), 1.3),
+    "solve_forward_density": (lambda f: me.solve_forward_density(
+        me.VolatilityModel.early_termination(f.control), f.grid, 0.5), 1.3),
+    "cross_solver_gap": (lambda f: me.cross_solver_gap(f.surface, f.rebuilt), 1.1),
+    "check_solution_properties": (lambda f: me.check_solution_properties(f.surface), 1.1),
+}
+
+
+@pytest.mark.parametrize("name", FIELD_PEAKS)
+def test_each_full_field_is_allocated_once(solved, name):
+    # a result adopts the one array its solver fills, and no pass deriving one
+    # field from another keeps a second field-sized array
+    call, fields = FIELD_PEAKS[name]
+    tracemalloc.start()
+    try:
+        call(solved)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= fields * (solved.grid.M + 1) * (solved.grid.N + 1) * 8
 
 
 def test_pfield_invariants():

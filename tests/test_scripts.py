@@ -15,6 +15,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 @pytest.mark.parametrize("script,args", [
     ("convergence_study.py", ["--resolutions", "8", "16", "--ladder", "1", "2"]),
     ("mc_bias_study.py", ["--n-paths", "200", "--dt", "1e-3", "5e-4"]),
+    ("peak_memory.py", ["--grid-n", "4", "--grid-m", "4"]),
 ])
 def test_study_scripts_run(script, args, monkeypatch, capsys):
     path = SCRIPTS / script
@@ -25,6 +26,9 @@ def test_study_scripts_run(script, args, monkeypatch, capsys):
     if script == "mc_bias_study.py":  # one result line per step
         assert [line.split()[0] for line in out.splitlines() if "| reward" in line] == [
             "dt=0.001", "dt=0.0005"]
+    if script == "peak_memory.py":  # one peak per field-writing command, each in MB
+        assert [line.split()[0::2] for line in out.splitlines()] == [
+            [command, "MB"] for command in ("solve", "forward-p", "density", "reproduce-figures")]
 
 
 def test_line_trace_lists_only_lines_no_test_ran():
