@@ -7,13 +7,13 @@ override config-file values, which override the defaults (N = M = 1000,
 T = 1, cap_d = 1e6).  Every emitted file embeds the
 fully resolved configuration, so identical configs give byte-identical output.
 
-The commands that write full fields (solve, forward-p, density and
-reproduce-figures) start file-writing workers once their inputs, the HJB
-scheme's CFL number included, are checked and before their first solve: one
-process, the caller included, per _MIN_WORKER_VALUES values of a full field,
-sized and split as `_workers` describes.  The workers format and write shares
-of each full field with the same bytes, and end with the command; a worker
-that dies or fails is exit 4.
+Every input is checked once, as RunConfig is built and before the config is
+echoed.  For the commands that write full fields (solve, forward-p, density
+and reproduce-figures) `run` then starts file-writing workers before the
+command's first solve: one process, the caller included, per
+_MIN_WORKER_VALUES values of a full field, sized and split as `_workers`
+describes.  The workers format and write shares of each full field with the
+same bytes, and end with the command; a worker that dies or fails is exit 4.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from . import __version__
 from ._workers import _process_count, _started
 from .checks import (CheckReport, CheckResult, check_solution_properties, cross_solver_gap,
                      decay_rate_check, hjb_horizon_solver, merge_reports)
-from .density import (EARLY_TERMINATION, FULL_LENGTH, VolatilityModel,
+from .density import (EARLY_TERMINATION, FULL_LENGTH, VolatilityModel, _start_node,
                       solve_forward_density, terminal_atoms)
 from .errors import NumericalError, ValidationError
 from .grid import Grid, dump_json, field_to_csv, make_grid, second_difference_interior
@@ -51,8 +51,12 @@ class RunConfig:
 
     Construction builds the run's grid, scheme and simulation configs, whose
     own checks cover every numeric input, and keeps them as the attributes
-    `grid`, `scheme_config` and `sim_config`.  They are not fields, so the
-    echo, the output files and `==` do not see them.
+    `grid`, `scheme_config` and `sim_config`.  It then checks the probe levels
+    (kept as `probe_levels`) and the density's start node for density and
+    reproduce-figures, and the CFL number for each command that solves the
+    HJB on the grid: solve, check, reproduce-figures, and density and simulate
+    under the early-termination model.  None of these attributes is a field,
+    so the echo, the output files and `==` do not see them.
     """
 
     command: str
@@ -86,6 +90,12 @@ class RunConfig:
         if not (self.output_path and self.output_path.isprintable()):
             raise ValidationError(
                 f"output_path must be non-empty printable text, got {self.output_path!r}")
+        if self.command in ("density", "reproduce-figures"):
+            self.probe_levels = _probe_levels(self.grid)
+            _start_node(self.grid, self.x0)
+        if self.command in ("solve", "check", "reproduce-figures") or (
+                self.command in ("density", "simulate") and self.model == EARLY_TERMINATION):
+            _check_cfl(self.grid, self.scheme_config)
 
 
 # The parser of each RunConfig field, for its command-line flag and its config-file line.
@@ -186,15 +196,6 @@ def _json_payload(config: RunConfig, body: dict) -> dict:
     return {"version": __version__, "config": config_as_dict(config), **body}
 
 
-def _file_workers(config: RunConfig, stack: contextlib.ExitStack):
-    """Start the file-writing workers worth starting for the command's full fields,
-    which `stack` ends.  A command starts them once its inputs are checked and
-    before its first solve, so their start (about 0.3 s) overlaps the solve."""
-    rows = config.grid.M + 1
-    count = _process_count(rows, rows * (config.grid.N + 1), _MIN_WORKER_VALUES) - 1
-    return stack.enter_context(_started(count))
-
-
 def _write_field(config: RunConfig, workers, stem: str, label: str, values, **extra) -> None:
     """Write a full field as stem.csv, or with --format json as stem.json with
     `extra` beside the grid in its envelope."""
@@ -207,28 +208,27 @@ def _write_field(config: RunConfig, workers, stem: str, label: str, values, **ex
                      workers=workers)
 
 
-def _cmd_solve(config: RunConfig, stack: contextlib.ExitStack) -> int:
+def _cmd_solve(config: RunConfig, workers) -> int:
     grid, cfg = config.grid, config.scheme_config
-    _check_cfl(grid, cfg)
-    workers = _file_workers(config, stack)
     surface, iters = solve_hjb_with_iterations(grid, cfg)
     control = optimal_control_field(surface, cfg)
+    mid = grid.N // 2
+    e_mid = surface.values[0, mid]
     _write_field(config, workers, "solve_surface", "value", surface.values)
+    del surface  # released before sigma is built: two full fields at a time
     field_to_csv(grid, control.a_star, _outpath(config, "solve_control.csv"),
                  "a", _meta(config), workers=workers)
     field_to_csv(grid, control.sigma_star, _outpath(config, "solve_volatility.csv"),
                  "sigma", _meta(config), workers=workers)
-    mid = grid.N // 2
     print(f"solved {config.scheme} scheme on {grid.N}x{grid.M}: "
-          f"e(0, {grid.x_nodes()[mid]:g}) = {surface.values[0, mid]:.6f}, "
+          f"e(0, {grid.x_nodes()[mid]:g}) = {e_mid:.6f}, "
           f"median policy iterations = {float(np.median(iters)):g}")
     return 0
 
 
-def _cmd_forward_p(config: RunConfig, stack: contextlib.ExitStack) -> int:
+def _cmd_forward_p(config: RunConfig, workers) -> int:
     grid = config.grid
     n = config.regularisation_n if config.regularisation_n is not None else 16
-    workers = _file_workers(config, stack)
     p = solve_log_diffusion(grid, LadderConfig(regularisation_n=n))
     _write_field(config, workers, "forward_p", "p", p.values, regularisation_n=n)
     entropy = entropy_from_p(p)
@@ -276,17 +276,12 @@ def _density_summary(grid, density, probe_levels) -> dict:
     }
 
 
-def _cmd_density(config: RunConfig, stack: contextlib.ExitStack) -> int:
+def _cmd_density(config: RunConfig, workers) -> int:
     grid = config.grid
-    probe_levels = _probe_levels(grid)
-    grid.space_index(config.x0)  # the density's start node, checked before any solve
-    if config.model == EARLY_TERMINATION:  # its model is the solved control
-        _check_cfl(grid, config.scheme_config)
-    workers = _file_workers(config, stack)
     density = solve_forward_density(_volatility_model(config), grid, config.x0)
     field_to_csv(grid, density.values, _outpath(config, "density.csv"), "q", _meta(config),
                  workers=workers)
-    summary = _density_summary(grid, density, probe_levels)
+    summary = _density_summary(grid, density, config.probe_levels)
     dump_json(_json_payload(config, summary), _outpath(config, "density_summary.json"))
     probes = summary["interior_mass_at_probe_fractions"]
     pretty = ", ".join(f"t={f}T: {v:.4f}" for f, v in probes.items())
@@ -294,7 +289,7 @@ def _cmd_density(config: RunConfig, stack: contextlib.ExitStack) -> int:
     return 0
 
 
-def _cmd_simulate(config: RunConfig, stack: contextlib.ExitStack) -> int:
+def _cmd_simulate(config: RunConfig, workers) -> int:
     stats = simulate_paths(_volatility_model(config), config.sim_config)
     qv = quadratic_variation_check(stats, config.sim_config)
     report = {
@@ -313,7 +308,7 @@ def _cmd_simulate(config: RunConfig, stack: contextlib.ExitStack) -> int:
     return 0
 
 
-def _cmd_check(config: RunConfig, stack: contextlib.ExitStack) -> int:
+def _cmd_check(config: RunConfig, workers) -> int:
     grid = config.grid
     surface = solve_hjb(grid, config.scheme_config)
     properties = check_solution_properties(surface)
@@ -338,12 +333,9 @@ def _cmd_check(config: RunConfig, stack: contextlib.ExitStack) -> int:
     return 0 if report.passed else 3
 
 
-def _cmd_reproduce_figures(config: RunConfig, stack: contextlib.ExitStack) -> int:
+def _cmd_reproduce_figures(config: RunConfig, workers) -> int:
     grid, cfg = config.grid, config.scheme_config
-    probes = _probe_levels(grid)
-    grid.space_index(config.x0)  # the densities' start node, checked before any solve
-    _check_cfl(grid, cfg)
-    workers = _file_workers(config, stack)
+    probes = config.probe_levels
     surface = solve_hjb(grid, cfg)
     control = optimal_control_field(surface, cfg)
     meta = _meta(config)
@@ -395,9 +387,14 @@ COMMANDS = tuple(_DISPATCH)
 
 def run(config: RunConfig) -> int:
     """Dispatch a resolved config to its command; returns the process exit status.
-    No worker the command starts outlives it."""
-    with contextlib.ExitStack() as stack:
-        return _DISPATCH[config.command](config, stack)
+    The file-writing workers for the command's full fields start here, before
+    its first solve, so their start (about 0.3 s) overlaps the solve; none
+    outlives the command, and simulate and check, which write no full field,
+    start none."""
+    rows = config.grid.M + 1
+    values = 0 if config.command in ("simulate", "check") else rows * (config.grid.N + 1)
+    with _started(_process_count(rows, values, _MIN_WORKER_VALUES) - 1) as workers:
+        return _DISPATCH[config.command](config, workers)
 
 
 def main(argv=None) -> int:

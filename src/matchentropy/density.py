@@ -119,20 +119,26 @@ def benchmark_entropy(t: float, x: float, T: float) -> float:
     return (T - t) * (math.log(math.sin(math.pi * x) / (math.pi * math.sqrt(T - t))) + 0.5)
 
 
-def solve_forward_density(model: VolatilityModel, grid: Grid, x0: float) -> DensitySurface:
-    """Propagate a discrete Dirac at x0 through the implicit conservative scheme.
+def _start_node(grid: Grid, x0: float) -> int:
+    """The node of a density's start x0, which must be an interior grid node:
+    Grid.space_index rejects a point outside [0, 1] (NaN included) or between
+    nodes, rather than move it, and the boundary check below it rejects a
+    point within 1e-9 h of 0 or 1."""
+    j0 = grid.space_index(x0)
+    if j0 <= 0 or j0 >= grid.N:
+        raise ValidationError(f"x0={x0!r} lies on a boundary node at this resolution")
+    return j0
 
-    x0 must be an interior grid node: Grid.space_index rejects a point outside
-    [0, 1] (NaN included) or between nodes, and the boundary check below it
-    rejects 0 and 1."""
+
+def solve_forward_density(model: VolatilityModel, grid: Grid, x0: float) -> DensitySurface:
+    """Propagate a discrete Dirac at x0, an interior grid node (see `_start_node`),
+    through the implicit conservative scheme."""
     if model.kind == EARLY_TERMINATION and model.control.grid != grid:
         raise ValidationError("control field and density grid do not match")
     if model.kind == FULL_LENGTH and model.T != grid.T:
         raise ValidationError(f"full_length model horizon T={model.T!r} and density grid "
                               f"horizon {grid.T!r} do not match")
-    j0 = grid.space_index(x0)  # the Dirac's node: an x0 between nodes is rejected, not moved
-    if j0 <= 0 or j0 >= grid.N:
-        raise ValidationError(f"x0={x0!r} lies on a boundary node at this resolution")
+    j0 = _start_node(grid, x0)
 
     N, M, h, k = grid.N, grid.M, grid.h, grid.k
     b = k / (2.0 * h * h)

@@ -19,7 +19,6 @@ import os
 import shutil
 import sys
 import tempfile
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -227,26 +226,20 @@ def _write_rows(fh, path, values, rows, args_of, workers) -> None:
     [lo, hi) of `values` to the text file fh, opened at `path`, from its position.
 
     The ranges are cut as `_workers` describes, one here and one per worker (so
-    one range of all rows without workers).  The first is written here.  Each
-    other one goes to one of `workers` (see `_write_job`) while this process
-    writes its own: the worker formats it, and once the ranges before it are
-    written it copies it in at their end.  fh is left at the end of the last
-    range."""
+    one range of all rows without workers).  Each range after the first is
+    sent first, as a job to one of `workers` (see `_write_job`), and then this
+    process writes the first: the worker formats its range, and once the
+    ranges before it are written it copies it in at their end.  fh is left at
+    the end of the last range."""
     (lo, hi), *rest = _ranges(len(values), 1 + len(workers))
     if not rest:
         fh.writelines(rows(values, *args_of(lo, hi)))
         return
     values = np.ascontiguousarray(values, dtype=float)
     path = os.path.abspath(path)  # the workers keep the directory they started in
-    jobs = [(conn, (_write_job, (rows, args_of(r_lo, r_hi), values.shape[1], path)),
-             values[r_lo:r_hi]) for (_, conn), (r_lo, r_hi) in zip(workers, rest)]
-    # from a thread, since a worker that is still importing reads nothing yet
-    sender = threading.Thread(target=_send_jobs, args=(jobs,))
-    sender.start()
-    try:
-        fh.writelines(rows(values[lo:hi], *args_of(lo, hi)))
-    finally:
-        sender.join()
+    _send_jobs([(conn, (_write_job, (rows, args_of(r_lo, r_hi), values.shape[1], path)),
+                 values[r_lo:r_hi]) for (_, conn), (r_lo, r_hi) in zip(workers, rest)])
+    fh.writelines(rows(values[lo:hi], *args_of(lo, hi)))
     end = fh.tell()  # flushes what this process has written
     for proc, conn in workers[:len(rest)]:
         with contextlib.suppress(OSError):  # the worker has gone; _receive reports it

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -445,9 +446,29 @@ def test_an_unstable_explicit_scheme_fails_before_any_worker_starts(argv, tmp_pa
 
 
 def test_the_full_length_density_runs_with_an_unstable_explicit_scheme(tmp_path, capsys):
-    # it solves no HJB, so the scheme is not its input (forward-p: see the parser test)
-    assert cli.main(["density", "--model", "full_length", *SMALL, "--scheme", "explicit",
-                     "--output", str(tmp_path)]) == 0
+    # they solve no HJB, so the scheme is not their input (forward-p: see the parser test)
+    for argv in (["density"], ["simulate", "--n-paths", "16", "--dt", "0.01"]):
+        assert cli.main([*argv, "--model", "full_length", *SMALL, "--scheme", "explicit",
+                         "--output", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv,error", [
+    *[pytest.param([*command, *SMALL, "--scheme", "explicit"],
+                   "explicit scheme unstable", id=f"unstable-{command[0]}")
+      for command in (["solve"], ["check"], ["reproduce-figures"], ["density"], ["simulate"])],
+    *[pytest.param([command, "--grid-n", "8", "--grid-m", "3"], "no probe time",
+                   id=f"no-probe-{command}") for command in ("density", "reproduce-figures")],
+    *[pytest.param([command, "--grid-n", "3", "--x0", "0.5"], "x = 0.5 is not a grid node",
+                   id=f"start-between-nodes-{command}")
+      for command in ("density", "reproduce-figures")],
+])
+def test_each_command_input_is_checked_as_its_config_is_built(argv, error, tmp_path, capsys):
+    # one check point: the config itself raises, before its echo and any output
+    out = tmp_path / "out"
+    with pytest.raises(me.ValidationError, match=error):
+        cli.parse_config([*argv, "--output", str(out)])
+    assert "resolved config:" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_explicit_scheme_runs_when_stable(tmp_path, capsys):
@@ -455,6 +476,21 @@ def test_explicit_scheme_runs_when_stable(tmp_path, capsys):
     assert cli.main(["solve", "--scheme", "explicit", "--grid-n", "10",
                      "--grid-m", "300", "--cap-d", "2", "--output", str(out)]) == 0
     assert (out / "solve_surface.csv").exists()
+
+
+def test_solve_holds_two_full_fields_at_a_time(tmp_path, capsys):
+    # the surface is written and released before sigma is built; no writer starts
+    # at this size, so every array is traced (after a first solve has imported LAPACK)
+    n = 500
+    assert cli.main(["solve", "--grid-n", "4", "--grid-m", "4", "--output", str(tmp_path)]) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(["solve", "--grid-n", str(n), "--grid-m", str(n),
+                         "--output", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (n + 1) ** 2 * 8
 
 
 def test_solve_writes_surface_and_control_fields(tmp_path, capsys):
@@ -656,14 +692,18 @@ def test_density_start_between_nodes_exits_one_before_solving(tmp_path, capsys, 
 
     for name in ("solve_hjb", "solve_forward_density"):
         monkeypatch.setattr(cli, name, no_solve)
-    for command in ("density", "reproduce-figures"):
-        out = tmp_path / command
-        assert cli.main([command, "--grid-n", "3", "--grid-m", "100", "--x0", "0.5",
-                         "--output", str(out)]) == 1
-        (message,) = _message_lines(capsys.readouterr().err)
-        assert message == ("error: x = 0.5 is not a grid node (h = 1/3); "
-                           "the nearest nodes are 0.333333 and 0.666667")
-        assert not out.exists()
+    for grid_n, x0, error in (
+            ("3", "0.5", "x = 0.5 is not a grid node (h = 1/3); "
+                         "the nearest nodes are 0.333333 and 0.666667"),
+            # within 1e-9 h of the node 0: a node, but a boundary one
+            ("4", "1e-12", "x0=1e-12 lies on a boundary node at this resolution")):
+        for command in ("density", "reproduce-figures"):
+            out = tmp_path / command
+            assert cli.main([command, "--grid-n", grid_n, "--grid-m", "100", "--x0", x0,
+                             "--output", str(out)]) == 1
+            (message,) = _message_lines(capsys.readouterr().err)
+            assert message == "error: " + error
+            assert not out.exists()
 
 
 # sha256 of every file each command writes at a small config.  M = 300 puts the

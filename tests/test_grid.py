@@ -614,7 +614,7 @@ def test_a_writer_worker_holds_rows_not_its_whole_range(tmp_path):
 
 
 def test_the_job_sender_sends_each_job_then_its_rows_and_skips_a_worker_gone():
-    # the sender runs in a thread of the caller; here it runs in this one
+    # _write_rows sends the jobs from the caller before it writes its own range, as here
     values = np.arange(6.0).reshape(2, 3)
     gone, gone_child = multiprocessing.Pipe()
     gone_child.close()
