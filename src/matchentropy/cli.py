@@ -37,7 +37,8 @@ from .grid import Grid, dump_json, field_to_csv, make_grid, second_difference_in
 from .hjb import (SchemeConfig, _check_cfl, optimal_control_field, solve_hjb,
                   solve_hjb_with_iterations)
 from .logdiff import LadderConfig, entropy_from_p, solve_log_diffusion
-from .montecarlo import PROBE_FRACTIONS, SimConfig, quadratic_variation_check, simulate_paths
+from .montecarlo import (PROBE_FRACTIONS, SimConfig, _check_start, _step_count,
+                         quadratic_variation_check, simulate_paths)
 
 # fewest field values per process writing a field, the caller included: a
 # spawned worker takes about 0.3 s to start, as long as formatting 400k values
@@ -50,13 +51,12 @@ class RunConfig:
     """Every input of one CLI run, checked once.
 
     Construction builds the run's grid, scheme and simulation configs, whose
-    own checks cover every numeric input, and keeps them as the attributes
-    `grid`, `scheme_config` and `sim_config`.  It then checks the probe levels
-    (kept as `probe_levels`) and the density's start node for density and
-    reproduce-figures, and the CFL number for each command that solves the
-    HJB on the grid: solve, check, reproduce-figures, and density and simulate
-    under the early-termination model.  None of these attributes is a field,
-    so the echo, the output files and `==` do not see them.
+    own checks cover every numeric input, and keeps them as `grid`,
+    `scheme_config` and `sim_config`, attributes but not fields (the echo, the
+    output files and `==` do not see them).  It then checks what the command
+    runs on that grid: for density and reproduce-figures the probe levels (kept
+    as `probe_levels`) and the start node, the CFL number for each command that
+    solves the HJB on it, and for simulate the Monte Carlo step and start rules.
     """
 
     command: str
@@ -96,6 +96,10 @@ class RunConfig:
         if self.command in ("solve", "check", "reproduce-figures") or (
                 self.command in ("density", "simulate") and self.model == EARLY_TERMINATION):
             _check_cfl(self.grid, self.scheme_config)
+        if self.command == "simulate":
+            _step_count(self.grid.T, self.dt, None if self.model == FULL_LENGTH else self.grid.k)
+            if self.model == FULL_LENGTH:  # a solved field's a* >= 1/e meets the start rule
+                _check_start(VolatilityModel.full_length(self.grid.T), self.x0)
 
 
 # The parser of each RunConfig field, for its command-line flag and its config-file line.

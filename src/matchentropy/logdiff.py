@@ -39,9 +39,9 @@ class LadderConfig:
             raise ValidationError("regularisation_n must be a positive integer")
 
 
-def _newton_step(prev_int: np.ndarray, grid: Grid, work: np.ndarray) -> np.ndarray:
-    """Solve 2(p' - p)/k = A log(p') for the interior of one time level,
-    starting from the previous level's interior `prev_int`.
+def _newton_step(prev_int: np.ndarray, grid: Grid, work: np.ndarray, tol: float) -> np.ndarray:
+    """Solve 2(p' - p)/k = A log(p') for the interior of one time level to the
+    residual `tol`, starting from the previous level's interior `prev_int`.
 
     `work` is a zeroed (7, N + 1) array the march allocates once: row 0
     holds log p between its boundary zeros, the other rows' interiors are
@@ -61,12 +61,12 @@ def _newton_step(prev_int: np.ndarray, grid: Grid, work: np.ndarray) -> np.ndarr
         neg_f /= k
         np.subtract(second_difference_interior(logp, h, out=tmp), neg_f, out=neg_f)
         resid = float(np.abs(neg_f, out=tmp).max())
-        if resid <= NEWTON_TOL:
+        if resid <= tol:
             return w
         if it == MAX_NEWTON_ITERS:
             raise ConvergenceError(
-                f"Newton iteration did not reach residual {NEWTON_TOL:.1e} within "
-                f"{MAX_NEWTON_ITERS} iterations (residual {resid:.3e})")
+                f"Newton iteration did not reach residual {tol:.1e} = max(NEWTON_TOL, 4 eps "
+                f"log(n) / h^2) within {MAX_NEWTON_ITERS} iterations (residual {resid:.3e})")
         h2w = np.multiply(w, h2, out=tmp)
         np.divide(2.0, h2w, out=diag)
         diag += two_over_k
@@ -85,12 +85,14 @@ def _newton_step(prev_int: np.ndarray, grid: Grid, work: np.ndarray) -> np.ndarr
 def solve_log_diffusion(grid: Grid, cfg: LadderConfig) -> PField:
     """March the fully implicit scheme from the constant initial row 1/n."""
     n = cfg.regularisation_n
+    # NEWTON_TOL, or the round-off of A log p if larger: weights 4/h^2 on |log p| <= log n
+    tol = max(NEWTON_TOL, 4.0 * np.finfo(float).eps * np.log(n) / (grid.h * grid.h))
     values = np.zeros((grid.M + 1, grid.N + 1))
     values[0, :] = 1.0 / n
     values[1:, [0, -1]] = 1.0
     work = np.zeros((7, grid.N + 1))
     for m in range(grid.M):
-        values[m + 1, 1:-1] = _newton_step(values[m, 1:-1], grid, work)
+        values[m + 1, 1:-1] = _newton_step(values[m, 1:-1], grid, work, tol)
     # round-off can push the implicit solution a hair above the invariant p <= 1;
     # clip only that far, so a real excess reaches the caller as an error
     peak = float(np.max(values))

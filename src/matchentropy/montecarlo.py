@@ -135,7 +135,7 @@ def _control_evaluator(control, T: float | None, size: int):
         out.fill(a_const)
         return out
 
-    return float(T), eval_const
+    return math.inf, eval_const  # a constant has no horizon of its own
 
 
 def _field_evaluator(control: ControlField, size: int):
@@ -296,37 +296,46 @@ def _simulate_split(control, cfg: SimConfig, T: float, ranges):
         return parts
 
 
+def _step_count(horizon: float, dt: float, k: float | None = None) -> int:
+    """Steps of dt in a positive, finite horizon, with dt no larger than a field's step k."""
+    if k is not None and dt > k + 1e-15:
+        raise ValidationError(f"dt={dt!r} exceeds the control grid step {k!r}")
+    n_steps_f = horizon / dt
+    if n_steps_f > 2.0 ** 53:  # past it the step times j*dt are no longer distinct doubles
+        raise ValidationError(f"horizon/dt = {n_steps_f:.6g} steps is more than 2**53")
+    n_steps = int(round(n_steps_f))
+    if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-9:
+        raise ValidationError(f"dt={dt!r} must divide the horizon {horizon!r} evenly")
+    return n_steps
+
+
+def _check_start(control, x0: float, T: float | None = None) -> None:
+    """The start rule: every path's first reward is log a(0, x0), so a(0, x0) > 0."""
+    a0 = float(_control_evaluator(control, T, 1)[1](0.0, np.array([x0]), np.empty(1))[0])
+    if not a0 > 0.0:
+        raise ValidationError(f"the diffusion coefficient a(0, x0={x0!r}) is {a0!r}, not positive")
+
+
 def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats:
     """Simulate cfg.n_paths trajectories and aggregate their statistics.
 
     `control` may be a ControlField, a VolatilityModel, or a positive
     constant diffusion coefficient (which needs an explicit horizon T).
     For controls with a natural horizon, passing a smaller T stops the
-    simulation early (the law of the stopped process at T).  A large run is
-    split across worker processes (see the module docstring) with the same
-    results.
+    simulation early (the law of the stopped process at T).  RunConfig shares
+    its step and start rules, `_step_count` and `_check_start`.  A large run
+    is split across worker processes (see the module docstring) with the same results.
     """
     if isinstance(control, VolatilityModel) and control.kind != FULL_LENGTH:
         control = control.control  # an early-termination model is its solved field
-    horizon, eval_a = _control_evaluator(control, T, 1)
-    if T is not None and isinstance(control, (ControlField, VolatilityModel)):
-        if T > horizon + 1e-12:
-            raise ValidationError(f"T={T!r} exceeds the control horizon {horizon!r}")
+    horizon, _ = _control_evaluator(control, T, 1)
+    if T is not None:
+        if not (math.isfinite(T) and 0.0 < T <= horizon + 1e-12):
+            raise ValidationError(f"T={T!r} must be positive, finite and at most {horizon!r}")
         horizon = float(T)
-    if isinstance(control, ControlField) and cfg.dt > control.grid.k + 1e-15:
-        raise ValidationError(f"dt={cfg.dt!r} exceeds the control grid step {control.grid.k!r}")
-    n_steps_f = horizon / cfg.dt
-    # past 2**53 steps the step times j*dt are no longer distinct doubles
-    if n_steps_f > 2.0 ** 53:
-        raise ValidationError(f"horizon/dt = {n_steps_f:.6g} steps is more than 2**53")
-    n_steps = int(round(n_steps_f)) if math.isfinite(n_steps_f) else 0
-    if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-9:
-        raise ValidationError(f"dt={cfg.dt!r} must divide the horizon {horizon!r} evenly")
-    # every path's first reward is log of it
-    a_start = float(eval_a(0.0, np.array([cfg.x0]), np.empty(1))[0])
-    if not a_start > 0.0:
-        raise ValidationError(f"the diffusion coefficient a(0, x0={cfg.x0!r}) is {a_start!r}, "
-                              "not positive")
+    n_steps = _step_count(horizon, cfg.dt,
+                          control.grid.k if isinstance(control, ControlField) else None)
+    _check_start(control, cfg.x0, horizon)
 
     n = cfg.n_paths
     ranges = _ranges(n, _process_count(n, n * n_steps, _MIN_WORKER_STEPS))

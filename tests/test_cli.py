@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import matchentropy as me
-from matchentropy import cli, grid as me_grid
+from matchentropy import cli, grid as me_grid, hjb
 from matchentropy.checks import CheckReport, CheckResult
 from test_montecarlo import time_limit
 
@@ -102,9 +103,10 @@ def test_field_parsers_cover_every_config_field(tmp_path, monkeypatch, capsys):
 
 
 def test_run_config_keeps_its_solver_objects_out_of_its_fields(capsys):
-    config = cli.parse_config(["simulate", "--grid-n", "30", "--cap-d", "50", "--dt", "0.01"])
+    # dt = k = 1/M: a coarser dt is an input simulate rejects as its config is built
+    config = cli.parse_config(["simulate", "--grid-n", "30", "--cap-d", "50", "--dt", "0.001"])
     assert config.grid.N == 30 and config.grid.M == 1000
-    assert config.scheme_config.cap_d == 50.0 and config.sim_config.dt == 0.01
+    assert config.scheme_config.cap_d == 50.0 and config.sim_config.dt == 0.001
     assert "grid" not in {f.name for f in dataclasses.fields(config)}
 
 
@@ -452,10 +454,25 @@ def test_the_full_length_density_runs_with_an_unstable_explicit_scheme(tmp_path,
                          "--output", str(tmp_path)]) == 0
 
 
+# simulate inputs that the Monte Carlo step and start rules reject, on an 8 x 8
+# grid (k = 0.125), with the message each gives; the first four are early-model runs
+SIMULATE_INPUT_ERRORS = [
+    (["--dt", "0.5"], "dt=0.5 exceeds the control grid step 0.125"),
+    (["--dt", "0.03"], "dt=0.03 must divide the horizon 1.0 evenly"),
+    (["--dt", "1e-300"], "horizon/dt = 1e+300 steps is more than 2**53"),
+    (["--horizon", "1e30"], "horizon/dt = 1e+33 steps is more than 2**53"),
+    (["--model", "full_length", "--dt", "0.03"], "dt=0.03 must divide the horizon 1.0 evenly"),
+    (["--model", "full_length", "--x0", "1e-200"],
+     "the diffusion coefficient a(0, x0=1e-200) is 0.0, not positive"),
+]
+
+
 @pytest.mark.parametrize("argv,error", [
     *[pytest.param([*command, *SMALL, "--scheme", "explicit"],
                    "explicit scheme unstable", id=f"unstable-{command[0]}")
       for command in (["solve"], ["check"], ["reproduce-figures"], ["density"], ["simulate"])],
+    *[pytest.param(["simulate", "--grid-n", "8", "--grid-m", "8", *flags], re.escape(error),
+                   id="simulate" + "".join(flags)) for flags, error in SIMULATE_INPUT_ERRORS],
     *[pytest.param([command, "--grid-n", "8", "--grid-m", "3"], "no probe time",
                    id=f"no-probe-{command}") for command in ("density", "reproduce-figures")],
     *[pytest.param([command, "--grid-n", "3", "--x0", "0.5"], "x = 0.5 is not a grid node",
@@ -468,6 +485,21 @@ def test_each_command_input_is_checked_as_its_config_is_built(argv, error, tmp_p
     with pytest.raises(me.ValidationError, match=error):
         cli.parse_config([*argv, "--output", str(out)])
     assert "resolved config:" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,error", SIMULATE_INPUT_ERRORS,
+                         ids=["simulate" + "".join(flags) for flags, _ in SIMULATE_INPUT_ERRORS])
+def test_a_simulate_input_error_exits_one_before_any_hjb_sweep(flags, error, tmp_path,
+                                                               monkeypatch, capsys):
+    sweeps = []
+    sweep = hjb._implicit_sweep
+    monkeypatch.setattr(hjb, "_implicit_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--grid-n", "8", "--grid-m", "8", *flags,
+                     "--output", str(out)]) == 1
+    assert _message_lines(capsys.readouterr().err) == [f"error: {error}"]
+    assert sweeps == []
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
@@ -122,6 +124,24 @@ def test_newton_non_convergence_raises(monkeypatch):
         me.solve_log_diffusion(g, me.LadderConfig(regularisation_n=16))
 
 
+@pytest.mark.parametrize("N, n, tol", [(1000, 16, "1.0e-08"), (2000, 16, "1.0e-08"),
+                                       (4000, 16, "3.9e-08")])
+def test_newton_stop_rule_is_the_larger_of_its_tolerance_and_round_off_floor(N, n, tol,
+                                                                            monkeypatch):
+    # the floor 4 eps log(n) / h^2 grows with N and n, so N = 2000, n = 16 bounds
+    # every N <= 2000 at n <= 16: those grids keep the stop rule NEWTON_TOL
+    monkeypatch.setattr(logdiff, "MAX_NEWTON_ITERS", 0)
+    with pytest.raises(ConvergenceError,
+                       match=re.escape(f"residual {tol} = max(NEWTON_TOL, 4 eps log(n) / h^2)")):
+        me.solve_log_diffusion(me.make_grid(N, 1, 1.0), me.LadderConfig(regularisation_n=n))
+
+
+def test_a_fine_grid_converges_to_its_round_off_floor():
+    # the residual of A log p cannot fall below about 1.4e-8 here, above NEWTON_TOL
+    p = me.solve_log_diffusion(me.make_grid(4000, 20, 1.0), me.LadderConfig(regularisation_n=16))
+    assert np.all(np.diff(p.values, axis=0) >= 0.0)  # p rises from 1/n toward its boundary value
+
+
 def test_newton_damping_underflow_raises(monkeypatch):
     # a step of -inf leaves the iterate non-positive however far it is damped
     monkeypatch.setattr(logdiff, "solve_tridiagonal",
@@ -189,7 +209,7 @@ def test_log_diffusion_matches_reference_newton_loop(monkeypatch, N, M, n):
     p = me.solve_log_diffusion(g, cfg).values
     calls = []
 
-    def reference_level(prev_int, grid, work):
+    def reference_level(prev_int, grid, work, tol):
         calls.append(prev_int.size)
         return reference_newton_step(prev_int, grid)
 
@@ -204,7 +224,7 @@ def test_damped_newton_step_matches_reference_loop(N, M, level):
     # steps would leave the positive cone, so the damping halves lam three times
     g = me.make_grid(N, M, 1.0)
     prev = np.full(N - 1, level)
-    got = logdiff._newton_step(prev, g, np.zeros((7, N + 1)))
+    got = logdiff._newton_step(prev, g, np.zeros((7, N + 1)), logdiff.NEWTON_TOL)
     assert got.tobytes() == reference_newton_step(prev, g).tobytes()
 
 

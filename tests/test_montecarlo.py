@@ -375,11 +375,14 @@ def test_simulation_step_constraints():
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(ValidationError):
             me.simulate_paths(bad, cfg, T=1.0)
-    for bad_T in (math.nan, math.inf):
-        with pytest.raises(ValidationError):
+    # one T rule, ahead of the step rule, for a constant and for a field alike
+    for bad_T in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValidationError, match="must be positive, finite and at most"):
             me.simulate_paths(1.0, cfg, T=bad_T)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="must be positive, finite and at most"):
             me.simulate_paths(ctrl, cfg, T=bad_T)
+    with pytest.raises(ValidationError, match="T=1.5 must be positive, finite and at most 1.0"):
+        me.simulate_paths(ctrl, cfg, T=1.5)
 
 
 def test_step_cap_is_exactly_two_to_the_53():
