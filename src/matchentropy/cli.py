@@ -36,9 +36,9 @@ from .errors import NumericalError, ValidationError
 from .grid import Grid, dump_json, field_to_csv, make_grid, second_difference_interior
 from .hjb import (SchemeConfig, _check_cfl, optimal_control_field, solve_hjb,
                   solve_hjb_with_iterations)
-from .logdiff import LadderConfig, entropy_from_p, solve_log_diffusion
-from .montecarlo import (PROBE_FRACTIONS, SimConfig, _check_start, _step_count,
-                         quadratic_variation_check, simulate_paths)
+from .logdiff import LadderConfig, _entropy_rows, entropy_from_p, solve_log_diffusion
+from .montecarlo import (PROBE_FRACTIONS, SimConfig, _check_start, _control_evaluator,
+                         _step_count, quadratic_variation_check, simulate_paths)
 
 # fewest field values per process writing a field, the caller included: a
 # spawned worker takes about 0.3 s to start, as long as formatting 400k values
@@ -99,7 +99,8 @@ class RunConfig:
         if self.command == "simulate":
             _step_count(self.grid.T, self.dt, None if self.model == FULL_LENGTH else self.grid.k)
             if self.model == FULL_LENGTH:  # a solved field's a* >= 1/e meets the start rule
-                _check_start(VolatilityModel.full_length(self.grid.T), self.x0)
+                _, eval_a = _control_evaluator(VolatilityModel.full_length(self.grid.T), None, 1)
+                _check_start(eval_a, self.x0)
 
 
 # The parser of each RunConfig field, for its command-line flag and its config-file line.
@@ -235,10 +236,12 @@ def _cmd_forward_p(config: RunConfig, workers) -> int:
     n = config.regularisation_n if config.regularisation_n is not None else 16
     p = solve_log_diffusion(grid, LadderConfig(regularisation_n=n))
     _write_field(config, workers, "forward_p", "p", p.values, regularisation_n=n)
-    entropy = entropy_from_p(p)
+    # row 0 of the rebuilt surface, which reads p's last row, is all that is printed
+    x = grid.x_nodes()
+    e0 = _entropy_rows(p.values[-1:], grid.h, x)[0]
     mid = grid.N // 2
     print(f"forward p solved with initial value 1/{n}: "
-          f"rebuilt e(0, {grid.x_nodes()[mid]:g}) = {entropy.values[0, mid]:.6f}")
+          f"rebuilt e(0, {x[mid]:g}) = {e0[mid]:.6f}")
     return 0
 
 
@@ -347,6 +350,17 @@ def _cmd_reproduce_figures(config: RunConfig, workers) -> int:
     probe_ts = [frac * grid.T for frac, _ in probes]
     probe_ms = [m for _, m in probes]
 
+    # the surface's probe rows and full field are all that is read of it, so it
+    # is released before the densities: two full fields at a time, not three
+    a_probe = control.a_star[probe_ms]
+    dxx = np.zeros_like(a_probe)
+    dxx[:, 1:-1] = second_difference_interior(surface.values[probe_ms], grid.h)
+    dxx[:, 0] = -a_probe[:, 0] ** -1
+    dxx[:, -1] = -a_probe[:, -1] ** -1
+    field_to_csv(grid, surface.values, _outpath(config, "fig2_entropy_surface.csv"),
+                 "value", meta, workers=workers)
+    del surface
+
     percentages = {}
     for model in (VolatilityModel.early_termination(control), VolatilityModel.full_length(grid.T)):
         density = solve_forward_density(model, grid, config.x0)
@@ -359,14 +373,6 @@ def _cmd_reproduce_figures(config: RunConfig, workers) -> int:
     dump_json(_json_payload(config, {"interior_mass": percentages}),
               _outpath(config, "fig1_percentages.json"))
 
-    field_to_csv(grid, surface.values, _outpath(config, "fig2_entropy_surface.csv"),
-                 "value", meta, workers=workers)
-
-    a_probe = control.a_star[probe_ms]
-    dxx = np.zeros_like(a_probe)
-    dxx[:, 1:-1] = second_difference_interior(surface.values[probe_ms], grid.h)
-    dxx[:, 0] = -a_probe[:, 0] ** -1
-    dxx[:, -1] = -a_probe[:, -1] ** -1
     for fname, rows, label in (
         ("fig3_second_derivative.csv", dxx, "dxx_e"),
         ("fig3_volatility.csv", np.sqrt(a_probe), "sigma"),

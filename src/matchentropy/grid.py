@@ -11,8 +11,6 @@ blocks (`_row_blocks`), so a full field is allocated once.
 from __future__ import annotations
 
 import contextlib
-import functools
-import itertools
 import json
 import math
 import os
@@ -310,44 +308,129 @@ def _csv_body(fh, max_rows=None) -> np.ndarray:
         raise ValidationError(f"field CSV body is not rows of numbers: {exc}") from exc
 
 
+class _RowOrder:
+    """The order check of a field CSV body, fed its t and x columns a piece at a time.
+
+    The first time row is the run of rows whose t equals the first row's: its
+    x values are the nodes, and they must strictly increase.  Each later time
+    row must repeat the nodes exactly under one t above the previous row's,
+    and the body must end on a whole time row.  That accepts exactly the
+    bodies whose rows are the product of strictly increasing times and nodes,
+    row-major, however the body is cut into pieces.  `bad` is the index of the
+    first body row that breaks the order, or None.
+    """
+
+    def __init__(self):
+        self.rows = 0
+        self.bad = None
+        self.xs = None  # the nodes, once the first time row has ended
+        self._first = []  # x values of the first time row until then
+        self._ts = []  # the t of each time row begun, in pieces
+        self._prev = None  # the t of the last row fed
+
+    def feed(self, t, x) -> None:
+        lo, self.rows = self.rows, self.rows + len(t)
+        if self.bad is not None:
+            return
+        if lo == 0:
+            self._ts.append(t[:1].copy())
+        if self.xs is None:
+            same = t == self._ts[0][0]
+            end = len(t) if same.all() else int(np.argmin(same))
+            self._first.append(x[:end].copy())
+            if end == len(t):
+                self._prev = t[-1]
+                return
+            self._end_first_row()
+            if self.bad is not None:
+                return
+            t, x, lo, self._prev = t[end:], x[end:], lo + end, self._ts[0][0]
+        nx = self.xs.size
+        before = np.concatenate(([self._prev], t[:-1]))
+        ok = t == before  # a time row repeats its t
+        new = slice(-lo % nx, None, nx)  # the rows that begin a time row
+        ok[new] = t[new] > before[new]
+        ok &= x == np.resize(np.roll(self.xs, -(lo % nx)), len(x))
+        self._ts.append(t[new].copy())
+        self._prev = t[-1]
+        if not ok.all():
+            self.bad = lo + int(np.argmin(ok))
+
+    def _end_first_row(self) -> None:
+        xs = self.xs = np.concatenate(self._first)
+        self._first = None
+        ok = xs == xs  # a NaN node matches nothing
+        ok[1:] &= xs[1:] > xs[:-1]
+        if not xs.size:  # no row matched the first t: it is NaN
+            self.bad = 0
+        elif not ok.all():
+            self.bad = int(np.argmin(ok))
+
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(times, nodes) of the rows fed, once the body has ended; check `bad` after."""
+        if self.xs is None:
+            self._end_first_row()
+        if self.bad is None and self.rows % self.xs.size:
+            self.bad = self.rows - self.rows % self.xs.size  # the first row of the last time row
+        return np.concatenate(self._ts), self.xs
+
+
+def _read_body(fh, read_rows):
+    """Parse the body of fh read_rows rows at a time (whole with None), feeding
+    each piece's t and x to a _RowOrder and keeping only its value column, and
+    only while the rows are in order.  Return (body shape, order, value columns).
+    A piece whose width differs from the first's is a ValidationError."""
+    order, columns, rows, width = _RowOrder(), [], 0, None
+    while True:
+        piece = _csv_body(fh, read_rows)
+        if width is None:
+            width = piece.shape[1]
+        elif not piece.size:
+            break
+        elif piece.shape[1] != width:
+            raise ValidationError("field CSV body rows differ in width")
+        if width == 3:
+            order.feed(piece[:, 0], piece[:, 1])
+            if order.bad is None:
+                columns.append(piece[:, 2].copy())
+            else:
+                columns.clear()
+        rows += len(piece)
+        full = len(piece) == read_rows
+        del piece  # freed before the next piece is parsed
+        if not full:
+            break
+    return (rows, width), order, columns
+
+
 def field_from_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a field CSV file back as (t values, x values, value matrix); '#' and
     blank lines are skipped, and the first other line is the t,x,<label> header.
 
     The body is parsed _READ_ROWS rows at a time, into arrays small enough to
-    reuse freed memory, and the value matrix is a C-contiguous array of its own.
+    reuse freed memory.  Each piece's order is checked as it is parsed (see
+    `_RowOrder`), and only its value column is kept, so the reader holds the
+    value matrix and at most one more value-sized buffer.  The value matrix is
+    a C-contiguous array of its own.  A body that numpy cannot parse in pieces
+    is parsed again whole, so numpy's message names the failing row of the file.
     """
     with open(path) as fh:
         _skip_header(fh)
         try:
-            pieces = [_csv_body(fh, _READ_ROWS)]
-            while len(pieces[-1]) == _READ_ROWS and (piece := _csv_body(fh, _READ_ROWS)).size:
-                pieces.append(piece)
-            widths = {piece.shape[1] for piece in pieces}
+            shape, order, columns = _read_body(fh, _READ_ROWS)
         except ValidationError:
-            widths = set()
-        if len(widths) != 1:  # parsed whole, numpy names the failing row of the file
             fh.seek(0)
             _skip_header(fh)
-            pieces = [_csv_body(fh)]
-    lengths = [len(piece) for piece in pieces]
-    shape = (sum(lengths), pieces[0].shape[1])
+            shape, order, columns = _read_body(fh, None)
     if shape[0] == 0 or shape[1] != 3:
         raise ValidationError(f"field CSV needs t,x,value rows, got a body of shape {shape}")
-    ts = functools.reduce(np.union1d, [np.unique(piece[:, 0]) for piece in pieces])
-    xs = functools.reduce(np.union1d, [np.unique(piece[:, 1]) for piece in pieces])
-    if shape[0] == ts.size * xs.size:
-        vals = np.empty((ts.size, xs.size))
-        for lo, piece in zip(itertools.accumulate(lengths, initial=0), pieces):
-            at = np.arange(lo, lo + len(piece))  # row `at` holds time at // nodes, node at % nodes
-            if not ((piece[:, 0] == ts[at // xs.size]).all()
-                    and (piece[:, 1] == xs[at % xs.size]).all()):
-                break
-            vals.reshape(-1)[lo:lo + len(piece)] = piece[:, 2]
-        else:
-            return ts, xs, vals
-    raise ValidationError(f"field CSV rows are not one per (t, x) pair ordered by t then x "
-                          f"({shape[0]} rows, {ts.size} times, {xs.size} nodes)")
+    ts, xs = order.nodes()
+    if order.bad is not None:
+        raise ValidationError(f"field CSV rows are not one per (t, x) pair ordered by t then x "
+                              f"(from body row {order.bad + 1} of {shape[0]})")
+    vals = np.empty((ts.size, xs.size))
+    np.concatenate(columns, out=vals.reshape(-1))
+    return ts, xs, vals
 
 
 def dump_json(payload: dict, path, values=None, *, workers=()) -> None:

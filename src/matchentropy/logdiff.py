@@ -103,26 +103,36 @@ def solve_log_diffusion(grid: Grid, cfg: LadderConfig) -> PField:
     return PField(grid=grid, values=values)
 
 
+def _entropy_rows(p_rows: np.ndarray, h: float, x: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The entropy rows that read the rows `p_rows` of p on the nodes `x` (step
+    h), each by the double integral above, written into `out` when given.  A
+    row depends on its p row alone, so any block of rows has the bits those
+    rows have in the whole surface."""
+    out = np.empty(p_rows.shape) if out is None else out
+    out[:, 0] = 0.0  # each running integral's start
+    panels = trapezoid_panels(p_rows, h)
+    np.cumsum(panels, axis=1, out=out[:, 1:])
+    # the panels are their own array, so the outer integral can overwrite the inner one
+    np.cumsum(trapezoid_panels(out, h, out=panels), axis=1, out=out[:, 1:])
+    # e = x * outer[:, -1:] - outer: the bits of -outer + x * outer[:, -1:]
+    np.subtract(x * out[:, -1:], out, out=out)
+    out[:, 0] = 0.0
+    out[:, -1] = 0.0
+    return out
+
+
 def entropy_from_p(p: PField) -> ValueSurface:
     """Rebuild the entropy surface from a solved p field via nested cumulative
     trapezoidal sums (lateral boundaries exact 0); row m reads p at time T - m*k.
 
     The rows are independent, so they are built in place in the surface's one
-    array, a row block at a time (`_row_blocks`)."""
+    array, a row block at a time (`_row_blocks`, `_entropy_rows`)."""
     grid = p.grid
     x = grid.x_nodes()
     backward = p.values[::-1]
     e = np.empty(p.values.shape)
-    e[:, 0] = 0.0  # each running integral's start
     for rows in _row_blocks(e.shape):
-        running = e[rows]
-        panels = trapezoid_panels(backward[rows], grid.h)
-        np.cumsum(panels, axis=1, out=running[:, 1:])
-        # the panels are their own array, so the outer integral can overwrite the inner one
-        np.cumsum(trapezoid_panels(running, grid.h, out=panels), axis=1, out=running[:, 1:])
-        # e = x * outer[:, -1:] - outer: the bits of -outer + x * outer[:, -1:]
-        np.subtract(x * running[:, -1:], running, out=running)
-    e[:, 0] = 0.0
-    e[:, -1] = 0.0
+        _entropy_rows(backward[rows], grid.h, x, out=e[rows])
     e.setflags(write=False)  # the surface adopts it
     return ValueSurface(grid=grid, values=e)

@@ -180,14 +180,14 @@ def _field_evaluator(control: ControlField, size: int):
     return eval_field
 
 
-def _simulate_range(control, cfg: SimConfig, T: float, lo: int, hi: int):
-    """Simulate paths [lo, hi) of a validated run to the horizon T; return their
-    terminal values, absorbed sides, exit times, rewards and quadratic variations."""
+def _simulate_range(control, cfg: SimConfig, T: float, n_steps: int, lo: int, hi: int):
+    """Simulate paths [lo, hi) of a validated run to the horizon T, n_steps steps
+    of cfg.dt as `_step_count` gave them; return their terminal values,
+    absorbed sides, exit times, rewards and quadratic variations."""
     n = hi - lo
     slots = min(n, _CHUNK)
     _, eval_a = _control_evaluator(control, T, slots)
     dt = cfg.dt
-    n_steps = int(round(T / dt))
     terminal = np.empty(n)
     side = np.zeros(n, dtype=np.int8)
     exit_time = np.full(n, T)
@@ -274,23 +274,23 @@ def _simulate_range(control, cfg: SimConfig, T: float, lo: int, hi: int):
     return terminal, side, exit_time, reward, qv
 
 
-def _simulate_job(conn, cfg: SimConfig, T: float, lo: int, hi: int):
+def _simulate_job(conn, cfg: SimConfig, T: float, n_steps: int, lo: int, hi: int):
     """A worker's job: simulate paths [lo, hi) under the pickled control that
     follows on conn, and return their five arrays."""
-    return _simulate_range(pickle.loads(conn.recv_bytes()), cfg, T, lo, hi)
+    return _simulate_range(pickle.loads(conn.recv_bytes()), cfg, T, n_steps, lo, hi)
 
 
-def _simulate_split(control, cfg: SimConfig, T: float, ranges):
+def _simulate_split(control, cfg: SimConfig, T: float, n_steps: int, ranges):
     """Simulate ranges[0] here and every other range in a spawned worker; return
     each range's five arrays, in range order."""
     with _started(len(ranges) - 1) as workers:
         if workers:
             # pickled once, and freed before this process allocates its own buffers
             data = pickle.dumps(control, protocol=pickle.HIGHEST_PROTOCOL)
-            _send_jobs([(conn, (_simulate_job, (cfg, T, lo, hi)), data)
+            _send_jobs([(conn, (_simulate_job, (cfg, T, n_steps, lo, hi)), data)
                         for (_, conn), (lo, hi) in zip(workers, ranges[1:])])
             del data
-        parts = [_simulate_range(control, cfg, T, *ranges[0])]
+        parts = [_simulate_range(control, cfg, T, n_steps, *ranges[0])]
         parts.extend(_receive(proc, conn, "Monte Carlo worker", "returning its paths",
                               NumericalError) for proc, conn in workers)
         return parts
@@ -309,9 +309,10 @@ def _step_count(horizon: float, dt: float, k: float | None = None) -> int:
     return n_steps
 
 
-def _check_start(control, x0: float, T: float | None = None) -> None:
-    """The start rule: every path's first reward is log a(0, x0), so a(0, x0) > 0."""
-    a0 = float(_control_evaluator(control, T, 1)[1](0.0, np.array([x0]), np.empty(1))[0])
+def _check_start(eval_a, x0: float) -> None:
+    """The start rule: every path's first reward is log a(0, x0), so a(0, x0) > 0;
+    `eval_a` is a control's evaluator from `_control_evaluator`."""
+    a0 = float(eval_a(0.0, np.array([x0]), np.empty(1))[0])
     if not a0 > 0.0:
         raise ValidationError(f"the diffusion coefficient a(0, x0={x0!r}) is {a0!r}, not positive")
 
@@ -328,18 +329,18 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats
     """
     if isinstance(control, VolatilityModel) and control.kind != FULL_LENGTH:
         control = control.control  # an early-termination model is its solved field
-    horizon, _ = _control_evaluator(control, T, 1)
+    horizon, eval_a = _control_evaluator(control, T, 1)
     if T is not None:
         if not (math.isfinite(T) and 0.0 < T <= horizon + 1e-12):
             raise ValidationError(f"T={T!r} must be positive, finite and at most {horizon!r}")
         horizon = float(T)
     n_steps = _step_count(horizon, cfg.dt,
                           control.grid.k if isinstance(control, ControlField) else None)
-    _check_start(control, cfg.x0, horizon)
+    _check_start(eval_a, cfg.x0)
 
     n = cfg.n_paths
     ranges = _ranges(n, _process_count(n, n * n_steps, _MIN_WORKER_STEPS))
-    parts = _simulate_split(control, cfg, horizon, ranges)
+    parts = _simulate_split(control, cfg, horizon, n_steps, ranges)
     terminal, side, exit_time, reward, qv = (np.concatenate(arrays) for arrays in zip(*parts))
 
     absorbed = side != 0

@@ -510,19 +510,33 @@ def test_explicit_scheme_runs_when_stable(tmp_path, capsys):
     assert (out / "solve_surface.csv").exists()
 
 
-def test_solve_holds_two_full_fields_at_a_time(tmp_path, capsys):
-    # the surface is written and released before sigma is built; no writer starts
-    # at this size, so every array is traced (after a first solve has imported LAPACK)
-    n = 500
-    assert cli.main(["solve", "--grid-n", "4", "--grid-m", "4", "--output", str(tmp_path)]) == 0
+def _traced_peak(command, n, out) -> int:
+    """The traced peak of one in-process run of `command` on an n x n grid.  No
+    writer starts below 400k field values, so every array is traced (after a
+    first solve has imported LAPACK)."""
+    assert cli.main(["solve", "--grid-n", "4", "--grid-m", "4", "--output", str(out)]) == 0
     tracemalloc.start()
     try:
-        assert cli.main(["solve", "--grid-n", str(n), "--grid-m", str(n),
-                         "--output", str(tmp_path)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        assert cli.main([command, "--grid-n", str(n), "--grid-m", str(n),
+                         "--output", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * (n + 1) ** 2 * 8
+
+
+def test_solve_holds_two_full_fields_at_a_time(tmp_path, capsys):
+    # the surface is written and released before sigma is built
+    n = 500
+    assert _traced_peak("solve", n, tmp_path) < 2.5 * (n + 1) ** 2 * 8
+
+
+@pytest.mark.parametrize("command, fields", [("reproduce-figures", 2), ("forward-p", 1)])
+def test_a_field_command_holds_its_fields_and_a_quarter_more(command, fields, tmp_path, capsys):
+    # reproduce-figures writes and releases the surface before the densities, so
+    # it holds the control and one density; forward-p rebuilds only the entropy
+    # row it prints, so it holds p alone
+    n = 400
+    assert _traced_peak(command, n, tmp_path) <= 1.25 * fields * (n + 1) ** 2 * 8
 
 
 def test_solve_writes_surface_and_control_fields(tmp_path, capsys):
@@ -565,6 +579,9 @@ def test_forward_p_command(tmp_path, capsys):
     ts, xs, vals = me.field_from_csv(str(out / "forward_p.csv"))
     assert np.all(vals[0] == 0.25)
     assert np.all(vals[1:, 0] == 1.0)
+    # the printed e(0, 1/2) has the bits of the whole rebuilt surface's
+    rebuilt = me.entropy_from_p(me.PField(grid=me.make_grid(30, 15, 1.0), values=vals))
+    assert capsys.readouterr().out.split(" = ")[-1] == f"{rebuilt.values[0, 15]:.6f}\n"
 
 
 def test_density_command_reports_probe_masses(tmp_path, capsys):

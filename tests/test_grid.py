@@ -499,6 +499,23 @@ def test_csv_reader_returns_values_that_own_their_data(tmp_path):
     assert vals.flags.c_contiguous and vals.flags.owndata and vals.base is None
 
 
+def test_csv_reader_holds_the_values_and_one_more_value_sized_buffer(tmp_path):
+    # 402,201 rows, seven pieces: each piece's order is checked as it is parsed
+    # and only its value column is kept, so the t and x columns never pile up
+    grid = me.make_grid(200, 2000, 1.0)
+    values = np.ones((grid.M + 1, grid.N + 1))
+    path = tmp_path / "field.csv"
+    me.field_to_csv(grid, values, path, "q", {"k": "v"})
+    tracemalloc.start()
+    try:
+        _, _, back = me.field_from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, values)
+    assert peak <= 2.25 * values.nbytes
+
+
 def _writer_cases(grid, values):
     """(name, write(path, workers)) of each writer call a worker can share."""
     payload = {"version": "0.1.0", "config": {"output": "out"}, "grid": {"N": grid.N}}

@@ -238,3 +238,12 @@ def test_entropy_rebuild_matches_reference_expression():
         expected = -outer + g.x_nodes()[np.newaxis, :] * outer[:, -1:]
         expected[:, 0] = expected[:, -1] = 0.0
         assert me.entropy_from_p(p).values.tobytes() == expected[::-1].tobytes()
+
+
+def test_one_rebuilt_row_has_the_bits_of_the_whole_surface():
+    # forward-p rebuilds only row 0, from p's last row, to print e(0, 1/2)
+    p = random_p_field(np.random.default_rng(11), 1000, 9)
+    g, whole = p.grid, me.entropy_from_p(p).values
+    for m in (0, 4, 9):
+        row = logdiff._entropy_rows(p.values[g.M - m:g.M - m + 1], g.h, g.x_nodes())
+        assert row.tobytes() == whole[m].tobytes()

@@ -542,7 +542,7 @@ class _ValueErrorOnLoad(float):
 def _send_range_job(conn, control, cfg, lo, hi):
     """Send a worker the job of paths [lo, hi) and its pickled control, as
     montecarlo._simulate_split does, and return the worker's reply."""
-    conn.send((montecarlo._simulate_job, (cfg, 1.0, lo, hi)))
+    conn.send((montecarlo._simulate_job, (cfg, 1.0, round(1.0 / cfg.dt), lo, hi)))
     conn.send_bytes(pickle.dumps(control))
     return conn.recv()
 
@@ -630,7 +630,7 @@ def test_a_worker_that_dies_is_one_package_error(when, monkeypatch):
     own_ranges = []
 
     def kill_workers_first(*args):
-        own_ranges.append(args[3:])
+        own_ranges.append(args[-2:])
         if when == "in_the_own_range":
             _kill_workers()
         return simulate_range(*args)

@@ -26,9 +26,10 @@ def test_study_scripts_run(script, args, monkeypatch, capsys):
     if script == "mc_bias_study.py":  # one result line per step
         assert [line.split()[0] for line in out.splitlines() if "| reward" in line] == [
             "dt=0.001", "dt=0.0005"]
-    if script == "peak_memory.py":  # one peak per field-writing command, each in MB
+    if script == "peak_memory.py":  # one peak per field-writing command and the read, in MB
         assert [line.split()[0::2] for line in out.splitlines()] == [
-            [command, "MB"] for command in ("solve", "forward-p", "density", "reproduce-figures")]
+            [command, "MB"] for command in ("solve", "forward-p", "density", "reproduce-figures",
+                                            "read-back")]
 
 
 def test_line_trace_lists_only_lines_no_test_ran():

@@ -38,7 +38,8 @@ def test_traced_cli_commands_record_every_layer(tracing, tmp_path, capsys):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        for argv in (["solve"], ["forward-p", "--format", "json"], ["density"]):
+        # check rebuilds the entropy surface; forward-p rebuilds only the row it prints
+        for argv in (["solve"], ["forward-p", "--format", "json"], ["density"], ["check"]):
             assert me_cli.main([*argv, *SMALL, "--output", str(tmp_path)]) == 0
     finally:
         tracer.uninstall()
