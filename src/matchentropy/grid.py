@@ -375,12 +375,12 @@ class _RowOrder:
         return np.concatenate(self._ts), self.xs
 
 
-def _read_body(fh, read_rows):
+def _read_body(fh, read_rows, values):
     """Parse the body of fh read_rows rows at a time (whole with None), feeding
-    each piece's t and x to a _RowOrder and keeping only its value column, and
-    only while the rows are in order.  Return (body shape, order, value columns).
-    A piece whose width differs from the first's is a ValidationError."""
-    order, columns, rows, width = _RowOrder(), [], 0, None
+    each piece's t and x to a _RowOrder and copying its value column into the
+    1-D array `values`, from the front.  Return (body shape, order).  A piece
+    whose width differs from the first's is a ValidationError."""
+    order, rows, width = _RowOrder(), 0, None
     while True:
         piece = _csv_body(fh, read_rows)
         if width is None:
@@ -391,16 +391,13 @@ def _read_body(fh, read_rows):
             raise ValidationError("field CSV body rows differ in width")
         if width == 3:
             order.feed(piece[:, 0], piece[:, 1])
-            if order.bad is None:
-                columns.append(piece[:, 2].copy())
-            else:
-                columns.clear()
+            values[rows:rows + len(piece)] = piece[:, 2]
         rows += len(piece)
         full = len(piece) == read_rows
         del piece  # freed before the next piece is parsed
         if not full:
             break
-    return (rows, width), order, columns
+    return (rows, width), order
 
 
 def field_from_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -409,28 +406,34 @@ def field_from_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The body is parsed _READ_ROWS rows at a time, into arrays small enough to
     reuse freed memory.  Each piece's order is checked as it is parsed (see
-    `_RowOrder`), and only its value column is kept, so the reader holds the
-    value matrix and at most one more value-sized buffer.  The value matrix is
-    a C-contiguous array of its own.  A body that numpy cannot parse in pieces
-    is parsed again whole, so numpy's message names the failing row of the file.
+    `_RowOrder`) and its values are copied into the one array that becomes the
+    value matrix, sized by the file's line breaks, so the reader holds that
+    array and one piece.  The value matrix is a C-contiguous array of its own.
+    A body that numpy cannot parse in pieces is parsed again whole, so numpy's
+    message names the failing row of the file.
     """
+    # every body row but the last ends in a line break, which text mode reads
+    # as \n, \r\n or \r: one more than their count bounds the rows
+    with open(path, "rb") as raw:
+        breaks = sum(block.count(b"\n") + block.count(b"\r")
+                     for block in iter(lambda: raw.read(1 << 20), b""))
+    values = np.empty(breaks + 1)
     with open(path) as fh:
         _skip_header(fh)
         try:
-            shape, order, columns = _read_body(fh, _READ_ROWS)
+            shape, order = _read_body(fh, _READ_ROWS, values)
         except ValidationError:
             fh.seek(0)
             _skip_header(fh)
-            shape, order, columns = _read_body(fh, None)
+            shape, order = _read_body(fh, None, values)
     if shape[0] == 0 or shape[1] != 3:
         raise ValidationError(f"field CSV needs t,x,value rows, got a body of shape {shape}")
     ts, xs = order.nodes()
     if order.bad is not None:
         raise ValidationError(f"field CSV rows are not one per (t, x) pair ordered by t then x "
                               f"(from body row {order.bad + 1} of {shape[0]})")
-    vals = np.empty((ts.size, xs.size))
-    np.concatenate(columns, out=vals.reshape(-1))
-    return ts, xs, vals
+    values.resize((ts.size, xs.size), refcheck=False)  # in place; drops the unused tail
+    return ts, xs, values
 
 
 def dump_json(payload: dict, path, values=None, *, workers=()) -> None:

@@ -501,7 +501,7 @@ def test_csv_reader_returns_values_that_own_their_data(tmp_path):
 
 def test_csv_reader_holds_the_values_and_one_more_value_sized_buffer(tmp_path):
     # 402,201 rows, seven pieces: each piece's order is checked as it is parsed
-    # and only its value column is kept, so the t and x columns never pile up
+    # and its values are copied out, so the t and x columns never pile up
     grid = me.make_grid(200, 2000, 1.0)
     values = np.ones((grid.M + 1, grid.N + 1))
     path = tmp_path / "field.csv"
