@@ -579,7 +579,7 @@ def test_forward_p_command(tmp_path, capsys):
     ts, xs, vals = me.field_from_csv(str(out / "forward_p.csv"))
     assert np.all(vals[0] == 0.25)
     assert np.all(vals[1:, 0] == 1.0)
-    # the printed e(0, 1/2) has the bits of the whole rebuilt surface's
+    # the printed e(0, 1/2) is the whole rebuilt surface's
     rebuilt = me.entropy_from_p(me.PField(grid=me.make_grid(30, 15, 1.0), values=vals))
     assert capsys.readouterr().out.split(" = ")[-1] == f"{rebuilt.values[0, 15]:.6f}\n"
 

@@ -466,11 +466,12 @@ def test_csv_reader_in_pieces_gives_the_same_values_and_messages(read_rows, tmp_
     grid = me.make_grid(9, 3, 2.0)
     path = tmp_path / "field.csv"
     me.field_to_csv(grid, _special_field(grid, grid.M + 1), path, "q", {"k": "v"})
-    # each fault lies past the first piece of one, two and three rows
-    bodies = ["0,0,1\n0,1,2\n# note\n\n1,0,3\n1,1,4\n", "0,0,1\n0,1,2\n1,0,3\n1,1\n",
-              "0,0,1\n0,1,2\n1,0,3\n1,1,x\n", "0,0,1\n0,1,2\n1,0,3\n1,1,4,5\n",
+    # two bodies in order, one of them a single time row; each fault lies past the
+    # first piece of one, two and three rows, but the last two, in the first time row
+    bodies = ["0,0,1\n0,1,2\n# note\n\n1,0,3\n1,1,4\n", "0,0,1\n0,1,2\n0,2,3\n",
+              "0,0,1\n0,1,2\n1,0,3\n1,1\n", "0,0,1\n0,1,2\n1,0,3\n1,1,x\n", "0,0,1\n0,1,2\n1,0,3\n1,1,4,5\n",
               "0,0,1\n0,1,2\n1,1,3\n1,0,4\n", "0,0,1\n1,1,2\n1,0,3\n1,1,4\n",
-              "0,0,1\n0,1,2\n1,0,3\n"]
+              "0,0,1\n0,1,2\n1,0,3\n", "0,1,1\n0,1,2\n0,0,3\n1,1,4\n", "nan,0,1\n"]
     for i, body in enumerate(bodies):
         (tmp_path / f"{i}.csv").write_text("t,x,q\n" + body)
 
@@ -487,7 +488,7 @@ def test_csv_reader_in_pieces_gives_the_same_values_and_messages(read_rows, tmp_
     whole = read_all()
     monkeypatch.setattr(me_grid, "_READ_ROWS", read_rows)
     assert read_all() == whole
-    assert [isinstance(r, bytes) for r in whole] == [True, True] + [False] * 6
+    assert [isinstance(r, bytes) for r in whole] == [True, True, True] + [False] * 8
 
 
 def test_csv_reader_returns_values_that_own_their_data(tmp_path):
