@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .grid import Grid, _frozen_array, _row_blocks, trapezoid_panels
+from .grid import Grid, _fill_step_matrix, _frozen_array, _row_blocks, trapezoid_panels
 from .hjb import ControlField
 from .tridiag import solve_tridiagonal
 
@@ -142,18 +142,15 @@ def solve_forward_density(model: VolatilityModel, grid: Grid, x0: float) -> Dens
 
     N, M, h, k = grid.N, grid.M, grid.h, grid.k
     b = k / (2.0 * h * h)
-    two_b, bh = 2.0 * b, b * h
+    bh = b * h
     reflecting = model.kind == FULL_LENGTH
 
     q = np.zeros((M + 1, N + 1))
     q[0, j0] = 1.0 / h
     left = np.zeros(M + 1)
     right = np.zeros(M + 1)
-    # the step I - (k/2) A diag(s) is scaled by columns (the transpose of the
-    # HJB step's row-scaled I - (k/2) diag(a) A), so each off-diagonal entry
-    # is -b times its column's s: one buffer -b s[1:N] holds both off-diagonals
     diag, off = np.empty((2, N - 1))
-    sub, sup = off[:-1], off[1:]
+    sub, sup = off[:-1], off[1:]  # the transpose of the HJB step
 
     if reflecting:
         # _full_length_variance's numerator; the row at t = T is capped at its
@@ -164,13 +161,11 @@ def solve_forward_density(model: VolatilityModel, grid: Grid, x0: float) -> Dens
             s = sin_squared / (math.pi ** 2 * (model.T - min(m + 1, M - 1) * k))
         else:
             s = model.control.a_star[m + 1]
-        np.multiply(s[1:N], two_b, out=diag)
-        diag += 1.0
-        np.multiply(s[1:N], -b, out=off)
+        _fill_step_matrix(s[1:N], b, diag, off)
         if reflecting:
             # mirror the would-be boundary flux back: no absorption before T
-            diag[0] -= b * s[1]
-            diag[-1] -= b * s[N - 1]
+            diag[0] += off[0]
+            diag[-1] += off[-1]
         interior = solve_tridiagonal(sub, diag, sup, q[m, 1:N])
         lowest = float(np.min(interior))
         if not lowest > 0.0:

@@ -101,6 +101,14 @@ def make_grid(N: int, M: int, T: float) -> Grid:
     return Grid(N=N, M=M, T=T, h=h, k=k)
 
 
+def _check_ladder_index(n, name: str) -> None:
+    """Reject a ladder index n that is not an integer in [1, 2**53]: the solvers
+    use n only as a float (1/n, log n, x(1-x)/(2n)), and above 2**53 distinct
+    integers round to the same double."""
+    if not isinstance(n, (int, np.integer)) or not 1 <= n <= 2**53:
+        raise ValidationError(f"{name} must be an integer in [1, 2**53], got {n!r}")
+
+
 def stationary_entropy(x):
     """Stationary entropy profile x(1-x)/2; accepts scalars or arrays in [0, 1]."""
     arr = np.asarray(x, dtype=float)
@@ -120,6 +128,16 @@ def second_difference_interior(v: np.ndarray, h: float,
     out += v[..., :-2]
     out /= h * h
     return out
+
+
+def _fill_step_matrix(a: np.ndarray, c: float, diag: np.ndarray, off: np.ndarray) -> None:
+    """Fill the implicit step I - (k/2) diag(a) A at the interior row `a`, with
+    c = k/(2h^2): diag = 1 + 2c a and off = -c a, in place.  Row i scales row
+    i of A by a[i], so off[i] is both off-diagonals of row i: the step solves
+    with (sub, sup) = (off[1:], off[:-1]), its transpose, the Kolmogorov-forward
+    step, with (off[:-1], off[1:])."""
+    np.add(np.multiply(a, 2.0 * c, out=diag), 1.0, out=diag)
+    np.multiply(a, -c, out=off)
 
 
 def trapezoid_panels(y: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .grid import (Grid, ValueSurface, _frozen_array, second_difference_interior,
-                   stationary_entropy)
+from .grid import (Grid, ValueSurface, _check_ladder_index, _fill_step_matrix,
+                   _frozen_array, second_difference_interior, stationary_entropy)
 from .tridiag import solve_tridiagonal
 
 CONTROL_FLOOR = 1.0 / math.e
@@ -45,8 +45,8 @@ class SchemeConfig:
                 f"cap_d must be >= 1/e ({CONTROL_FLOOR:.6f}), got {self.cap_d!r}")
         if self.scheme not in _SCHEMES:
             raise ValidationError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if self.terminal_regularisation_n is not None and self.terminal_regularisation_n < 1:
-            raise ValidationError("terminal_regularisation_n must be a positive integer")
+        if self.terminal_regularisation_n is not None:
+            _check_ladder_index(self.terminal_regularisation_n, "terminal_regularisation_n")
 
 
 @dataclass(frozen=True)
@@ -138,16 +138,15 @@ def _implicit_sweep(values: np.ndarray, grid: Grid, cap_d: float) -> np.ndarray:
 
     The control of a converged iterate is the next level's first control, so
     it is computed once per iteration plus once for the last row, together
-    with the step coefficients lin = (log a + 1) k/2, diag = 1 + 2c a and
-    off = -c a (c = k/(2h^2)) that the right-hand side v + lin, the solve
-    and the residual read.  Iterates are written straight into their row,
+    with the step coefficients lin = (log a + 1) k/2 and the step matrix's
+    diag and off (`_fill_step_matrix`) that the right-hand side v + lin, the
+    solve and the residual read.  Iterates are written straight into their row,
     whose lateral entries stay 0, and every other array is a work buffer
     filled in place in the order of operations of the plain expressions,
     which keeps their bits.
     """
     k, h = grid.k, grid.h
-    c = k / (2.0 * h * h)
-    two_c, half_k = 2.0 * c, 0.5 * k
+    c, half_k = k / (2.0 * h * h), 0.5 * k
     n = values.shape[1] - 2
     q, a, log_a, lin, diag, off, rhs, change = np.empty((8, n))
     sub, sup = off[1:], off[:-1]
@@ -158,8 +157,7 @@ def _implicit_sweep(values: np.ndarray, grid: Grid, cap_d: float) -> np.ndarray:
         capped_control(second_difference_interior(u, h, out=q), cap_d, out=a)
         np.log(a, out=log_a)
         np.multiply(np.add(log_a, 1.0, out=lin), half_k, out=lin)
-        np.add(np.multiply(a, two_c, out=diag), 1.0, out=diag)
-        np.multiply(a, -c, out=off)
+        _fill_step_matrix(a, c, diag, off)
 
     update_policy(values[-1])
     for m in range(len(values) - 1, 0, -1):

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError, ValidationError
-from .grid import (P_CEILING_TOL, Grid, PField, ValueSurface, _row_blocks,
-                   second_difference_interior, trapezoid_panels)
+from .errors import ConvergenceError, NumericalError
+from .grid import (P_CEILING_TOL, Grid, PField, ValueSurface, _check_ladder_index,
+                   _row_blocks, second_difference_interior, trapezoid_panels)
 from .tridiag import solve_tridiagonal
 
 _POSITIVITY_FLOOR = 1e-30
@@ -35,8 +35,7 @@ class LadderConfig:
     regularisation_n: int = 1
 
     def __post_init__(self):
-        if self.regularisation_n < 1:
-            raise ValidationError("regularisation_n must be a positive integer")
+        _check_ladder_index(self.regularisation_n, "regularisation_n")
 
 
 def _newton_step(prev_int: np.ndarray, grid: Grid, work: np.ndarray, tol: float) -> np.ndarray:

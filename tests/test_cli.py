@@ -170,7 +170,9 @@ BAD_INPUTS = [("--grid-n", "1"), ("--grid-m", "0"),
               ("--grid-m", str(2**63 - 1)), ("--grid-m", str(10**30)),
               ("--n-paths", str(2**63 - 1)),
               # seeds outside one 64-bit key word
-              ("--seed", "-1"), ("--seed", "18446744073709551616")]
+              ("--seed", "-1"), ("--seed", "18446744073709551616"),
+              # ladder indices above 2**53, which the solvers could not use as floats
+              ("--regularisation-n", str(2**64)), ("--regularisation-n", str(10**309))]
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -219,6 +221,17 @@ def test_numerical_failure_exits_two_with_one_line(tmp_path, monkeypatch, capsys
     assert cli.main(["solve", *SMALL, "--output", str(tmp_path)]) == 2
     (message,) = _message_lines(capsys.readouterr().err)
     assert message == "numerical failure: policy iteration did not converge in 50 iterations"
+
+
+def test_a_cap_past_the_policy_iteration_limit_exits_two_with_one_line(tmp_path, capsys):
+    # from cap_d = 1e80 on, every implicit solve stalls at its first level (README)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--grid-n", "8", "--grid-m", "4", "--cap-d", "1e100",
+                     "--output", str(out)]) == 2
+    (message,) = _message_lines(capsys.readouterr().err)
+    assert message.startswith(
+        "numerical failure: policy iteration did not converge in 50 iterations")
+    assert not out.exists()
 
 
 # Every value each field flag draws in the property test below: non-finite,
@@ -478,6 +491,11 @@ SIMULATE_INPUT_ERRORS = [
     *[pytest.param([command, "--grid-n", "3", "--x0", "0.5"], "x = 0.5 is not a grid node",
                    id=f"start-between-nodes-{command}")
       for command in ("density", "reproduce-figures")],
+    *[pytest.param([command, "--regularisation-n", n],
+                   re.escape(f"regularisation_n must be an integer in [1, 2**53], got {n}"),
+                   id=f"ladder-index-{command}-{len(n)}-digits")
+      for command, n in (("forward-p", str(2**64)), ("check", str(2**64)),
+                         ("solve", str(10**309)))],
 ])
 def test_each_command_input_is_checked_as_its_config_is_built(argv, error, tmp_path, capsys):
     # one check point: the config itself raises, before its echo and any output

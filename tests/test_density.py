@@ -72,20 +72,15 @@ def test_density_step_matches_dense_solve():
     ctrl = ControlField(grid=g, a_star=a)
     dens = me.solve_forward_density(me.VolatilityModel.early_termination(ctrl), g, 0.5)
 
-    b = g.k / (2.0 * g.h * g.h)
-    s = a[1]
+    # the step from level m to m + 1 is the transpose of the HJB step
+    # I - (k/2) diag(a) A at the control row a_star[m + 1], with A the second
+    # difference (v[n+1] - 2 v[n] + v[n-1]) / h^2 on the interior nodes
     n_int = g.N - 1
-    T_mat = np.zeros((n_int, n_int))
-    for i in range(n_int):
-        node = i + 1
-        T_mat[i, i] = 1.0 + 2.0 * b * s[node]
-        if i > 0:
-            T_mat[i, i - 1] = -b * s[node - 1]
-        if i < n_int - 1:
-            T_mat[i, i + 1] = -b * s[node + 1]
+    A = (np.eye(n_int, k=1) - 2.0 * np.eye(n_int) + np.eye(n_int, k=-1)) / g.h ** 2
+    hjb_step = np.eye(n_int) - g.k / 2.0 * np.diag(a[1, 1:-1]) @ A
     q0 = np.zeros(n_int)
     q0[3] = 1.0 / g.h  # dirac at x0 = 0.5 is node 4 of 8
-    expected = np.linalg.solve(T_mat, q0)
+    expected = np.linalg.solve(hjb_step.T, q0)
     assert np.max(np.abs(dens.values[1, 1:-1] - expected)) <= 1e-12
 
 

@@ -264,8 +264,12 @@ def test_scheme_config_validation():
         me.SchemeConfig(cap_d=0.2)
     with pytest.raises(ValidationError):
         me.SchemeConfig(scheme="magic")
-    with pytest.raises(ValidationError):
-        me.SchemeConfig(terminal_regularisation_n=0)
+    # a ladder index is an integer in [1, 2**53]: above that, n is used as a float
+    # that other integers round to as well
+    for n in (0, 2.5, 2**53 + 1):
+        with pytest.raises(ValidationError, match="terminal_regularisation_n"):
+            me.SchemeConfig(terminal_regularisation_n=n)
+    assert me.SchemeConfig(terminal_regularisation_n=2**53).terminal_regularisation_n == 2**53
 
 
 @pytest.mark.parametrize("scheme", ["implicit", "explicit"])

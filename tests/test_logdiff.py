@@ -170,8 +170,11 @@ def test_newton_damping_halves_until_the_iterate_is_positive(monkeypatch):
 
 
 def test_ladder_config_validation():
-    with pytest.raises(ValidationError):
-        me.LadderConfig(regularisation_n=0)
+    # the rule SchemeConfig applies to its terminal_regularisation_n
+    for n in (0, 2.5, 2**53 + 1):
+        with pytest.raises(ValidationError, match="regularisation_n"):
+            me.LadderConfig(regularisation_n=n)
+    assert me.LadderConfig(regularisation_n=np.int64(2**53)).regularisation_n == 2**53
 
 
 def reference_newton_step(prev_int, grid):
