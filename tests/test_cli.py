@@ -224,7 +224,7 @@ def test_numerical_failure_exits_two_with_one_line(tmp_path, monkeypatch, capsys
 
 
 def test_a_cap_past_the_policy_iteration_limit_exits_two_with_one_line(tmp_path, capsys):
-    # from cap_d = 1e80 on, every implicit solve stalls at its first level (README)
+    # from cap_d = 1e80 on, the implicit solve fails at its first level (README)
     out = tmp_path / "out"
     assert cli.main(["solve", "--grid-n", "8", "--grid-m", "4", "--cap-d", "1e100",
                      "--output", str(out)]) == 2
