@@ -112,6 +112,13 @@ def cross_solver_gap(hjb: ValueSurface, represented: ValueSurface) -> float:
                for rows in _row_blocks(hjb.values.shape))
 
 
+def cross_solver_check(hjb: ValueSurface, represented: ValueSurface, n: int) -> CheckReport:
+    """`check`'s pass rule for `cross_solver_gap` at ladder index n: at most 5 (k + h^2)."""
+    g = hjb.grid
+    gap, tol = cross_solver_gap(hjb, represented), 5.0 * (g.k + g.h ** 2)
+    return CheckReport(results=(CheckResult(f"cross_solver_gap_n={n}", gap <= tol, gap, tol),))
+
+
 def decay_envelope(x, T: float) -> np.ndarray:
     """Envelope x(1-x) exp(-(alpha-1) T / (pi alpha^2)) for the distance to x(1-x)/2,
     at alpha = 2: every larger even alpha gives a weaker bound that this one implies."""

@@ -93,18 +93,19 @@ class DensitySurface:
         object.__setattr__(self, "interior_mass", interior)
 
 
-def _full_length_variance(t: float, x: np.ndarray, T: float, out: np.ndarray) -> np.ndarray:
-    """Squared full-length benchmark volatility sin(pi x)^2 / (pi^2 (T - t)),
-    written into `out`; for x in [0, 1] and 0 <= t < T, which are not checked.
-
-    The operations are those of np.sin(math.pi * x) ** 2 / (math.pi ** 2 * (T - t)),
-    in that order, so the bits are the same.
-    """
+def _sin_squared(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sin(pi x)^2, the numerator of `_full_length_variance`, written into `out`."""
     np.multiply(x, math.pi, out=out)
     np.sin(out, out=out)
-    np.square(out, out=out)
-    out /= math.pi ** 2 * (T - t)
-    return out
+    return np.square(out, out=out)
+
+
+def _full_length_variance(t: float, numerator: np.ndarray, T: float, out: np.ndarray):
+    """Squared full-length benchmark volatility sin(pi x)^2 / (pi^2 (T - t)) from its
+    `_sin_squared` numerator, written into `out` (which may be the numerator); for x
+    in [0, 1] and 0 <= t < T, which are not checked.  The two run the operations of
+    np.sin(math.pi * x) ** 2 / (math.pi ** 2 * (T - t)) in that order: the same bits."""
+    return np.divide(numerator, math.pi ** 2 * (T - t), out=out)
 
 
 def benchmark_entropy(t: float, x: float, T: float) -> float:
@@ -152,13 +153,11 @@ def solve_forward_density(model: VolatilityModel, grid: Grid, x0: float) -> Dens
     diag, off = np.empty((2, N - 1))
     sub, sup = off[:-1], off[1:]  # the transpose of the HJB step
 
-    if reflecting:
-        # _full_length_variance's numerator; the row at t = T is capped at its
-        # value one step earlier (the closed form is singular there)
-        sin_squared = np.sin(math.pi * grid.x_nodes()) ** 2
+    if reflecting:  # the numerator once per march, each row's sigma^2 into one buffer
+        sin_squared, s = _sin_squared(grid.x_nodes(), np.empty(N + 1)), np.empty(N + 1)
     for m in range(M):
-        if reflecting:
-            s = sin_squared / (math.pi ** 2 * (model.T - min(m + 1, M - 1) * k))
+        if reflecting:  # the row at t = T is capped at t = T - k: singular at T
+            _full_length_variance(min(m + 1, M - 1) * k, sin_squared, model.T, s)
         else:
             s = model.control.a_star[m + 1]
         _fill_step_matrix(s[1:N], b, diag, off)

@@ -42,7 +42,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from ._workers import _process_count, _ranges, _receive, _send_jobs, _started
-from .density import FULL_LENGTH, VolatilityModel, _full_length_variance
+from .density import FULL_LENGTH, VolatilityModel, _full_length_variance, _sin_squared
 from .errors import NumericalError, ValidationError
 from .grid import MAX_ARRAY_ENTRIES
 from .hjb import ControlField
@@ -117,14 +117,16 @@ class _ZeroSeed(ISeedSequence):
 
 
 def _control_evaluator(control, T: float | None, size: int):
-    """Return (horizon, eval(t, x, out) -> out) for a ControlField, the
-    full-length VolatilityModel or a constant: eval writes a(t, x) into `out`,
-    for arrays x of at most `size` entries."""
-    if isinstance(control, ControlField):
-        return control.grid.T, _field_evaluator(control, size)
+    """Return (horizon, k, eval(t, x, out) -> out) for a ControlField or the
+    VolatilityModel wrapping it (k the field's step), the full-length model or a
+    constant (k None); eval writes a(t, x) into `out`, for x of at most `size`."""
     if isinstance(control, VolatilityModel):
-        # live paths lie strictly inside (0, 1) and t < horizon <= T
-        return control.T, lambda t, x, out: _full_length_variance(t, x, control.T, out)
+        if control.kind == FULL_LENGTH:  # live paths lie in (0, 1), t < horizon <= T
+            return control.T, None, lambda t, x, out: _full_length_variance(
+                t, _sin_squared(x, out), control.T, out)
+        control = control.control  # an early-termination model is its solved field
+    if isinstance(control, ControlField):
+        return control.grid.T, control.grid.k, _field_evaluator(control, size)
     a_const = float(control)
     if not (math.isfinite(a_const) and a_const > 0.0):
         raise ValidationError(f"constant control must be positive and finite, got {control!r}")
@@ -135,7 +137,7 @@ def _control_evaluator(control, T: float | None, size: int):
         out.fill(a_const)
         return out
 
-    return math.inf, eval_const  # a constant has no horizon of its own
+    return math.inf, None, eval_const  # a constant has no horizon of its own
 
 
 def _field_evaluator(control: ControlField, size: int):
@@ -186,7 +188,7 @@ def _simulate_range(control, cfg: SimConfig, T: float, n_steps: int, lo: int, hi
     absorbed sides, exit times, rewards and quadratic variations."""
     n = hi - lo
     slots = min(n, _CHUNK)
-    _, eval_a = _control_evaluator(control, T, slots)
+    _, _, eval_a = _control_evaluator(control, T, slots)
     dt = cfg.dt
     terminal = np.empty(n)
     side = np.zeros(n, dtype=np.int8)
@@ -327,15 +329,12 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats
     its step and start rules, `_step_count` and `_check_start`.  A large run
     is split across worker processes (see the module docstring) with the same results.
     """
-    if isinstance(control, VolatilityModel) and control.kind != FULL_LENGTH:
-        control = control.control  # an early-termination model is its solved field
-    horizon, eval_a = _control_evaluator(control, T, 1)
+    horizon, k, eval_a = _control_evaluator(control, T, 1)
     if T is not None:
         if not (math.isfinite(T) and 0.0 < T <= horizon + 1e-12):
             raise ValidationError(f"T={T!r} must be positive, finite and at most {horizon!r}")
         horizon = float(T)
-    n_steps = _step_count(horizon, cfg.dt,
-                          control.grid.k if isinstance(control, ControlField) else None)
+    n_steps = _step_count(horizon, cfg.dt, k)
     _check_start(eval_a, cfg.x0)
 
     n = cfg.n_paths
@@ -346,12 +345,11 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats
     absorbed = side != 0
     probes = [frac * horizon for frac in PROBE_FRACTIONS]
     fractions = {t: float(np.mean(absorbed & (exit_time <= t + 1e-12))) for t in probes}
-    stderr = float(np.std(reward, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     for arr in (terminal, side, exit_time, reward, qv):
         arr.setflags(write=False)
     return PathStats(
         reward_mean=float(np.mean(reward)),
-        reward_stderr=stderr,
+        reward_stderr=_standard_error(reward),
         qv_mean=float(np.mean(qv)),
         exit_time_samples=exit_time,
         absorbed_side=side,
@@ -362,12 +360,15 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats
     )
 
 
+def _standard_error(samples: np.ndarray) -> float:
+    """Standard error of the mean of per-path samples; 0.0 for a single path."""
+    n = samples.size
+    return float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+
+
 def quadratic_variation_check(stats: PathStats, cfg: SimConfig) -> QvReport:
     """Check mean(int sigma^2 dt) against mean(X_stop^2) - x0^2 at 3 combined SE."""
-    n = stats.qv_samples.size
     x2 = stats.terminal_values ** 2 - cfg.x0 ** 2
     gap = float(np.mean(stats.qv_samples) - np.mean(x2))
-    se_qv = float(np.std(stats.qv_samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    se_x2 = float(np.std(x2, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    se = math.hypot(se_qv, se_x2)
+    se = math.hypot(_standard_error(stats.qv_samples), _standard_error(x2))
     return QvReport(terminal_gap=gap, se_combined=se, passed=abs(gap) <= 3.0 * se)

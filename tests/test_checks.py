@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import matchentropy as me
-from matchentropy.checks import decay_envelope
+from matchentropy.checks import cross_solver_check, decay_envelope
 from matchentropy.errors import ValidationError
 
 
@@ -51,6 +51,15 @@ def test_cross_solver_gap_basics():
     other = stationary_surface(32)
     with pytest.raises(ValidationError):
         me.cross_solver_gap(s, other)
+    # check's pass rule on the gap: at most 5 (k + h^2), named by the ladder index
+    tol = 5.0 * (g.k + g.h ** 2)
+    for bump, passed in ((0.0, True), (0.99 * tol, True), (1.01 * tol, False)):
+        vals = np.array(rebuilt.values)
+        vals[3, 7] += bump
+        bumped = me.ValueSurface(grid=g, values=vals)
+        (result,) = cross_solver_check(s, bumped, 7).results
+        assert (result.name, result.passed, result.worst, result.tolerance, result.location) == (
+            "cross_solver_gap_n=7", passed, me.cross_solver_gap(s, bumped), tol, None)
 
 
 def test_decay_envelope_arithmetic():

@@ -260,16 +260,32 @@ def test_extreme_field_values_exit_with_a_documented_code(command, flags, tmp_pa
     argv = [command, *PROPERTY_BASE]
     for flag, value in flags.items():
         argv += [flag, value]  # a drawn flag overrides its base value
+    _assert_a_documented_exit(argv)
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in cli.COMMANDS for flag in FIELD_FLAGS])
+def test_each_extreme_field_value_alone_exits_with_a_documented_code(command, flag, tmp_path,
+                                                                     monkeypatch):
+    # every single-flag case, which the random draw above may miss
+    monkeypatch.chdir(tmp_path)
+    for value in [*EXTREME_VALUES, str(2**64)]:
+        _assert_a_documented_exit([command, *PROPERTY_BASE, flag, value])
+
+
+def _assert_a_documented_exit(argv):
+    """Run the CLI in-process: it exits 0-4 with no traceback, and with one
+    message line unless it succeeds or a check fails."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    assert code in (0, 1, 2, 3, 4)
-    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert code in (0, 1, 2, 3, 4), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
     messages = _message_lines(err.getvalue())
     if code == 3:  # a failed check reports through its table on stdout
-        assert not messages and out.getvalue().splitlines()[-1].endswith("checks passed")
+        assert not messages and out.getvalue().splitlines()[-1].endswith("checks passed"), argv
     elif code != 0:
-        assert len(messages) == 1, messages
+        assert len(messages) == 1, (argv, messages)
 
 
 SRC = Path(me.__file__).resolve().parent.parent

@@ -28,7 +28,8 @@ def brownian_exit_survival(t, terms=60):
 
 def full_length_variance(t, x, T):
     x = np.asarray(x, dtype=float)
-    return density._full_length_variance(t, x, T, np.empty_like(x))[()]
+    return density._full_length_variance(t, density._sin_squared(x, np.empty_like(x)), T,
+                                         np.empty_like(x))[()]
 
 
 def test_benchmark_volatility_values():
@@ -40,6 +41,27 @@ def test_benchmark_volatility_values():
     xs = np.linspace(0.0, 1.0, 7)
     row = full_length_variance(0.2, xs, 1.0)
     assert np.array_equal(row, [full_length_variance(0.2, x, 1.0) for x in xs])
+
+
+@pytest.mark.parametrize("N, M", [(2, 2), (37, 53)])
+def test_full_length_march_rows_are_the_shared_variance_bit_for_bit(N, M, monkeypatch):
+    # each step's sigma^2 row, read as the march fills its step matrix; the row
+    # at t = T is capped at t = (M - 1) k
+    rows = []
+    fill = density._fill_step_matrix
+
+    def recording_fill(s, *args):
+        rows.append(s.copy())
+        return fill(s, *args)
+
+    monkeypatch.setattr(density, "_fill_step_matrix", recording_fill)
+    g = me.make_grid(N, M, 2.5)
+    me.solve_forward_density(me.VolatilityModel.full_length(g.T), g, (N // 2) / N)
+    x = g.x_nodes()
+    assert len(rows) == M
+    for m, row in enumerate(rows):
+        want = full_length_variance(min(m + 1, M - 1) * g.k, x, g.T)[1:N]
+        assert row.tobytes() == want.tobytes(), m
 
 
 def test_benchmark_entropy_values():

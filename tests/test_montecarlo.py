@@ -125,7 +125,7 @@ def test_control_lookup_equals_np_interp_bitwise():
         xs = field.grid.x_nodes()
         queries = np.concatenate([xs, np.nextafter(xs[1:], 0.0), np.nextafter(xs[:-1], 1.0),
                                   [0.0, 1.0], rng.uniform(0.0, 1.0, 10_000)])
-        _, eval_a = _control_evaluator(field, None, queries.size)
+        _, _, eval_a = _control_evaluator(field, None, queries.size)
         # row m on [t_m, t_{m+1}); on k = 0.02, 58 * 0.01 / k and 29 * 0.02 / k are both
         # 28.999999999999996, and each must read row 29, as the HJB step does
         times = [(0.0, 0), (0.5 * field.grid.k, 0), (field.grid.T, field.grid.M - 1)]
@@ -142,7 +142,7 @@ def test_full_length_evaluator_equals_benchmark_variance_bitwise():
     x = np.concatenate([rng.uniform(0.0, 1.0, 5000), [5e-324, 0.5, np.nextafter(1.0, 0.0)]])
     x = x[(x > 0.0) & (x < 1.0)]
     for T in (1.0, 0.3, 2.5):
-        _, eval_a = _control_evaluator(me.VolatilityModel.full_length(T), None, x.size)
+        _, _, eval_a = _control_evaluator(me.VolatilityModel.full_length(T), None, x.size)
         for t in (0.0, 0.1 * T, 0.5 * T, np.nextafter(T, 0.0)):
             got = eval_a(t, x, np.empty(x.size))
             assert got.tobytes() == (np.sin(math.pi * x) ** 2 / (math.pi ** 2 * (T - t))).tobytes()
@@ -413,6 +413,24 @@ def test_early_termination_model_runs_as_its_field():
     via_field, via_model = me.simulate_paths(ctrl, cfg), me.simulate_paths(model, cfg)
     for name in PATH_ARRAYS:
         assert getattr(via_model, name).tobytes() == getattr(via_field, name).tobytes()
+
+
+def test_the_control_dispatch_gives_a_field_step_only():
+    ctrl, _ = small_control_field(10)
+    for control, horizon, k in ((ctrl, 1.0, ctrl.grid.k),
+                                (me.VolatilityModel.early_termination(ctrl), 1.0, ctrl.grid.k),
+                                (me.VolatilityModel.full_length(2.5), 2.5, None),
+                                (0.7, math.inf, None)):
+        assert _control_evaluator(control, 1.0, 1)[:2] == (horizon, k)
+
+
+def test_standard_error_is_the_per_path_rule():
+    assert montecarlo._standard_error(np.array([0.7])) == 0.0
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 1000):
+        samples = rng.normal(0.3, 2.0, n)
+        want = float(np.std(samples, ddof=1) / math.sqrt(n))
+        assert montecarlo._standard_error(samples) == want
 
 
 def test_horizon_equal_to_the_control_horizon_runs_the_default():
