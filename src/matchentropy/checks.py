@@ -14,8 +14,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ValidationError
-from .grid import (ValueSurface, _row_blocks, make_grid, second_difference_interior,
-                   stationary_entropy)
+from .grid import (ValueSurface, _row_blocks, _step_count, make_grid,
+                   second_difference_interior, stationary_entropy)
 from .hjb import SchemeConfig, solve_hjb
 
 
@@ -130,15 +130,11 @@ def hjb_horizon_solver(N: int = 100, k: float = 5e-3,
                        cap_d: float = 1e6) -> Callable[[float], ValueSurface]:
     """Factory producing horizon -> surface solves at a fixed step pair (k, h).
 
-    `decay_rate_check` calls the solver once, with the longest horizon.
+    Each horizon must be a whole number of steps k (`grid._step_count`).
     """
 
     def solve(T: float) -> ValueSurface:
-        steps = T / k
-        if not math.isfinite(steps):  # make_grid rejects a finite count too large
-            raise ValidationError(f"horizon {T!r} is not a finite number of steps k = {k!r}")
-        grid = make_grid(N, int(round(steps)), T)
-        return solve_hjb(grid, SchemeConfig(cap_d=cap_d))
+        return solve_hjb(make_grid(N, _step_count(T, k, name="k"), T), SchemeConfig(cap_d=cap_d))
 
     return solve
 
@@ -153,11 +149,11 @@ def decay_rate_check(solver: Callable[[float], ValueSurface],
     `solver` is called once, with the longest horizon.  The implicit sweep
     is autonomous (each step depends only on the next row, k and h), so
     the t = 0 row of the horizon-T surface is row M - T/k of that one
-    surface.  Every horizon must therefore be a whole number of its steps.
+    surface: every horizon must be a whole number of its steps (`grid._step_count`).
     """
     horizons = [float(T) for T in T_values]
-    if not horizons or not all(math.isfinite(T) and T > 0.0 for T in horizons):
-        raise ValidationError(f"horizons must be positive and finite, got {horizons!r}")
+    if not horizons:
+        raise ValidationError("decay_rate_check needs at least one horizon")
     surface = solver(max(horizons))
     g = surface.grid
     x = g.x_nodes()
@@ -166,9 +162,9 @@ def decay_rate_check(solver: Callable[[float], ValueSurface],
     results = []
     distances = []
     for T in horizons:
-        steps = g.time_index(T)  # rejects a T that is not a whole number of steps
-        if steps == 0:
-            raise ValidationError(f"horizon {T!r} is shorter than one step (k={g.k})")
+        steps = _step_count(T, g.k, name="k")
+        if steps > g.M:  # the solver returned a surface shorter than the longest horizon
+            raise ValidationError(f"horizon {T!r} is longer than the solved surface's {g.T!r}")
         dist = np.abs(surface.values[g.M - steps] - e_inf)
         excess = dist - (decay_envelope(x, T) + slack)
         # one row at t = 0, so the location is [0, j]

@@ -33,12 +33,12 @@ from .checks import (check_solution_properties, cross_solver_check, decay_rate_c
 from .density import (EARLY_TERMINATION, FULL_LENGTH, VolatilityModel, _start_node,
                       solve_forward_density, terminal_atoms)
 from .errors import NumericalError, ValidationError
-from .grid import Grid, dump_json, field_to_csv, make_grid, second_difference_interior
+from .grid import Grid, _step_count, dump_json, field_to_csv, make_grid, second_difference_interior
 from .hjb import (SchemeConfig, _check_cfl, optimal_control_field, solve_hjb,
                   solve_hjb_with_iterations)
 from .logdiff import LadderConfig, _entropy_rows, entropy_from_p, solve_log_diffusion
 from .montecarlo import (PROBE_FRACTIONS, SimConfig, _check_start, _control_evaluator,
-                         _step_count, quadratic_variation_check, simulate_paths)
+                         quadratic_variation_check, simulate_paths)
 
 # fewest field values per process writing a field, the caller included: a
 # spawned worker takes about 0.3 s to start, as long as formatting 400k values

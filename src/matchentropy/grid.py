@@ -101,6 +101,22 @@ def make_grid(N: int, M: int, T: float) -> Grid:
     return Grid(N=N, M=M, T=T, h=h, k=k)
 
 
+def _step_count(span: float, step: float, k: float | None = None, name: str = "dt") -> int:
+    """The one whole-step rule: n = span/step (`name` in messages) for a positive, finite span,
+    within 1e-9 of a whole n >= 1 and n <= 2**53 (past it j*step repeat); with k, step <= k."""
+    if not (0.0 < span < math.inf and 0.0 < step < math.inf):  # NaN included
+        raise ValidationError(f"horizon {span!r} and {name}={step!r} must be positive and finite")
+    if k is not None and step > k + 1e-15:
+        raise ValidationError(f"{name}={step!r} exceeds the control grid step {k!r}")
+    n_steps_f = span / step
+    if n_steps_f > 2.0 ** 53:
+        raise ValidationError(f"horizon/{name} = {n_steps_f:.6g} steps is more than 2**53")
+    n_steps = int(round(n_steps_f))
+    if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-9:
+        raise ValidationError(f"{name}={step!r} must divide the horizon {span!r} evenly")
+    return n_steps
+
+
 def _check_ladder_index(n, name: str) -> None:
     """Reject a ladder index n that is not an integer in [1, 2**53]: the solvers
     use n only as a float (1/n, log n, x(1-x)/(2n)), and above 2**53 distinct

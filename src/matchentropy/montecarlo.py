@@ -44,7 +44,7 @@ from numpy.random.bit_generator import ISeedSequence
 from ._workers import _process_count, _ranges, _receive, _send_jobs, _started
 from .density import FULL_LENGTH, VolatilityModel, _full_length_variance, _sin_squared
 from .errors import NumericalError, ValidationError
-from .grid import MAX_ARRAY_ENTRIES
+from .grid import MAX_ARRAY_ENTRIES, _step_count
 from .hjb import ControlField
 
 _CHUNK = 8192
@@ -184,7 +184,7 @@ def _field_evaluator(control: ControlField, size: int):
 
 def _simulate_range(control, cfg: SimConfig, T: float, n_steps: int, lo: int, hi: int):
     """Simulate paths [lo, hi) of a validated run to the horizon T, n_steps steps
-    of cfg.dt as `_step_count` gave them; return their terminal values,
+    of cfg.dt as `grid._step_count` gave them; return their terminal values,
     absorbed sides, exit times, rewards and quadratic variations."""
     n = hi - lo
     slots = min(n, _CHUNK)
@@ -298,19 +298,6 @@ def _simulate_split(control, cfg: SimConfig, T: float, n_steps: int, ranges):
         return parts
 
 
-def _step_count(horizon: float, dt: float, k: float | None = None) -> int:
-    """Steps of dt in a positive, finite horizon, with dt no larger than a field's step k."""
-    if k is not None and dt > k + 1e-15:
-        raise ValidationError(f"dt={dt!r} exceeds the control grid step {k!r}")
-    n_steps_f = horizon / dt
-    if n_steps_f > 2.0 ** 53:  # past it the step times j*dt are no longer distinct doubles
-        raise ValidationError(f"horizon/dt = {n_steps_f:.6g} steps is more than 2**53")
-    n_steps = int(round(n_steps_f))
-    if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-9:
-        raise ValidationError(f"dt={dt!r} must divide the horizon {horizon!r} evenly")
-    return n_steps
-
-
 def _check_start(eval_a, x0: float) -> None:
     """The start rule: every path's first reward is log a(0, x0), so a(0, x0) > 0;
     `eval_a` is a control's evaluator from `_control_evaluator`."""
@@ -326,7 +313,7 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats
     constant diffusion coefficient (which needs an explicit horizon T).
     For controls with a natural horizon, passing a smaller T stops the
     simulation early (the law of the stopped process at T).  RunConfig shares
-    its step and start rules, `_step_count` and `_check_start`.  A large run
+    its step and start rules, `grid._step_count` and `_check_start`.  A large run
     is split across worker processes (see the module docstring) with the same results.
     """
     horizon, k, eval_a = _control_evaluator(control, T, 1)

@@ -146,19 +146,34 @@ def test_decay_check_solves_once_with_the_longest_horizon():
 
 def test_decay_check_rejects_horizons_off_the_step_grid():
     solver = me.hjb_horizon_solver(N=20, k=0.05, cap_d=1e4)
-    with pytest.raises(ValidationError, match="not a grid time level"):
-        me.decay_rate_check(solver, (1.0, 1.03, 2.0))
-    for bad in ((), (1.0, 0.0), (1.0, -2.0), (1.0, math.nan), (math.inf,)):
-        with pytest.raises(ValidationError, match="positive and finite"):
+    # every horizon is a whole number of steps by grid._step_count, the rule the
+    # simulator's dt obeys: a shorter one, or the longest one the solver runs
+    for bad, T in (((1.0, 1.03, 2.0), "1.03"), ((1.0, 2.03), "2.03"), ((2.03,), "2.03"),
+                   ((1.0, 2.0000001), "2.0000001")):  # 2e-6 steps off: past the 1e-9
+        with pytest.raises(ValidationError, match=f"k=0.05 must divide the horizon {T} evenly"):
             me.decay_rate_check(solver, bad)
+    # no grid of steps k = 0.1 ends at T = 1.04
+    with pytest.raises(ValidationError, match="k=0.1 must divide the horizon 1.04 evenly"):
+        me.decay_rate_check(me.hjb_horizon_solver(N=20, k=0.1), (1.04,))
+    # 0.3 / 0.1 is 2.9999999999999996 steps: whole to within 1e-9
+    assert me.decay_rate_check(me.hjb_horizon_solver(N=20, k=0.1, cap_d=1e4), (0.3,)).passed
+    with pytest.raises(ValidationError, match="at least one horizon"):
+        me.decay_rate_check(solver, ())
+    for bad in ((1.0, 0.0), (1.0, -2.0), (1.0, math.nan), (math.inf,)):
+        with pytest.raises(ValidationError, match="must be positive and finite"):
+            me.decay_rate_check(solver, bad)
+    with pytest.raises(ValidationError, match="k=0.0 must be positive and finite"):
+        me.decay_rate_check(me.hjb_horizon_solver(k=0.0), (1.0,))
+    # a solver that stops short of the longest horizon has no row for it
+    with pytest.raises(ValidationError, match="1.5 is longer than the solved surface's 1.0"):
+        me.decay_rate_check(lambda T: solver(T / 2.0), (1.5, 2.0))
     # 1e308 / k overflows to inf; 1e300 / k is a finite count no array can hold
-    with pytest.raises(ValidationError, match="not a finite number of steps"):
-        me.decay_rate_check(me.hjb_horizon_solver(), [1e308])
-    with pytest.raises(ValidationError, match="too large for one array"):
-        me.decay_rate_check(me.hjb_horizon_solver(), [1e300])
+    for T in (1e308, 1e300):
+        with pytest.raises(ValidationError, match=r"steps is more than 2\*\*53"):
+            me.decay_rate_check(me.hjb_horizon_solver(), [T])
 
 
 def test_decay_check_rejects_a_horizon_shorter_than_one_step():
     solver = me.hjb_horizon_solver(N=20, k=0.05, cap_d=1e4)
-    with pytest.raises(ValidationError, match="shorter than one step"):
+    with pytest.raises(ValidationError, match="k=0.05 must divide the horizon 1e-10 evenly"):
         me.decay_rate_check(solver, (1e-10, 1.0))

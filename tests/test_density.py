@@ -8,7 +8,7 @@ from scipy.integrate import trapezoid
 import matchentropy as me
 from matchentropy import density
 from matchentropy.errors import NumericalError, ValidationError
-from matchentropy.hjb import ControlField
+from matchentropy.hjb import POLICY_TOL, ControlField
 from matchentropy.tridiag import solve_tridiagonal
 
 
@@ -289,6 +289,59 @@ def test_forward_density_matches_reference_loop(N, M, x0, solved):
             assert dens.values.tobytes() == values.tobytes()
             assert dens.absorbed_mass_left.tobytes() == left.tobytes()
             assert dens.absorbed_mass_right.tobytes() == right.tobytes()
+
+
+def solved_density(N, M, T, x0, cap_d, n):
+    """The HJB surface on an N x M grid, its control's interior columns and the
+    density that control carries from x0."""
+    g = me.make_grid(N, M, T)
+    cfg = me.SchemeConfig(cap_d=cap_d, terminal_regularisation_n=n)
+    surface = me.solve_hjb(g, cfg)
+    control = me.optimal_control_field(surface, cfg)
+    dens = me.solve_forward_density(me.VolatilityModel.early_termination(control), g, x0)
+    return g, surface.values, control.a_star[:, 1:-1], dens
+
+
+DUALITY_CASES = [
+    (40, 30, 1.0, 0.5, 1e6, None),
+    (60, 45, 0.7, 0.25, 1e6, None),
+    (120, 90, 1.0, 0.5, 1e3, None),
+    (40, 30, 1.0, 0.5, 1e6, 4),  # a regularised terminal row pairs with the last density row
+    (40, 30, 1.0, 0.5, 1e6, 16),
+    (1000, 1000, 1.0, 0.5, 1e6, None),
+]
+
+
+@pytest.mark.parametrize("N, M, T, x0, cap_d, n", DUALITY_CASES)
+def test_density_pairs_with_the_hjb_value_to_the_stop_rule(N, M, T, x0, cap_d, n):
+    """The march from t_m to t_{m+1} solves with a*_{m+1}, the transpose of the
+    HJB step that filled row m+1, so pairing each density row with the reward
+    r = (1 + log a*)/2 of its own row telescopes to the value one row in:
+    e[1, j0] = k sum_{m=1}^{M-1} h<q_m, r_m> + h<q_{M-1}, e_M> (interior sums)."""
+    g, e, a, dens = solved_density(N, M, T, x0, cap_d, n)
+    h, k, j0 = g.h, g.k, g.space_index(x0)
+    q, r, e_end = dens.values[:, 1:-1], 0.5 * (1.0 + np.log(a)), e[M, 1:-1]
+    # each level meets its scaled residual to POLICY_TOL: at most that per level
+    tol = M * POLICY_TOL * float(np.max(np.abs(e)))
+    value = k * h * np.sum(q[1:M] * r[1:M]) + h * np.dot(q[M - 1], e_end)
+    assert abs(e[1, j0] - value) <= tol
+    # the pairing of a march that read a*_m, against e[0, j0]: this march misses it
+    shifted = k * h * np.sum(q[1:] * r[:-1]) + h * np.dot(q[M], e_end)
+    assert abs(e[0, j0] - shifted) > tol
+
+
+@pytest.mark.parametrize("N, M, T, x0, cap_d, n", DUALITY_CASES)
+def test_density_ledger_closes_the_ito_identity(N, M, T, x0, cap_d, n):
+    """Paired with x^2, whose second difference is 2, each implicit step moves
+    h<q, x^2> by k h<q_{m+1}, a*_{m+1}> less what it absorbs at x = 1, so
+    absorbed_right[M] + h<q_M, x^2> - x0^2 = k sum_{m=0}^{M-1} h<q_{m+1}, a*_{m+1}>."""
+    g, _, a, dens = solved_density(N, M, T, x0, cap_d, n)
+    h, k, x = g.h, g.k, g.x_nodes()[1:-1]
+    q = dens.values[:, 1:-1]
+    lhs = dens.absorbed_mass_right[M] + h * np.dot(q[M], x * x) - x0 * x0
+    tol = 64 * M * np.finfo(float).eps  # round-off of M steps' sums
+    assert abs(lhs - k * h * np.sum(q[1:] * a[1:])) <= tol
+    assert abs(lhs - k * h * np.sum(q[1:] * a[:-1])) > tol  # the control one row early
 
 
 @pytest.mark.parametrize("entry, fires", [(-1e-9, True), (-1e-15, False)])
