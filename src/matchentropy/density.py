@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .grid import Grid, _fill_step_matrix, _frozen_array, _row_blocks, trapezoid_panels
+from .grid import (Grid, _check_positive, _fill_step_matrix, _frozen_array, _row_blocks,
+                   trapezoid_panels)
 from .hjb import ControlField
 from .tridiag import solve_tridiagonal
 
@@ -41,8 +42,7 @@ class VolatilityModel:
     def __post_init__(self):
         if self.kind not in (EARLY_TERMINATION, FULL_LENGTH):
             raise ValidationError(f"unknown volatility model kind {self.kind!r}")
-        if not (math.isfinite(self.T) and self.T > 0.0):
-            raise ValidationError(f"horizon T must be positive and finite, got {self.T!r}")
+        _check_positive(self.T, "horizon T")
         if self.kind == EARLY_TERMINATION and (self.control is None
                                                or self.control.grid.T != self.T):
             raise ValidationError(

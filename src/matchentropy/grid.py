@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import os
 import shutil
 import sys
@@ -82,17 +83,11 @@ class Grid:
 def make_grid(N: int, M: int, T: float) -> Grid:
     """Build a grid, rejecting N < 2, M < 1, T <= 0, a field too large for one
     numpy array, and a step k = T/M that underflows or makes k/h^2 overflow."""
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise ValidationError(f"N must be an integer >= 2, got {N!r}")
-    if not isinstance(M, (int, np.integer)) or M < 1:
-        raise ValidationError(f"M must be an integer >= 1, got {M!r}")
-    N, M = int(N), int(M)
+    N, M = _check_integer(N, "N", 2), _check_integer(M, "M", 1)
     if (N + 1) * (M + 1) > MAX_ARRAY_ENTRIES:
         raise ValidationError(f"a field of (M+1) x (N+1) = {M + 1} x {N + 1} nodes is "
                               "too large for one array")
-    T = float(T)
-    if not math.isfinite(T) or T <= 0.0:
-        raise ValidationError(f"T must be a positive real, got {T!r}")
+    T = _check_positive(T, "T")
     # the solvers divide by k and by h^2; h = 1/N > 0 for any N the size bound admits
     k, h = T / M, 1.0 / N
     if k < sys.float_info.min or not math.isfinite(k / (h * h)):
@@ -117,12 +112,21 @@ def _step_count(span: float, step: float, k: float | None = None, name: str = "d
     return n_steps
 
 
-def _check_ladder_index(n, name: str) -> None:
-    """Reject a ladder index n that is not an integer in [1, 2**53]: the solvers
-    use n only as a float (1/n, log n, x(1-x)/(2n)), and above 2**53 distinct
-    integers round to the same double."""
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= 2**53:
-        raise ValidationError(f"{name} must be an integer in [1, 2**53], got {n!r}")
+def _check_integer(value, name: str, low: int, high: int | None = None) -> int:
+    """The one integer rule: a Python or NumPy integer in [low, high] (or >= low), as an int."""
+    if not isinstance(value, (int, np.integer)) or value < low or (
+            high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValidationError(f"{name} must be an integer {bounds}, got {value!r}")
+    return int(value)
+
+
+def _check_positive(value, name: str) -> float:
+    """The one positive-real rule: a real number (NumPy's too, no text) in (0, inf), as a float."""
+    with contextlib.suppress(OverflowError):  # an int past the float range is no float
+        if isinstance(value, numbers.Real) and 0.0 < float(value) < math.inf:  # NaN fails
+            return float(value)
+    raise ValidationError(f"{name} must be a real number, positive and finite, got {value!r}")
 
 
 def stationary_entropy(x):
@@ -258,15 +262,12 @@ def _write_rows(fh, path, values, rows, args_of, workers) -> None:
     [lo, hi) of `values` to the text file fh, opened at `path`, from its position.
 
     The ranges are cut as `_workers` describes, one here and one per worker (so
-    one range of all rows without workers).  Each range after the first is
-    sent first, as a job to one of `workers` (see `_write_job`), and then this
-    process writes the first: the worker formats its range, and once the
-    ranges before it are written it copies it in at their end.  fh is left at
-    the end of the last range."""
+    one range of all rows, and no job, without workers).  Each range after the
+    first is sent first, as a job to one of `workers` (see `_write_job`), and
+    then this process writes the first: the worker formats its range, and once
+    the ranges before it are written it copies it in at their end.  fh is left
+    at the end of the last range."""
     (lo, hi), *rest = _ranges(len(values), 1 + len(workers))
-    if not rest:
-        fh.writelines(rows(values, *args_of(lo, hi)))
-        return
     values = np.ascontiguousarray(values, dtype=float)
     path = os.path.abspath(path)  # the workers keep the directory they started in
     _send_jobs([(conn, (_write_job, (rows, args_of(r_lo, r_hi), values.shape[1], path)),

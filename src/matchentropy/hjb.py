@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .grid import (Grid, ValueSurface, _check_ladder_index, _fill_step_matrix,
-                   _frozen_array, second_difference_interior, stationary_entropy)
+from .grid import (Grid, ValueSurface, _check_integer, _fill_step_matrix, _frozen_array,
+                   second_difference_interior, stationary_entropy)
 from .tridiag import solve_tridiagonal
 
 CONTROL_FLOOR = 1.0 / math.e
@@ -45,8 +45,8 @@ class SchemeConfig:
                 f"cap_d must be >= 1/e ({CONTROL_FLOOR:.6f}), got {self.cap_d!r}")
         if self.scheme not in _SCHEMES:
             raise ValidationError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if self.terminal_regularisation_n is not None:
-            _check_ladder_index(self.terminal_regularisation_n, "terminal_regularisation_n")
+        if self.terminal_regularisation_n is not None:  # the ladder index, as LadderConfig's
+            _check_integer(self.terminal_regularisation_n, "terminal_regularisation_n", 1, 2**53)
 
 
 @dataclass(frozen=True)

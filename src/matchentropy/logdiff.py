@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError
-from .grid import (P_CEILING_TOL, Grid, PField, ValueSurface, _check_ladder_index,
-                   _row_blocks, second_difference_interior, trapezoid_panels)
+from .grid import (P_CEILING_TOL, Grid, PField, ValueSurface, _check_integer, _row_blocks,
+                   second_difference_interior, trapezoid_panels)
 from .tridiag import solve_tridiagonal
 
 _POSITIVITY_FLOOR = 1e-30
@@ -30,12 +30,12 @@ MAX_NEWTON_ITERS = 60
 
 @dataclass(frozen=True)
 class LadderConfig:
-    """Ladder index n: the initial row is the constant p = 1/n."""
+    """Ladder index n in [1, 2**53], past which integers share doubles: p starts at 1/n."""
 
     regularisation_n: int = 1
 
     def __post_init__(self):
-        _check_ladder_index(self.regularisation_n, "regularisation_n")
+        _check_integer(self.regularisation_n, "regularisation_n", 1, 2**53)
 
 
 def _newton_step(prev_int: np.ndarray, grid: Grid, work: np.ndarray, tol: float) -> np.ndarray:

@@ -44,7 +44,7 @@ from numpy.random.bit_generator import ISeedSequence
 from ._workers import _process_count, _ranges, _receive, _send_jobs, _started
 from .density import FULL_LENGTH, VolatilityModel, _full_length_variance, _sin_squared
 from .errors import NumericalError, ValidationError
-from .grid import MAX_ARRAY_ENTRIES, _step_count
+from .grid import MAX_ARRAY_ENTRIES, _check_integer, _check_positive, _step_count
 from .hjb import ControlField
 
 _CHUNK = 8192
@@ -71,15 +71,12 @@ class SimConfig:
     x0: float
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValidationError("n_paths must be >= 1")
+        _check_integer(self.n_paths, "n_paths", 1)
         if self.n_paths > MAX_ARRAY_ENTRIES:
             raise ValidationError(f"n_paths = {self.n_paths} is too large for one array")
         # Philox takes the seed as one 64-bit key word, so a wider one would alias
-        if not 0 <= self.base_seed < 2 ** 64:
-            raise ValidationError(f"base_seed must lie in [0, 2**64), got {self.base_seed!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
+        _check_integer(self.base_seed, "base_seed", 0, 2**64 - 1)
+        _check_positive(self.dt, "dt")
         if not 0.0 < self.x0 < 1.0:
             raise ValidationError(f"x0 must lie in (0, 1), got {self.x0!r}")
 
@@ -127,9 +124,7 @@ def _control_evaluator(control, T: float | None, size: int):
         control = control.control  # an early-termination model is its solved field
     if isinstance(control, ControlField):
         return control.grid.T, control.grid.k, _field_evaluator(control, size)
-    a_const = float(control)
-    if not (math.isfinite(a_const) and a_const > 0.0):
-        raise ValidationError(f"constant control must be positive and finite, got {control!r}")
+    a_const = _check_positive(control, "constant control")
     if T is None:
         raise ValidationError("a horizon T is required with a constant control")
 

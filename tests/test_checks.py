@@ -101,6 +101,31 @@ def test_solved_surfaces_pass_property_checks_at_modest_resolutions():
         assert report.passed, report.format_table()
 
 
+def _decay_rates(N, k):
+    """(measured, predicted) decay rate of the distance to x(1-x)/2 from one sweep to
+    T = 5: -log(d(5)/d(2))/3 of d(T) = max|row M - T/k - x(1-x)/2|, and the implicit
+    step's first-mode rate log(1 + k lam_h/2)/k, lam_h = 4 sin^2(pi h/2)/h^2."""
+    surface = me.hjb_horizon_solver(N=N, k=k)(5.0)
+    g = surface.grid
+    e_inf = me.stationary_entropy(g.x_nodes())
+    d2, d5 = (float(np.max(np.abs(surface.values[g.M - round(T / k)] - e_inf)))
+              for T in (2.0, 5.0))
+    lam_h = 4.0 * math.sin(math.pi * g.h / 2.0) ** 2 / g.h ** 2
+    return -math.log(d5 / d2) / 3.0, math.log1p(k * lam_h / 2.0) / k
+
+
+def test_decay_rate_is_the_first_mode_rate_of_the_implicit_step():
+    # near x(1-x)/2 the control is 1 and the sweep is the heat equation's implicit
+    # step: by T = 2 mode 3 is below e^-78 of mode 1 and the nonlinear term is of
+    # relative size d(2), about 5e-6; T = 5 keeps d(5) (2e-12) off round-off
+    rates = {}
+    for N, k in ((50, 1e-2), (100, 5e-3), (40, 5e-3)):
+        measured, predicted = rates[N, k] = _decay_rates(N, k)
+        assert abs(measured / predicted - 1.0) <= 1e-4, (N, k, measured, predicted)
+    # under refinement the rate rises toward the continuous pi^2/2
+    assert rates[50, 1e-2][0] < rates[100, 5e-3][0] < math.pi ** 2 / 2.0
+
+
 def _separate_decay_report(solver, T_values):
     """The decay report built from one solve per horizon, as the check once did."""
     results = []

@@ -508,7 +508,7 @@ SIMULATE_INPUT_ERRORS = [
                    id=f"start-between-nodes-{command}")
       for command in ("density", "reproduce-figures")],
     *[pytest.param([command, "--regularisation-n", n],
-                   re.escape(f"regularisation_n must be an integer in [1, 2**53], got {n}"),
+                   re.escape(f"regularisation_n must be an integer in [1, {2**53}], got {n}"),
                    id=f"ladder-index-{command}-{len(n)}-digits")
       for command, n in (("forward-p", str(2**64)), ("check", str(2**64)),
                          ("solve", str(10**309)))],

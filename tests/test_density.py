@@ -390,8 +390,8 @@ def test_density_input_validation():
         me.VolatilityModel(kind="early_termination", T=5.0, control=ctrl)
     with pytest.raises(ValidationError, match="do not match"):
         me.solve_forward_density(me.VolatilityModel.full_length(2.0), g, 0.5)
-    for bad_T in (float("nan"), float("inf")):
-        with pytest.raises(ValidationError):
+    for bad_T in (float("nan"), float("inf"), -1.0, "1", None):
+        with pytest.raises(ValidationError, match="horizon T must be a real number"):
             me.VolatilityModel.full_length(bad_T)
     good = me.solve_forward_density(me.VolatilityModel.full_length(1.0), g, 0.5)
     for field in ("values", "absorbed_mass_left", "absorbed_mass_right"):

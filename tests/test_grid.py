@@ -35,6 +35,15 @@ def test_make_grid_rejects_bad_inputs_naming_the_field():
         me.make_grid(4, 2, 0.0)
     with pytest.raises(ValidationError, match="T"):
         me.make_grid(4, 2, -3.0)
+    # one integer rule for the sizes and one positive-real rule for T: no float
+    # size, and no text for T, not even text that parses as a number
+    for N, M, T, field in ((4.0, 2, 1.0, "N"), (4, 2.5, 1.0, "M"), (4, 2, "abc", "T"),
+                           (4, 2, "1.0", "T"), (4, 2, None, "T"), (4, 2, math.nan, "T"),
+                           (4, 2, math.inf, "T"), (4, 2, 10**400, "T")):
+        with pytest.raises(ValidationError, match=f"^{field} must be "):
+            me.make_grid(N, M, T)
+    g = me.make_grid(np.int64(4), np.uint8(2), np.float32(0.5))
+    assert (type(g.N), type(g.M), type(g.T), g.T) == (int, int, float, 0.5)
     for N, M in ((2**63 - 1, 8), (8, 2**63 - 1), (10**30, 8), (8, 10**30)):
         with pytest.raises(ValidationError, match="too large for one array"):
             me.make_grid(N, M, 1.0)

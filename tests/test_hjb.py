@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import matchentropy as me
 from matchentropy import hjb
@@ -206,6 +206,26 @@ def test_solve_hjb_monotone_in_cap():
     v_small = me.solve_hjb(g, me.SchemeConfig(cap_d=5.0)).values
     v_large = me.solve_hjb(g, me.SchemeConfig(cap_d=50.0)).values
     assert np.all(v_large >= v_small - 1e-12)
+
+
+@settings(max_examples=60)
+@given(N=st.integers(4, 40), M=st.integers(2, 40), T=st.floats(0.05, 3.0),
+       caps=st.lists(st.floats(2.0, 1e6), min_size=2, max_size=2, unique=True))
+def test_random_small_grids_keep_the_monotonicity_and_shape_invariants(N, M, T, caps):
+    # a larger control set gives a larger value, smaller terminal data (a larger
+    # ladder index) a smaller one, and every surface is bounded, time-monotone,
+    # symmetric and concave; the slack is the policy stop rule summed over M levels
+    g = me.make_grid(N, M, T)
+    cap_lo, cap_hi = sorted(caps)
+    surfaces = [me.solve_hjb(g, me.SchemeConfig(cap_d=cap, terminal_regularisation_n=n))
+                for cap, n in ((cap_lo, None), (cap_hi, None), (cap_hi, 5), (cap_hi, 2))]
+    e_lo, e_hi, e_n5, e_n2 = (s.values for s in surfaces)
+    tol = M * hjb.POLICY_TOL * max(1.0, max(float(np.max(np.abs(e))) for e in (e_lo, e_hi)))
+    assert np.max(e_lo - e_hi) <= tol
+    assert np.max(e_n5 - e_n2) <= tol
+    for surface in surfaces:
+        report = me.check_solution_properties(surface)
+        assert report.passed, report.format_table()
 
 
 def test_solve_hjb_regularised_terminal_row():

@@ -355,12 +355,21 @@ def test_sim_config_validation():
     for huge in (2**63 - 1, 10**30):
         with pytest.raises(ValidationError, match="too large for one array"):
             me.SimConfig(n_paths=huge, dt=0.01, base_seed=1, x0=0.5)
-    # the seed is one 64-bit key word: a wider one would run as its low 64 bits
-    for seed in (-1, 2**64, 5 + 2**64, -(2**64)):
-        with pytest.raises(ValidationError, match="base_seed"):
+    # the seed is one 64-bit key word: a wider one would run as its low 64 bits, and
+    # a fractional one as its integer part (1.5 and 1.9 ran seed 1's paths)
+    for seed in (-1, 2**64, 5 + 2**64, -(2**64), 1.5, 1.9, 1.0, "1", None):
+        with pytest.raises(ValidationError, match="base_seed must be an integer in"):
             me.SimConfig(n_paths=10, dt=0.01, base_seed=seed, x0=0.5)
-    for seed in (0, 2**64 - 1):
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
         assert me.SimConfig(n_paths=10, dt=0.01, base_seed=seed, x0=0.5).base_seed == seed
+    # a path count is an integer too, and a step a real number, not text
+    for n_paths in (2.5, 10.0, "10"):
+        with pytest.raises(ValidationError, match="n_paths must be an integer >= 1"):
+            me.SimConfig(n_paths=n_paths, dt=0.01, base_seed=1, x0=0.5)
+    for dt in ("0.1", None, 1j, 10**400):
+        with pytest.raises(ValidationError, match="dt must be a real number, positive and finite"):
+            me.SimConfig(n_paths=10, dt=dt, base_seed=1, x0=0.5)
+    assert me.SimConfig(np.int64(10), np.float32(0.5), np.int8(3), 0.5).n_paths == 10
 
 
 def test_simulation_step_constraints():
@@ -372,8 +381,8 @@ def test_simulation_step_constraints():
     with pytest.raises(ValidationError):
         me.simulate_paths(1.0, me.SimConfig(n_paths=10, dt=0.01, base_seed=1, x0=0.5))
     cfg = me.SimConfig(n_paths=10, dt=0.01, base_seed=1, x0=0.5)
-    for bad in (-1.0, math.inf, math.nan):
-        with pytest.raises(ValidationError):
+    for bad in (-1.0, 0.0, math.inf, math.nan, "abc", None, 10**400):
+        with pytest.raises(ValidationError, match="constant control must be a real number"):
             me.simulate_paths(bad, cfg, T=1.0)
     # one T rule, ahead of the step rule, for a constant and for a field alike
     for bad_T in (math.nan, math.inf, 0.0, -1.0):
