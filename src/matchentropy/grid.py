@@ -343,109 +343,67 @@ def _csv_body(fh, max_rows=None) -> np.ndarray:
         raise ValidationError(f"field CSV body is not rows of numbers: {exc}") from exc
 
 
-class _RowOrder:
-    """The order check of a field CSV body, fed its t and x columns a piece at a time.
-
-    The first time row is the run of rows whose t equals the first row's: its
-    x values are the nodes, and they must strictly increase.  Each later time
-    row must repeat the nodes exactly under one t above the previous row's,
-    and the body must end on a whole time row.  That accepts exactly the
-    bodies whose rows are the product of strictly increasing times and nodes,
-    row-major, however the body is cut into pieces.  `bad` is the index of the
-    first body row that breaks the order, or None.
-    """
-
-    def __init__(self):
-        self.rows = 0
-        self.bad = None
-        self.xs = None  # the nodes, once the first time row has ended
-        self._first = []  # x values of the first time row until then
-        self._ts = []  # the t of each time row begun, in pieces
-        self._prev = None  # the t of the last row fed
-
-    def feed(self, t, x) -> None:
-        lo, self.rows = self.rows, self.rows + len(t)
-        if self.bad is not None:
-            return
-        if lo == 0:
-            self._ts.append(t[:1].copy())
-        if self.xs is None:
-            same = t == self._ts[0][0]
-            end = len(t) if same.all() else int(np.argmin(same))
-            self._first.append(x[:end].copy())
-            if end == len(t):
-                self._prev = t[-1]
-                return
-            self._end_first_row()
-            if self.bad is not None:
-                return
-            t, x, lo, self._prev = t[end:], x[end:], lo + end, self._ts[0][0]
-        nx = self.xs.size
-        before = np.concatenate(([self._prev], t[:-1]))
-        ok = t == before  # a time row repeats its t
-        new = slice(-lo % nx, None, nx)  # the rows that begin a time row
-        ok[new] = t[new] > before[new]
-        ok &= x == np.resize(np.roll(self.xs, -(lo % nx)), len(x))
-        self._ts.append(t[new].copy())
-        self._prev = t[-1]
-        if not ok.all():
-            self.bad = lo + int(np.argmin(ok))
-
-    def _end_first_row(self) -> None:
-        xs = self.xs = np.concatenate(self._first)
-        self._first = None
-        ok = xs == xs  # a NaN node matches nothing
-        ok[1:] &= xs[1:] > xs[:-1]
-        if not xs.size:  # no row matched the first t: it is NaN
-            self.bad = 0
-        elif not ok.all():
-            self.bad = int(np.argmin(ok))
-
-    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(times, nodes) of the rows fed, once the body has ended; check `bad` after."""
-        if self.xs is None:
-            self._end_first_row()
-        if self.bad is None and self.rows % self.xs.size:
-            self.bad = self.rows - self.rows % self.xs.size  # the first row of the last time row
-        return np.concatenate(self._ts), self.xs
-
-
 def _read_body(fh, read_rows, values):
-    """Parse the body of fh read_rows rows at a time (whole with None), feeding
-    each piece's t and x to a _RowOrder and copying its value column into the
-    1-D array `values`, from the front.  Return (body shape, order).  A piece
-    whose width differs from the first's is a ValidationError."""
-    order, rows, width = _RowOrder(), 0, None
+    """Parse the body of fh read_rows rows at a time (whole with None), copying each
+    piece's value column into the 1-D array `values`, from the front, and checking
+    its t and x columns by field_from_csv's order rule, whole time rows at a time.
+    Return (body shape, the t of each time row, the nodes, the index of the first
+    body row out of order or None).  A piece whose width differs from the first's
+    is a ValidationError."""
+    rows, width, ts, nodes, bad = 0, None, [], None, None
+    # the (t, x) of the row before the unchecked rows (none before the first), then a
+    # copy of those rows: a time row not yet complete, carried over to the next piece
+    carry = np.array([[-np.inf, np.nan]])
     while True:
         piece = _csv_body(fh, read_rows)
+        last = len(piece) != read_rows
         if width is None:
             width = piece.shape[1]
-        elif not piece.size:
-            break
-        elif piece.shape[1] != width:
+        elif piece.size and piece.shape[1] != width:
             raise ValidationError("field CSV body rows differ in width")
-        if width == 3:
-            order.feed(piece[:, 0], piece[:, 1])
+        if width == 3 and piece.size:
             values[rows:rows + len(piece)] = piece[:, 2]
+            if bad is None:
+                carry = np.concatenate((carry, piece[:, :2]))
         rows += len(piece)
-        full = len(piece) == read_rows
         del piece  # freed before the next piece is parsed
-        if not full:
-            break
-    return (rows, width), order
+        if nodes is None and len(carry) > 1:  # the x under the first t, once a later t or the end
+            n = 1 + int(np.argmin(np.append(carry[2:, 0] == carry[1, 0], False)))
+            nodes = carry[1:n + 1, 1].copy() if n < len(carry) - 1 or last else None
+        if nodes is not None and bad is None:
+            size, unchecked = nodes.size, len(carry) - 1
+            n = unchecked if last else unchecked - unchecked % size
+            (t_before, x_before), (t, x) = carry[:n].T, carry[1:n + 1].T
+            ok = (t == t_before) & (x > x_before)  # one t per time row, nodes increasing
+            ok[::size] = t[::size] > t_before[::size]  # each time row above the last
+            ok &= x == np.resize(nodes, n)  # the nodes in turn
+            if not ok.all():
+                bad = rows - unchecked + int(np.argmin(ok))
+            elif n % size:  # the body ends inside a time row: name its first row
+                bad = rows - unchecked + n - n % size
+            ts.append(t[::size].copy())
+            carry = carry[n:].copy()
+            del t_before, x_before, t, x  # views of the rows checked: freed with them
+        if last:
+            return (rows, width), ts, nodes, bad
 
 
 def field_from_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a field CSV file back as (t values, x values, value matrix); '#' and
     blank lines are skipped, and the first other line is the t,x,<label> header.
 
-    The body is parsed _READ_ROWS rows at a time, into arrays small enough to
-    reuse freed memory.  Each piece's order is checked as it is parsed (see
-    `_RowOrder`) and its values are copied into the one array that becomes the
-    value matrix, sized by the file's line breaks, so the reader holds that
-    array and one piece.  The value matrix is a C-contiguous array of its own.
-    A body that numpy cannot parse in pieces is parsed again whole, so numpy's
-    message names the failing row of the file.
+    The rows must be one per (t, x) pair, ordered by t then x.  One rule checks
+    them: the nodes are the x values of the first time row; every row repeats the
+    nodes in turn, strictly increasing, under one t, which equals the previous
+    row's or, at the start of a time row, is above it; the body ends on a whole
+    time row.  The body is parsed _READ_ROWS rows at a time, into arrays small
+    enough to reuse freed memory.  Each piece's values are copied into the one
+    array that becomes the value matrix, sized by the file's line breaks, and its
+    whole time rows are checked as it is parsed; the rows of a time row not yet
+    complete are copied over to the next piece, so the check, and the row it
+    names, do not depend on where the pieces are cut.  The value matrix is a
+    C-contiguous array of its own.  A body that numpy cannot parse in pieces is
+    parsed again whole, so numpy's message names the failing row of the file.
     """
     # every body row but the last ends in a line break, which text mode reads
     # as \n, \r\n or \r: one more than their count bounds the rows
@@ -456,17 +414,17 @@ def field_from_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with open(path) as fh:
         _skip_header(fh)
         try:
-            shape, order = _read_body(fh, _READ_ROWS, values)
+            shape, ts, xs, bad = _read_body(fh, _READ_ROWS, values)
         except ValidationError:
             fh.seek(0)
             _skip_header(fh)
-            shape, order = _read_body(fh, None, values)
+            shape, ts, xs, bad = _read_body(fh, None, values)
     if shape[0] == 0 or shape[1] != 3:
         raise ValidationError(f"field CSV needs t,x,value rows, got a body of shape {shape}")
-    ts, xs = order.nodes()
-    if order.bad is not None:
+    if bad is not None:
         raise ValidationError(f"field CSV rows are not one per (t, x) pair ordered by t then x "
-                              f"(from body row {order.bad + 1} of {shape[0]})")
+                              f"(from body row {bad + 1} of {shape[0]})")
+    ts = np.concatenate(ts)
     values.resize((ts.size, xs.size), refcheck=False)  # in place; drops the unused tail
     return ts, xs, values
 

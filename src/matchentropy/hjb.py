@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .grid import (Grid, ValueSurface, _check_integer, _fill_step_matrix, _frozen_array,
-                   second_difference_interior, stationary_entropy)
+from .grid import (Grid, ValueSurface, _check_integer, _check_positive, _fill_step_matrix,
+                   _frozen_array, second_difference_interior, stationary_entropy)
 from .tridiag import solve_tridiagonal
 
 CONTROL_FLOOR = 1.0 / math.e
@@ -40,7 +40,7 @@ class SchemeConfig:
     terminal_regularisation_n: int | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.cap_d) or self.cap_d < CONTROL_FLOOR:
+        if _check_positive(self.cap_d, "cap_d") < CONTROL_FLOOR:
             raise ValidationError(
                 f"cap_d must be >= 1/e ({CONTROL_FLOOR:.6f}), got {self.cap_d!r}")
         if self.scheme not in _SCHEMES:

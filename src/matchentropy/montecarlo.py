@@ -77,7 +77,7 @@ class SimConfig:
         # Philox takes the seed as one 64-bit key word, so a wider one would alias
         _check_integer(self.base_seed, "base_seed", 0, 2**64 - 1)
         _check_positive(self.dt, "dt")
-        if not 0.0 < self.x0 < 1.0:
+        if _check_positive(self.x0, "x0") >= 1.0:
             raise ValidationError(f"x0 must lie in (0, 1), got {self.x0!r}")
 
 
@@ -313,7 +313,7 @@ def simulate_paths(control, cfg: SimConfig, T: float | None = None) -> PathStats
     """
     horizon, k, eval_a = _control_evaluator(control, T, 1)
     if T is not None:
-        if not (math.isfinite(T) and 0.0 < T <= horizon + 1e-12):
+        if _check_positive(T, "T") > horizon + 1e-12:
             raise ValidationError(f"T={T!r} must be positive, finite and at most {horizon!r}")
         horizon = float(T)
     n_steps = _step_count(horizon, cfg.dt, k)

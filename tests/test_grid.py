@@ -500,6 +500,25 @@ def test_csv_reader_in_pieces_gives_the_same_values_and_messages(read_rows, tmp_
     assert [isinstance(r, bytes) for r in whole] == [True, True, True] + [False] * 8
 
 
+@pytest.mark.parametrize("read_rows", [1, 2, 3, 4, None])
+@pytest.mark.parametrize("body, row", [
+    ("0,0,1/0,1,2/1,0,3/1,2,4", "4 of 4"),  # a node out of turn
+    ("0,0,1/0,1,2/1,0,3", "3 of 3"),  # no whole last time row: its first row
+    ("0,0,1/0,1,2/0,1,3/1,0,4", "3 of 4"),  # nodes not strictly increasing
+    ("0,0,1/0,1,2/1,0,3/1,1,4/0.5,0,5/0.5,1,6", "5 of 6"),  # a time going back
+    ("0,1,1/0,0,2", "2 of 2"),  # the first time row decreasing
+    ("nan,0,1", "1 of 1"),  # a time that equals nothing
+])
+def test_csv_reader_names_the_first_row_out_of_order(body, row, read_rows, tmp_path,
+                                                     monkeypatch):
+    path = tmp_path / "field.csv"
+    path.write_text("t,x,q\n" + body.replace("/", "\n") + "\n")
+    if read_rows is not None:
+        monkeypatch.setattr(me_grid, "_READ_ROWS", read_rows)
+    with pytest.raises(ValidationError, match=f"from body row {row}\\)$"):
+        me.field_from_csv(path)
+
+
 def test_csv_reader_returns_values_that_own_their_data(tmp_path):
     # a strided view of the parsed t,x,value body would keep all three columns alive
     s = _tiny_surface()

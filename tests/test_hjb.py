@@ -280,8 +280,12 @@ def test_optimal_control_field_values():
 
 
 def test_scheme_config_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="cap_d must be >= 1/e"):
         me.SchemeConfig(cap_d=0.2)
+    # a real number first, not text, None or an int past the float range
+    for cap in ("1e3", None, 10**400):
+        with pytest.raises(ValidationError, match="cap_d must be a real number, positive"):
+            me.SchemeConfig(cap_d=cap)
     with pytest.raises(ValidationError):
         me.SchemeConfig(scheme="magic")
     # a ladder index is an integer in [1, 2**53]: above that, n is used as a float

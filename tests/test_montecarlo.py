@@ -369,6 +369,9 @@ def test_sim_config_validation():
     for dt in ("0.1", None, 1j, 10**400):
         with pytest.raises(ValidationError, match="dt must be a real number, positive and finite"):
             me.SimConfig(n_paths=10, dt=dt, base_seed=1, x0=0.5)
+    for x0 in ("0.5", None):
+        with pytest.raises(ValidationError, match="x0 must be a real number, positive and finite"):
+            me.SimConfig(n_paths=10, dt=0.01, base_seed=1, x0=x0)
     assert me.SimConfig(np.int64(10), np.float32(0.5), np.int8(3), 0.5).n_paths == 10
 
 
@@ -384,11 +387,13 @@ def test_simulation_step_constraints():
     for bad in (-1.0, 0.0, math.inf, math.nan, "abc", None, 10**400):
         with pytest.raises(ValidationError, match="constant control must be a real number"):
             me.simulate_paths(bad, cfg, T=1.0)
-    # one T rule, ahead of the step rule, for a constant and for a field alike
-    for bad_T in (math.nan, math.inf, 0.0, -1.0):
-        with pytest.raises(ValidationError, match="must be positive, finite and at most"):
+    # one T rule, ahead of the step rule, for a constant and for a field alike: a real
+    # number (not text or an int past the float range), positive and finite, then at
+    # most the control's horizon
+    for bad_T in (math.nan, math.inf, 0.0, -1.0, "1", 10**400):
+        with pytest.raises(ValidationError, match="T must be a real number, positive and finite"):
             me.simulate_paths(1.0, cfg, T=bad_T)
-        with pytest.raises(ValidationError, match="must be positive, finite and at most"):
+        with pytest.raises(ValidationError, match="T must be a real number, positive and finite"):
             me.simulate_paths(ctrl, cfg, T=bad_T)
     with pytest.raises(ValidationError, match="T=1.5 must be positive, finite and at most 1.0"):
         me.simulate_paths(ctrl, cfg, T=1.5)
